@@ -433,9 +433,12 @@ def _read_site_countries_csv(path):
         if header != ["site_id", "country"]:
             raise DataError(f"{path}: expected header site_id,country, "
                             f"got {header}")
-        for row in reader:
-            if row:
-                out[row[0]] = row[1]
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataError(f"{path} line {lineno}: expected 2 columns")
+            out[row[0]] = row[1]
     return out
 
 

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, SolverError
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      require_aligned, resample, uniform_filter, window_iqr,
                      write_grid)
@@ -314,8 +314,10 @@ class ClimatologyResult:
 def _stage(name: str, fn):
     try:
         return fn()
-    except Exception as e:
-        raise type(e)(f"stage {name}: {e}") from e
+    except SolverError as e:
+        raise SolverError(f"stage {name}: {e}") from e
+    except (ValueError, OSError) as e:
+        raise DataError(f"stage {name}: {e}") from e
 
 
 def _valid_mean(grid: Grid) -> float:

@@ -48,7 +48,8 @@ def _require_category(grid: Grid, what: str) -> None:
 def rate_map(mt: Grid, p0: Grid, params: ModelParams, p: float) -> Grid:
     """Per-pixel rain rate at exceedance probability ``p`` (percent).
 
-    Nodata in either input propagates to the output.
+    Nodata in either input propagates to the output.  Valid cells are
+    clamped to ``mt >= 0`` and ``0 <= p0 <= 100`` before inverting.
     """
     require_aligned(mt, p0)
     if not (0 < p <= 100):
@@ -57,9 +58,9 @@ def rate_map(mt: Grid, p0: Grid, params: ModelParams, p: float) -> Grid:
     valid = mt.valid_mask() & p0.valid_mask()
     out = np.full_like(mt.values, mt.geometry.nodata)
     if valid.any():
-        out[valid] = _rain_rate_array(np.full(int(valid.sum()), float(p)),
-                                      mt.values[valid], p0.values[valid],
-                                      params)
+        out[valid] = _rain_rate_array(
+            float(p), np.maximum(mt.values[valid], 0.0),
+            np.clip(p0.values[valid], 0.0, 100.0), params)
     return Grid(mt.geometry, out)
 
 

@@ -32,11 +32,8 @@ from .errors import DataError, SolverError
 STANDARD_LADDER = (0.001, 0.002, 0.003, 0.005, 0.01, 0.02, 0.03, 0.05,
                    0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0)
 
-#: Upper safety cap for the rain-rate bracket (mm/h).
+#: Domain cap (mm/h): a rate at or above it means pathological inputs.
 RATE_CAP_MM_H = 10000.0
-
-_P_REL_TOL = 1e-9     # on |P(R) - p| relative to p
-_R_ABS_TOL = 1e-9     # on the bisection bracket width, mm/h
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,13 @@ def exceedance_probability(rate: float, climate: ClimatePoint,
 
 
 def _rain_rate_array(p, mt, p0, params: ModelParams) -> np.ndarray:
-    """Vectorized inversion of the forward model by bracketed bisection."""
+    """Vectorized inversion of the forward model in closed form.
+
+    With L = ln(p0/p), the rate solves x*b*R^2 + (x - c*L)*R - L = 0
+    (ITU-R P.837-5, Annex 1); the positive root is taken in the form that
+    avoids cancellation.  Raises :class:`SolverError` if the rate reaches
+    ``RATE_CAP_MM_H``.
+    """
     p = np.asarray(p, dtype=np.float64)
     p, mt, p0 = np.broadcast_arrays(p, np.asarray(mt, dtype=np.float64),
                                     np.asarray(p0, dtype=np.float64))
@@ -138,44 +141,19 @@ def _rain_rate_array(p, mt, p0, params: ModelParams) -> np.ndarray:
     if not active.any():
         return out
 
-    pa = np.ascontiguousarray(p[active])
-    mta = np.ascontiguousarray(mt[active])
-    p0a = np.ascontiguousarray(p0[active])
-
-    # grow the upper bracket geometrically from 1 mm/h
-    hi = np.ones_like(pa)
-    for _ in range(40):
-        pv = _exceedance_array(hi, mta, p0a, params)
-        need = pv >= pa
-        if not need.any():
-            break
-        if np.any(need & (hi >= RATE_CAP_MM_H)):
-            raise SolverError(
-                f"rain-rate bracket exceeded {RATE_CAP_MM_H} mm/h; "
-                "pathological climate inputs")
-        hi = np.where(need, np.minimum(hi * 2.0, RATE_CAP_MM_H), hi)
-    else:
-        raise SolverError("rain-rate bracket growth did not terminate")
-
-    lo = np.zeros_like(pa)
-    res = np.empty_like(pa)
-    done = np.zeros(pa.shape, dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        pm = _exceedance_array(mid, mta, p0a, params)
-        newly = (~done) & ((np.abs(pm - pa) <= _P_REL_TOL * pa)
-                           | ((hi - lo) <= _R_ABS_TOL))
-        res[newly] = mid[newly]
-        done |= newly
-        if done.all():
-            break
-        go_up = (~done) & (pm > pa)
-        lo[go_up] = mid[go_up]
-        go_dn = (~done) & (pm <= pa)
-        hi[go_dn] = mid[go_dn]
-    if not done.all():
-        raise SolverError("rain-rate bisection did not converge")
-    out[active] = res
+    p0a = p0[active]
+    b = mt[active] / (params.y * p0a)
+    L = np.log(p0a / p[active])
+    A = params.x * b
+    B = params.x - params.z * b * L
+    q = 0.5 * (np.abs(B) + np.sqrt(B * B + 4.0 * A * L))
+    # root = 2L/(B + sqrt(D)) = L/q when B > 0, else (sqrt(D) - B)/(2A) = q/A
+    rates = np.where(B > 0, L, q) / np.where(B > 0, q, A)
+    if not np.all(rates < RATE_CAP_MM_H):
+        raise SolverError(
+            f"rain rate reaches {RATE_CAP_MM_H} mm/h; "
+            "pathological climate inputs")
+    out[active] = rates
     return out
 
 
@@ -184,7 +162,7 @@ def rain_rate(p: float, climate: ClimatePoint, params: ModelParams) -> float:
 
     Returns 0 when ``p >= p0`` (rain occurs less often than p).  Raises
     ``ValueError`` for p outside (0, 100] and :class:`SolverError` if the
-    bracket cap is hit.
+    rate reaches ``RATE_CAP_MM_H``.
     """
     if not (0 < p <= 100):
         raise ValueError(f"exceedance probability must be in (0, 100], "
@@ -241,9 +219,12 @@ def curve_objective(training, params: ModelParams) -> float:
     Relative error is (predicted - observed) / observed, taken over every
     (site, rung) pair whose observed rate is positive.
     """
-    ps, rs, mts, p0s = _training_arrays(training)
-    rhat = _rain_rate_array(ps, mts, p0s, params)
-    eps = (rhat - rs) / rs
+    return _mean_sq_rel_error(_training_arrays(training), params)
+
+
+def _mean_sq_rel_error(arrays, params: ModelParams) -> float:
+    ps, rs, mts, p0s = arrays
+    eps = (_rain_rate_array(ps, mts, p0s, params) - rs) / rs
     return float(np.mean(eps * eps))
 
 
@@ -260,16 +241,13 @@ def fit_params(training, *, threads: int = 1, n_descents: int = 4) -> FitResult:
     each).  The best objective wins, with ties broken toward the
     lexicographically smallest (x, y, z).  Deterministic for any ``threads``.
     """
-    ps, rs, mts, p0s = _training_arrays(training)
+    arrays = _training_arrays(training)
 
     def objective(theta) -> float:
-        x, y, z = np.exp(theta)
         try:
-            rhat = _rain_rate_array(ps, mts, p0s, ModelParams(x, y, z))
+            return _mean_sq_rel_error(arrays, ModelParams(*np.exp(theta)))
         except SolverError:
             return 1e9  # steer the search away from pathological corners
-        eps = (rhat - rs) / rs
-        return float(np.mean(eps * eps))
 
     seeds = [np.log([x, y, z])
              for x in _SEED_X for y in _SEED_Y for z in _SEED_Z]
@@ -294,7 +272,7 @@ def fit_params(training, *, threads: int = 1, n_descents: int = 4) -> FitResult:
     if not candidates:
         raise SolverError("no fit start converged to a finite objective")
     fun, x, y, z = min(candidates)
-    return FitResult(ModelParams(x, y, z), fun, int(ps.size))
+    return FitResult(ModelParams(x, y, z), fun, int(arrays[0].size))
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,18 @@ def test_build_clim_rerun_identical_bytes(tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == first[name]
 
 
+def test_build_clim_non_utf8_observations_exits_2(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_clim_config(tmp_path)
+    with open(tmp_path / "obs.csv", "ab") as f:
+        f.write(b"12.0,9.05,30.05,\xff\xfe,1,4.5\n")
+    assert run_cli("build-clim", "--config", "c.cfg") == 2
+    assert "stage read" in capsys.readouterr().err
+    for name in ("mt.grd", "p0.grd", "report.txt", "mt.grd.manifest"):
+        assert not os.path.exists(tmp_path / name)
+
+
 # ---------------------------------------------------------------------------
 # gauge
 
@@ -347,6 +359,19 @@ def test_eval_malformed_samples_exits_2(tmp_path, monkeypatch):
                  out_report="metrics.txt", out_rec="rec.csv")
     assert run_cli("eval", "--config", "e.cfg") == 2
     assert not os.path.exists(tmp_path / "metrics.txt")
+
+
+def test_eval_short_sites_row_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    with open(tmp_path / "countries.csv", "a") as f:
+        f.write("c99\n")
+    write_config(tmp_path / "e.cfg", samples="samples.csv",
+                 sites="countries.csv", out_report="m.txt", out_rec="rec.csv")
+    assert run_cli("eval", "--config", "e.cfg") == 2
+    assert "line 22" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "m.txt")
+    assert not os.path.exists(tmp_path / "rec.csv")
 
 
 def test_impact_requires_paired_zone_keys(tmp_path, monkeypatch):

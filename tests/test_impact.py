@@ -57,6 +57,15 @@ def test_rate_map_matches_per_pixel_oracle():
             assert out.values[i, j] == expected
 
 
+def test_rate_map_clamps_negative_mt_to_zero():
+    mt = Grid(geom(3, 1), [-4000.0, 0.0, ND])
+    p0 = Grid(geom(3, 1), [5.0, 5.0, 5.0])
+    out = rate_map(mt, p0, PARAMS, 0.01)
+    assert out.values[0, 0] == out.values[0, 1] == rain_rate(
+        0.01, ClimatePoint(0.0, 5.0), PARAMS)
+    assert out.values[0, 2] == ND
+
+
 def test_rate_map_propagates_nodata_and_checks_alignment():
     mt = Grid(geom(2, 1), [ND, 1000.0])
     p0 = Grid(geom(2, 1), [5.0, ND])

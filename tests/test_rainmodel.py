@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from rainstats.errors import DataError, SolverError
-from rainstats.rainmodel import (STANDARD_LADDER, ClimatePoint, ModelParams,
-                                 SiteStatistics, curve_objective,
-                                 estimate_site_curve, exceedance_probability,
-                                 fit_params, loglinear_resample, rain_rate,
+from rainstats.rainmodel import (RATE_CAP_MM_H, STANDARD_LADDER, ClimatePoint,
+                                 ModelParams, SiteStatistics,
+                                 _exceedance_array, _rain_rate_array,
+                                 curve_objective, estimate_site_curve,
+                                 exceedance_probability, fit_params,
+                                 loglinear_resample, rain_rate,
                                  read_climate_csv, read_params,
                                  read_sites_csv, write_params,
                                  write_sites_csv)
@@ -123,6 +125,102 @@ def test_bracket_cap_raises_solver_error():
     flat = ModelParams(1e-4, 20000.0, 1000.0)
     with pytest.raises(SolverError):
         rain_rate(0.001, ClimatePoint(4000, 10), flat)
+
+
+def _bisection_rain_rate(p, mt, p0, params):
+    """Reference inversion: bracket growth from 1 mm/h, then bisection to
+    |P(R) - p| <= 1e-9 p or a bracket narrower than 1e-9 mm/h."""
+    out = np.zeros(p.shape)
+    active = p < p0
+    pa, mta, p0a = p[active], mt[active], p0[active]
+    hi = np.ones_like(pa)
+    for _ in range(40):
+        need = _exceedance_array(hi, mta, p0a, params) >= pa
+        if not need.any():
+            break
+        if np.any(need & (hi >= RATE_CAP_MM_H)):
+            raise SolverError("bracket cap")
+        hi = np.where(need, np.minimum(hi * 2.0, RATE_CAP_MM_H), hi)
+    lo = np.zeros_like(pa)
+    res = np.empty_like(pa)
+    done = np.zeros(pa.shape, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        pm = _exceedance_array(mid, mta, p0a, params)
+        newly = (~done) & ((np.abs(pm - pa) <= 1e-9 * pa)
+                           | ((hi - lo) <= 1e-9))
+        res[newly] = mid[newly]
+        done |= newly
+        if done.all():
+            break
+        go_up = (~done) & (pm > pa)
+        lo[go_up] = mid[go_up]
+        go_dn = (~done) & (pm <= pa)
+        hi[go_dn] = mid[go_dn]
+    assert done.all()
+    out[active] = res
+    return out
+
+
+def _random_inversion_inputs(rng, n):
+    mt = np.exp(rng.uniform(np.log(10.0), np.log(8000.0), n))
+    mt[rng.uniform(size=n) < 0.1] = 0.0
+    p0 = rng.uniform(0.1, 100.0, n)
+    p0[rng.uniform(size=n) < 0.05] = 0.0
+    p = np.exp(rng.uniform(np.log(1e-4), np.log(100.0), n))
+    near = rng.uniform(size=n) < 0.05
+    p[near] = p0[near] * (1.0 - rng.uniform(0.0, 1e-12, int(near.sum())))
+    p[near & (p0 == 0.0)] = 1.0
+    return p, mt, p0
+
+
+def _assert_matches_bisection(p, mt, p0, params):
+    closed = _rain_rate_array(p, mt, p0, params)
+    ref = _bisection_rain_rate(p, mt, p0, params)
+    inactive = p >= p0
+    assert np.all(closed[inactive] == 0.0) and np.all(ref[inactive] == 0.0)
+    a = ~inactive
+    pc = _exceedance_array(closed[a], mt[a], p0[a], params)
+    pr = _exceedance_array(ref[a], mt[a], p0[a], params)
+    # the reference stops on |P(R) - p| <= 1e-9 p or on its bracket width
+    assert np.all((np.abs(pc - pr) <= (1e-9 + 1e-12) * p[a])
+                  | (np.abs(closed[a] - ref[a]) <= 1e-9))
+    assert np.all(np.abs(pc - p[a]) <= 1e-12 * p[a])
+    dry = a & (mt == 0.0)
+    assert np.all(closed[dry] == np.log(p0[dry] / p[dry]) / params.x)
+    return int(a.sum())
+
+
+def test_closed_form_matches_bisection_reference_on_random_inputs():
+    rng = np.random.default_rng(20160902)
+    n_active = 0
+    for _ in range(50):
+        params = ModelParams(*np.exp(rng.uniform(np.log([0.05, 1e3, 1.0]),
+                                                 np.log([8.0, 4e5, 1e3]))))
+        p, mt, p0 = _random_inversion_inputs(rng, 2000)
+        capped = _exceedance_array(RATE_CAP_MM_H, mt, p0, params) >= p
+        if capped.any():
+            with pytest.raises(SolverError):
+                _rain_rate_array(p, mt, p0, params)
+            with pytest.raises(SolverError):
+                _bisection_rain_rate(p, mt, p0, params)
+        keep = ~capped
+        n_active += _assert_matches_bisection(p[keep], mt[keep], p0[keep],
+                                              params)
+    assert n_active > 50000
+
+
+def test_closed_form_matches_bisection_just_below_cap():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        params = ModelParams(*np.exp(rng.uniform(np.log([1e-4, 1e4, 100.0]),
+                                                 np.log([1e-3, 4e4, 1e3]))))
+        mt = rng.uniform(2000.0, 5000.0, 100)
+        p0 = rng.uniform(5.0, 10.0, 100)
+        target = RATE_CAP_MM_H * (1.0 - np.exp(
+            rng.uniform(np.log(1e-9), np.log(1e-6), 100)))
+        p = _exceedance_array(target, mt, p0, params)
+        assert _assert_matches_bisection(p, mt, p0, params) == 100
 
 
 # ---------------------------------------------------------------------------
