@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime
 
 from . import __version__
@@ -25,6 +27,7 @@ from .configfile import Field, load_config
 from .errors import ConfigError, DataError, SolverError
 from .raster import Grid, GridGeometry, read_grid, sample_bilinear
 from .rainmodel import ClimatePoint, SiteStatistics
+from .tables import read_rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +116,31 @@ def _write_manifest(path, command, args, cfg, input_keys, output_keys,
 
 def _manifest_path(cfg: dict, primary_output_key: str) -> str:
     return cfg.get("out_manifest") or cfg[primary_output_key] + ".manifest"
+
+
+@contextmanager
+def _staged_outputs(paths):
+    """Yield ``{path: temp path}`` with one temp file beside each output.
+
+    The block writes the temp files; only when it succeeds are they moved
+    over their outputs, so a failure at any step leaves no output behind.
+    Outputs that are directories are refused before any move.
+    """
+    temps = {path: os.path.join(os.path.dirname(path),
+                                f".{os.path.basename(path)}.{os.getpid()}.tmp")
+             for path in paths}
+    try:
+        yield temps
+        for path in temps:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "output is a directory",
+                                        path)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            if os.path.exists(temp):
+                os.remove(temp)
 
 
 def _validate_ladder(ladder):
@@ -207,22 +235,12 @@ _PREDICT_SCHEMA = {
 
 def _read_locations_csv(path):
     rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["site_id", "lat", "lon", "country"]:
-            raise DataError(f"{path}: expected header "
-                            f"site_id,lat,lon,country, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path} line {lineno}: expected 4 columns")
-            try:
-                rows.append((row[0], float(row[1]), float(row[2]), row[3]))
-            except ValueError:
-                raise DataError(f"{path} line {lineno}: non-numeric "
-                                "coordinate") from None
+    for lineno, row in read_rows(path, ["site_id", "lat", "lon", "country"]):
+        try:
+            rows.append((row[0], float(row[1]), float(row[2]), row[3]))
+        except ValueError:
+            raise DataError(f"{path} line {lineno}: non-numeric "
+                            "coordinate") from None
     return rows
 
 
@@ -300,10 +318,15 @@ def _cmd_build_clim(args) -> None:
                   "sigma_gauss must be positive")
     _config_check(cfg["dedup_window_s"] > 0,
                   "dedup_window_s must be positive")
-    climatology.build_climatology(cfg, threads=max(1, args.threads))
-    _write_manifest(_manifest_path(cfg, "out_mt"), "build-clim", args, cfg,
-                    ["observations", "reference_mt", "elevation"],
-                    ["out_mt", "out_p0", "out_report"])
+    out_keys = ["out_mt", "out_p0", "out_report"]
+    manifest = _manifest_path(cfg, "out_mt")
+    with _staged_outputs([cfg[key] for key in out_keys] + [manifest]) as tmp:
+        climatology.build_climatology(
+            {**cfg, **{key: tmp[cfg[key]] for key in out_keys}},
+            threads=max(1, args.threads))
+        _write_manifest(tmp[manifest], "build-clim", args, cfg,
+                        ["observations", "reference_mt", "elevation"],
+                        out_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -325,23 +348,14 @@ _GAUGE_SCHEMA = {
 
 def _read_gauge_sites_csv(path):
     rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["site_id", "lat", "lon", "country", "tips_path"]:
-            raise DataError(f"{path}: expected header "
-                            f"site_id,lat,lon,country,tips_path, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path} line {lineno}: expected 5 columns")
-            try:
-                rows.append((row[0], float(row[1]), float(row[2]), row[3],
-                             row[4]))
-            except ValueError:
-                raise DataError(f"{path} line {lineno}: non-numeric "
-                                "coordinate") from None
+    for lineno, row in read_rows(
+            path, ["site_id", "lat", "lon", "country", "tips_path"]):
+        try:
+            rows.append((row[0], float(row[1]), float(row[2]), row[3],
+                         row[4]))
+        except ValueError:
+            raise DataError(f"{path} line {lineno}: non-numeric "
+                            "coordinate") from None
     return rows
 
 
@@ -426,20 +440,8 @@ _EVAL_SCHEMA = {
 
 
 def _read_site_countries_csv(path):
-    out = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["site_id", "country"]:
-            raise DataError(f"{path}: expected header site_id,country, "
-                            f"got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path} line {lineno}: expected 2 columns")
-            out[row[0]] = row[1]
-    return out
+    return {site: country for _, (site, country)
+            in read_rows(path, ["site_id", "country"])}
 
 
 def _cmd_eval(args) -> None:

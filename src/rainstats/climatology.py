@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -21,6 +20,7 @@ from .errors import DataError, SolverError
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      require_aligned, resample, uniform_filter, window_iqr,
                      write_grid)
+from .tables import read_rows
 
 EARTH_RADIUS_KM = 6371.0088
 KM_PER_DEG = EARTH_RADIUS_KM * math.pi / 180.0
@@ -44,8 +44,11 @@ class SwathObservation:
     footprint_diameter: float
 
     def __post_init__(self):
-        if self.nsrr < 0:
-            raise ValueError(f"nsrr must be >= 0, got {self.nsrr}")
+        if not (math.isfinite(self.time) and math.isfinite(self.lon)):
+            raise ValueError("time and lon must be finite, got "
+                             f"{self.time}, {self.lon}")
+        if not 0 <= self.nsrr < math.inf:
+            raise ValueError(f"nsrr must be finite and >= 0, got {self.nsrr}")
         if not (3.0 <= self.footprint_diameter <= 6.0):
             raise ValueError("footprint diameter must be within [3, 6] km, "
                              f"got {self.footprint_diameter}")
@@ -77,38 +80,76 @@ class RenderReport:
     n_skipped: int
 
 
-def _cover_indices(obs: SwathObservation, g: GridGeometry) -> np.ndarray:
-    """Flat indices of pixels whose center lies within the footprint.
+#: Bounding-box cells examined per block of footprints; bounds memory.
+_HIT_BLOCK = 1 << 20
+
+
+def _footprint_hits(lat, lon, diam, coslat, g: GridGeometry):
+    """``(observation index, flat pixel)`` of every pixel center within a
+    footprint, in observation order and row-major within one observation.
 
     Distance is local equirectangular with cos(lat) longitude scaling,
-    adequate for footprints of a few km at sub-tropical latitudes.
+    adequate for footprints of a few km at sub-tropical latitudes.  The
+    candidates are the cells of each footprint's bounding box.
     """
-    r_km = obs.footprint_diameter / 2.0
+    r_km = diam / 2.0
     r2 = r_km * r_km
-    coslat = math.cos(math.radians(obs.lat))
     dlat = r_km / KM_PER_DEG
     dlon = r_km / (KM_PER_DEG * coslat)
+    # bounding box rows (from north) and columns, clipped to the grid; an
+    # empty range marks a footprint that misses it
+    i0 = np.clip(np.floor((g.lat_max - (lat + dlat)) / g.cell - 0.5),
+                 0, g.nrows).astype(np.int64)
+    i1 = np.clip(np.ceil((g.lat_max - (lat - dlat)) / g.cell - 0.5),
+                 -1, g.nrows - 1).astype(np.int64)
+    j0 = np.clip(np.floor(((lon - dlon) - g.xll) / g.cell - 0.5),
+                 0, g.ncols).astype(np.int64)
+    j1 = np.clip(np.ceil(((lon + dlon) - g.xll) / g.cell - 0.5),
+                 -1, g.ncols - 1).astype(np.int64)
+    height = int(np.max(i1 - i0 + 1, initial=0))
+    width = int(np.max(j1 - j0 + 1, initial=0))
 
-    # candidate rows (from north) and columns from the bounding box
-    lat_max = g.lat_max
-    i0 = int(math.floor((lat_max - (obs.lat + dlat)) / g.cell - 0.5))
-    i1 = int(math.ceil((lat_max - (obs.lat - dlat)) / g.cell - 0.5))
-    j0 = int(math.floor(((obs.lon - dlon) - g.xll) / g.cell - 0.5))
-    j1 = int(math.ceil(((obs.lon + dlon) - g.xll) / g.cell - 0.5))
-    i0, i1 = max(i0, 0), min(i1, g.nrows - 1)
-    j0, j1 = max(j0, 0), min(j1, g.ncols - 1)
-    if i0 > i1 or j0 > j1:
-        return np.empty(0, dtype=np.int64)
+    obs_idx, pixels = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    block = max(1, _HIT_BLOCK // max(1, height * width))
+    for s in range(0, lat.size, block):
+        sel = slice(s, s + block)
+        rows = i0[sel, None] + np.arange(height)
+        cols = j0[sel, None] + np.arange(width)
+        lat_c = g.yll + (g.nrows - rows - 0.5) * g.cell
+        lon_c = g.xll + (cols + 0.5) * g.cell
+        dy = (lat_c - lat[sel, None]) * KM_PER_DEG
+        dx = (lon_c - lon[sel, None]) * (KM_PER_DEG * coslat[sel, None])
+        # cells past a footprint's own box are infinitely far
+        dy2 = np.where(rows <= i1[sel, None], dy * dy, np.inf)
+        dx2 = np.where(cols <= j1[sel, None], dx * dx, np.inf)
+        o, a, b = np.nonzero(dy2[:, :, None] + dx2[:, None, :]
+                             <= r2[sel, None, None])
+        obs_idx.append(o + s)
+        pixels.append(rows[o, a] * g.ncols + cols[o, b])
+    return np.concatenate(obs_idx), np.concatenate(pixels)
 
-    rows = np.arange(i0, i1 + 1)
-    cols = np.arange(j0, j1 + 1)
-    lat_c = g.yll + (g.nrows - rows - 0.5) * g.cell
-    lon_c = g.xll + (cols + 0.5) * g.cell
-    dy = (lat_c - obs.lat) * KM_PER_DEG
-    dx = (lon_c - obs.lon) * (KM_PER_DEG * coslat)
-    inside = (dy * dy)[:, None] + (dx * dx)[None, :] <= r2
-    ii, jj = np.nonzero(inside)
-    return ((rows[ii] * g.ncols) + cols[jj]).astype(np.int64)
+
+def _window_starts(px: np.ndarray, t: np.ndarray, window_s: float):
+    """Positions where a deduplication window opens, ascending.
+
+    ``px`` holds each hit's pixel, sorted, with every pixel's hits in time
+    order; ``t`` holds the hit times.  A window opens at a pixel's first hit
+    and at the first later hit for which ``t - t_start <= window_s`` fails.
+    """
+    run_start = np.flatnonzero(np.diff(px, prepend=-1))
+    run_end = np.searchsorted(px, px, side="right")
+    # lo[i] ends as the hit that opens the next window if one opens at hit
+    # i: a binary search on the window test itself, evaluated exactly
+    lo, hi = np.arange(1, px.size + 1), run_end
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        inside = (lo < hi) & (t[np.minimum(mid, px.size - 1)] - t <= window_s)
+        lo, hi = np.where(inside, mid + 1, lo), np.where(inside, hi, mid)
+    starts = [run_start]
+    while starts[-1].size:
+        nxt = lo[starts[-1]]
+        starts.append(nxt[nxt < run_end[starts[-1]]])
+    return np.sort(np.concatenate(starts))
 
 
 def render_observations(observations, geometry: GridGeometry,
@@ -122,9 +163,11 @@ def render_observations(observations, geometry: GridGeometry,
     pixel's window closes once the time since its start exceeds
     ``dedup_window_s``.
 
-    The footprint geometry is computed per observation (optionally in
-    parallel); the window bookkeeping is a single sequential scan in time
-    order, so results are identical for any ``threads``.
+    Every footprint's covered pixels are found in one vectorized pass; the
+    hits are sorted by pixel and time, split into windows, and reduced per
+    window, each pixel's windows in time order.  ``threads`` is accepted for
+    interface compatibility and has no effect: results are identical for
+    any value.
 
     Returns ``(AccumulatorGrid, RenderReport)``.  Observations covering no
     grid pixel are skipped and counted.
@@ -132,61 +175,39 @@ def render_observations(observations, geometry: GridGeometry,
     if dedup_window_s <= 0:
         raise ValueError("dedup window must be positive")
     obs_list = list(observations)
-    prev = -math.inf
-    for o in obs_list:
-        if o.time < prev:
-            raise DataError("observation stream is not sorted by time "
-                            f"(saw {o.time} after {prev})")
-        prev = o.time
+    fields = np.array([(o.time, o.lat, o.lon, o.nsrr, bool(o.rain_certain),
+                        o.footprint_diameter) for o in obs_list],
+                      dtype=np.float64).reshape(-1, 6)
+    t, lat, lon, nsrr, rain, diam = fields.T
+    late = np.flatnonzero(t[1:] < t[:-1])
+    if late.size:
+        i = late[0]
+        raise DataError("observation stream is not sorted by time "
+                        f"(saw {t[i + 1]} after {t[i]})")
+    # math.cos, not np.cos: the two may differ in the last bit, which can
+    # move a pixel center across a footprint edge
+    coslat = np.array([math.cos(math.radians(o.lat)) for o in obs_list])
 
-    if threads > 1 and len(obs_list) > 1:
-        nchunks = min(threads * 4, len(obs_list))
-        bounds = np.linspace(0, len(obs_list), nchunks + 1).astype(int)
-        chunks = [obs_list[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    obs_idx, px = _footprint_hits(lat, lon, diam, coslat, geometry)
+    skipped = len(obs_list) - int(np.count_nonzero(
+        np.bincount(obs_idx, minlength=len(obs_list))))
+    order = np.argsort(px, kind="stable")  # by pixel, then time order
+    px, obs_idx = px[order], obs_idx[order]
 
-        def cover_chunk(chunk):
-            return [_cover_indices(o, geometry) for o in chunk]
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            covers = [c for part in pool.map(cover_chunk, chunks)
-                      for c in part]
-    else:
-        covers = [_cover_indices(o, geometry) for o in obs_list]
-
-    acc = AccumulatorGrid.zeros(geometry)
-    n_total = acc.n_total.ravel()
-    n_rain = acc.n_rain.ravel()
-    sum_nsrr = acc.sum_nsrr.ravel()
-    open_windows: dict = {}
-    skipped = 0
-
-    def commit(px, win):
-        n_total[px] += 1
-        if win[1]:
-            n_rain[px] += 1
-            sum_nsrr[px] += win[2]
-
-    for obs, idxs in zip(obs_list, covers):
-        if idxs.size == 0:
-            skipped += 1
-            continue
-        rc = bool(obs.rain_certain)
-        value = obs.nsrr if rc else 0.0
-        t = obs.time
-        for px in idxs.tolist():
-            win = open_windows.get(px)
-            if win is not None and t - win[0] <= dedup_window_s:
-                if rc:
-                    win[1] = True
-                    if value > win[2]:
-                        win[2] = value
-            else:
-                if win is not None:
-                    commit(px, win)
-                open_windows[px] = [t, rc, value]
-    for px, win in open_windows.items():
-        commit(px, win)
-
+    starts = _window_starts(px, t[obs_idx], dedup_window_s)
+    rc = rain[obs_idx] != 0.0
+    win_rc = np.logical_or.reduceat(rc, starts)
+    win_max = np.maximum.reduceat(np.where(rc, nsrr[obs_idx], 0.0), starts)
+    win_px = px[starts]
+    rain_px = win_px[win_rc]
+    size = geometry.nrows * geometry.ncols
+    shape = (geometry.nrows, geometry.ncols)
+    acc = AccumulatorGrid(
+        geometry, np.bincount(win_px, minlength=size).reshape(shape),
+        np.bincount(rain_px, minlength=size).reshape(shape),
+        # bincount returns integers when the weights are empty
+        np.bincount(rain_px, weights=win_max[win_rc], minlength=size)
+        .astype(np.float64, copy=False).reshape(shape))
     return acc, RenderReport(len(obs_list), skipped)
 
 
@@ -276,27 +297,16 @@ def write_observations_csv(observations, path) -> None:
 
 def read_observations_csv(path):
     out = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _OBS_COLUMNS:
-            raise DataError(f"{path}: expected header {_OBS_COLUMNS}, "
-                            f"got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_OBS_COLUMNS):
-                raise DataError(f"{path} line {lineno}: expected "
-                                f"{len(_OBS_COLUMNS)} columns")
-            try:
-                if row[4] not in ("0", "1"):
-                    raise ValueError(f"rain_certain must be 0 or 1, "
-                                     f"got {row[4]!r}")
-                out.append(SwathObservation(float(row[0]), float(row[1]),
-                                            float(row[2]), float(row[3]),
-                                            row[4] == "1", float(row[5])))
-            except ValueError as e:
-                raise DataError(f"{path} line {lineno}: {e}") from None
+    for lineno, row in read_rows(path, _OBS_COLUMNS):
+        try:
+            if row[4] not in ("0", "1"):
+                raise ValueError(f"rain_certain must be 0 or 1, "
+                                 f"got {row[4]!r}")
+            out.append(SwathObservation(float(row[0]), float(row[1]),
+                                        float(row[2]), float(row[3]),
+                                        row[4] == "1", float(row[5])))
+        except ValueError as e:
+            raise DataError(f"{path} line {lineno}: {e}") from None
     return out
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import DataError, EmptyDataError
 from .raster import Grid, _bilinear_many
+from .tables import read_rows
 
 #: Rain rate at 0.01% exceedance above which a location counts as heavy.
 HEAVY_RATE_MM_H = 95.0
@@ -193,20 +194,10 @@ def write_error_samples_csv(samples, path) -> None:
 
 def read_error_samples_csv(path):
     out = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _SAMPLE_COLUMNS:
-            raise DataError(f"{path}: expected header {_SAMPLE_COLUMNS}, "
-                            f"got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path} line {lineno}: expected 4 columns")
-            try:
-                out.append(ErrorSample(row[0], float(row[1]), float(row[2]),
-                                       float(row[3])))
-            except ValueError as e:
-                raise DataError(f"{path} line {lineno}: {e}") from None
+    for lineno, row in read_rows(path, _SAMPLE_COLUMNS):
+        try:
+            out.append(ErrorSample(row[0], float(row[1]), float(row[2]),
+                                   float(row[3])))
+        except ValueError as e:
+            raise DataError(f"{path} line {lineno}: {e}") from None
     return out

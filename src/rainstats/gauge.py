@@ -20,6 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DataError
 from .rainmodel import STANDARD_LADDER
+from .tables import read_rows
 
 #: Physically implausible 1-min rate (2 inches per minute), mm/h.
 QC_MAX_RATE_MM_H = 3048.0
@@ -252,19 +253,9 @@ def write_tips_csv(events, path) -> None:
 
 def read_tips_csv(path):
     out = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _TIP_COLUMNS:
-            raise DataError(f"{path}: expected header {_TIP_COLUMNS}, "
-                            f"got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path} line {lineno}: expected 2 columns")
-            try:
-                out.append(TipEvent(_parse_tip_time(row[0]), float(row[1])))
-            except ValueError as e:
-                raise DataError(f"{path} line {lineno}: {e}") from None
+    for lineno, row in read_rows(path, _TIP_COLUMNS):
+        try:
+            out.append(TipEvent(_parse_tip_time(row[0]), float(row[1])))
+        except ValueError as e:
+            raise DataError(f"{path} line {lineno}: {e}") from None
     return out

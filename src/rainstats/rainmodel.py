@@ -27,6 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DataError, SolverError
+from .tables import read_rows
 
 #: Standard exceedance-probability ladder (percent), ascending.
 STANDARD_LADDER = (0.001, 0.002, 0.003, 0.005, 0.01, 0.02, 0.03, 0.05,
@@ -358,33 +359,22 @@ def read_sites_csv(path):
     order = []
     meta = {}
     points = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _SITE_COLUMNS:
-            raise DataError(f"{path}: expected header {_SITE_COLUMNS}, "
-                            f"got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_SITE_COLUMNS):
-                raise DataError(f"{path} line {lineno}: expected "
-                                f"{len(_SITE_COLUMNS)} columns")
-            site_id, lat, lon, country, years, p, r = row
-            try:
-                rec = (float(lat), float(lon), country, float(years))
-                point = (float(p), float(r))
-            except ValueError:
-                raise DataError(
-                    f"{path} line {lineno}: non-numeric field") from None
-            if site_id not in meta:
-                meta[site_id] = rec
-                points[site_id] = []
-                order.append(site_id)
-            elif meta[site_id] != rec:
-                raise DataError(f"{path} line {lineno}: inconsistent "
-                                f"metadata for site {site_id}")
-            points[site_id].append(point)
+    for lineno, row in read_rows(path, _SITE_COLUMNS):
+        site_id, lat, lon, country, years, p, r = row
+        try:
+            rec = (float(lat), float(lon), country, float(years))
+            point = (float(p), float(r))
+        except ValueError:
+            raise DataError(
+                f"{path} line {lineno}: non-numeric field") from None
+        if site_id not in meta:
+            meta[site_id] = rec
+            points[site_id] = []
+            order.append(site_id)
+        elif meta[site_id] != rec:
+            raise DataError(f"{path} line {lineno}: inconsistent "
+                            f"metadata for site {site_id}")
+        points[site_id].append(point)
     sites = []
     for sid in order:
         lat, lon, country, years = meta[sid]
@@ -399,22 +389,12 @@ def read_sites_csv(path):
 def read_climate_csv(path):
     """Map site_id -> ClimatePoint from a ``site_id,mt_mm,p0_percent`` CSV."""
     out = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["site_id", "mt_mm", "p0_percent"]:
-            raise DataError(f"{path}: expected header "
-                            f"site_id,mt_mm,p0_percent, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path} line {lineno}: expected 3 columns")
-            sid, mt, p0 = row
-            if sid in out:
-                raise DataError(f"{path} line {lineno}: duplicate site {sid}")
-            try:
-                out[sid] = ClimatePoint(float(mt), float(p0))
-            except ValueError as e:
-                raise DataError(f"{path} line {lineno}: {e}") from None
+    for lineno, (sid, mt, p0) in read_rows(
+            path, ["site_id", "mt_mm", "p0_percent"]):
+        if sid in out:
+            raise DataError(f"{path} line {lineno}: duplicate site {sid}")
+        try:
+            out[sid] = ClimatePoint(float(mt), float(p0))
+        except ValueError as e:
+            raise DataError(f"{path} line {lineno}: {e}") from None
     return out

@@ -15,6 +15,7 @@ land-only field does not bleed values across coastlines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,47 +328,39 @@ def _check_window(k: int) -> int:
     return k
 
 
-def _shift_slices(n: int, d: int):
-    # output pixel i reads input pixel i + d; return (src, dst) slices
-    if d >= 0:
-        return slice(d, n), slice(0, n - d)
-    return slice(0, n + d), slice(-d, n)
+def _windows(a: np.ndarray, k: int, axis: int, fill: float) -> np.ndarray:
+    """Centered length-k windows of ``a`` along ``axis``, as a view with
+    the window on a new last axis; cells beyond the edge read ``fill``."""
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = (k // 2, k // 2)
+    return np.lib.stride_tricks.sliding_window_view(
+        np.pad(a, pad, constant_values=fill), k, axis=axis)
 
 
-def _window_filter(grid: Grid, weights: np.ndarray) -> Grid:
-    """Weighted window mean with nodata-aware renormalization.
+def _window_filter(grid: Grid, line: np.ndarray) -> Grid:
+    """Window mean with the separable weights ``outer(line, line)`` and
+    nodata-aware renormalization (normalized convolution:
+    ``filter(v * valid) / filter(valid)``), one 1-D pass per axis.
 
-    The mean is accumulated as deviations from each output pixel's own value,
-    which keeps constant grids exactly constant and improves conditioning.
-    Output is nodata only where the window holds no valid cell.
+    The mean is clamped to the range of the valid values in its window,
+    which it can leave only by rounding; this keeps constant grids exactly
+    constant.  Each output depends only on its own window.  Output is nodata
+    only where the window holds no valid cell.
     """
-    k = weights.shape[0]
-    r = k // 2
     g = grid.geometry
     valid = grid.valid_mask()
-    validf = valid.astype(np.float64)
-    vm = np.where(valid, grid.values, 0.0)
-    ref = vm
-
-    num = np.zeros_like(vm)
-    den = np.zeros_like(vm)
-    nrows, ncols = vm.shape
-    for di in range(-r, r + 1):
-        src_i, dst_i = _shift_slices(nrows, di)
-        if src_i.start >= nrows or src_i.stop <= 0:
-            continue
-        for dj in range(-r, r + 1):
-            w = weights[di + r, dj + r]
-            if w == 0.0:
-                continue
-            src_j, dst_j = _shift_slices(ncols, dj)
-            if src_j.start >= ncols or src_j.stop <= 0:
-                continue
-            wv = w * validf[src_i, src_j]
-            num[dst_i, dst_j] += wv * (vm[src_i, src_j] - ref[dst_i, dst_j])
-            den[dst_i, dst_j] += wv
+    sums = np.stack([np.where(valid, grid.values, 0.0),
+                     valid.astype(np.float64)])
+    # window minima of v and of -v
+    low = np.stack([np.where(valid, grid.values, np.inf),
+                    np.where(valid, -grid.values, np.inf)])
+    for axis in (1, 2):
+        win = _windows(sums, line.size, axis, 0.0)
+        sums = sum(w * win[..., d] for d, w in enumerate(line))
+        low = _windows(low, line.size, axis, np.inf).min(axis=-1)
+    num, den = sums
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = ref + num / den
+        out = np.clip(num / den, low[0], -low[1])
     out[den == 0.0] = g.nodata
     return Grid(g, out)
 
@@ -375,7 +368,7 @@ def _window_filter(grid: Grid, weights: np.ndarray) -> Grid:
 def uniform_filter(grid: Grid, k: int) -> Grid:
     """Arithmetic mean over the valid cells of each k x k window."""
     k = _check_window(k)
-    return _window_filter(grid, np.ones((k, k)))
+    return _window_filter(grid, np.ones(k))
 
 
 def gaussian_filter(grid: Grid, k: int, sigma: float | None = None) -> Grid:
@@ -391,37 +384,62 @@ def gaussian_filter(grid: Grid, k: int, sigma: float | None = None) -> Grid:
         raise ValueError(f"sigma must be positive, got {sigma}")
     r = k // 2
     offsets = np.arange(k, dtype=np.float64) - r
-    line = np.exp(-0.5 * (offsets / sigma) ** 2)
-    return _window_filter(grid, np.outer(line, line))
+    return _window_filter(grid, np.exp(-0.5 * (offsets / sigma) ** 2))
 
 
 def window_iqr(grid: Grid, k: int) -> Grid:
     """Per-cell interquartile range (Q3 - Q1) over each k x k window.
 
     Quartiles use linear interpolation between order statistics at positions
-    (n-1) * {0.25, 0.75}.  Cells with fewer than 4 valid window members
-    become nodata.
+    (n-1) * {0.25, 0.75}, bit for bit as ``np.nanquantile``.  Cells with
+    fewer than 4 valid window members become nodata.
+
+    The valid values of each output row's band of k rows are sorted once,
+    and a window's order statistics are found by counting, in sorted order,
+    the band members whose column falls inside it.
     """
     k = _check_window(k)
     g = grid.geometry
     r = k // 2
-    vm = np.where(grid.valid_mask(), grid.values, np.nan)
-    padded = np.full((g.nrows + 2 * r, g.ncols + 2 * r), np.nan)
-    padded[r:r + g.nrows, r:r + g.ncols] = vm
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
-
+    valid = grid.valid_mask()
     out = np.full((g.nrows, g.ncols), g.nodata)
-    # chunk rows to bound the memory of the per-window copies
-    chunk = max(1, int(4e6 / (g.ncols * k * k)))
-    for r0 in range(0, g.nrows, chunk):
-        r1 = min(r0 + chunk, g.nrows)
-        flat = windows[r0:r1].reshape(r1 - r0, g.ncols, k * k)
-        counts = np.count_nonzero(~np.isnan(flat), axis=2)
-        ok = counts >= 4
-        if not ok.any():
-            continue
-        sel = flat[ok]
-        q1, q3 = np.nanquantile(sel, [0.25, 0.75], axis=1)
-        block = out[r0:r1]
-        block[ok] = q3 - q1
+    # blocks of w output columns keep the count table, w * k * (w + 2r)
+    # entries, near 4e6
+    width = max(1, int(math.sqrt(r * r + 4e6 / k)) - r)
+    for i in range(g.nrows):
+        for c0 in range(0, g.ncols, width):
+            band = (slice(max(0, i - r), i + r + 1),
+                    slice(max(0, c0 - r), c0 + width + r))
+            bi, bj = np.nonzero(valid[band])
+            if bi.size < 4:
+                continue
+            v = grid.values[band][bi, bj]
+            order = np.argsort(v, kind="stable")
+            s, col = v[order], (bj[order] + band[1].start).astype(np.int32)
+            # window j holds columns j - r ... j + r: one unsigned compare
+            left = np.arange(c0, min(c0 + width, g.ncols), dtype=np.int32) - r
+            cum = np.cumsum((col - left[:, None]).view(np.uint32) <= 2 * r,
+                            axis=1, dtype=np.int32)
+            n = cum[:, -1]
+            ok = n >= 4
+            if not ok.any():
+                continue
+            cum, n = cum[ok], n[ok]
+            # rows of cum are nondecreasing: offsetting row w by
+            # w * (s.size + 1) sorts the flattened table for one search
+            base = np.arange(n.size, dtype=np.int32) * np.int32(s.size + 1)
+            flat = (cum + base[:, None]).ravel()
+            row0 = np.arange(n.size) * s.size
+            q = []
+            for frac in (0.25, 0.75):
+                pos = (n - 1) * frac
+                lo = np.floor(pos)
+                rank = lo.astype(np.int32)
+                a, b = (s[np.searchsorted(flat, base + rank + j) - row0]
+                        for j in (1, 2))
+                t = pos - lo
+                # numpy's own interpolation steps, for bit-equal results
+                q.append(np.where(t >= 0.5, b - (b - a) * (1 - t),
+                                  a + (b - a) * t))
+            out[i, c0:c0 + width][ok] = q[1] - q[0]
     return Grid(g, out)

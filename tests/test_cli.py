@@ -196,6 +196,28 @@ def test_build_clim_non_utf8_observations_exits_2(tmp_path, monkeypatch,
         assert not os.path.exists(tmp_path / name)
 
 
+def test_build_clim_oversized_csv_field_exits_2(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_clim_config(tmp_path)
+    with open(tmp_path / "obs.csv", "a") as f:
+        f.write("12.0,9.05,30.05," + "1" * 200_000 + ",1,4.5\n")
+    assert run_cli("build-clim", "--config", "c.cfg") == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    for name in ("mt.grd", "p0.grd", "report.txt", "mt.grd.manifest"):
+        assert not os.path.exists(tmp_path / name)
+
+
+def test_build_clim_failed_output_leaves_no_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_clim_config(tmp_path)
+    (tmp_path / "p0.grd").mkdir()
+    assert run_cli("build-clim", "--config", "c.cfg") == 2
+    assert sorted(os.listdir(tmp_path)) == [
+        "c.cfg", "elev.grd", "obs.csv", "p0.grd", "ref.grd"]
+
+
 # ---------------------------------------------------------------------------
 # gauge
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rainstats.climatology import (HOURS_PER_YEAR, KM_PER_DEG,
-                                   AccumulatorGrid, SwathObservation,
+                                   AccumulatorGrid, RenderReport,
+                                   SwathObservation,
                                    build_climatology, elevation_weight,
                                    finalize, initial_estimates,
                                    merge_reference, read_observations_csv,
@@ -421,3 +422,126 @@ def test_pipeline_stage_error_names_stage(tmp_path):
     cfg["observations"] = str(tmp_path / "missing.csv")
     with pytest.raises(Exception, match="stage read"):
         build_climatology(cfg)
+
+
+# ---------------------------------------------------------------------------
+# vectorized rendering against the per-observation scan it replaced
+
+
+def scan_cover_indices(o, g):
+    """The previous per-footprint cover: bounding box, then disk test."""
+    r_km = o.footprint_diameter / 2.0
+    coslat = math.cos(math.radians(o.lat))
+    dlat = r_km / KM_PER_DEG
+    dlon = r_km / (KM_PER_DEG * coslat)
+    i0 = int(math.floor((g.lat_max - (o.lat + dlat)) / g.cell - 0.5))
+    i1 = int(math.ceil((g.lat_max - (o.lat - dlat)) / g.cell - 0.5))
+    j0 = int(math.floor(((o.lon - dlon) - g.xll) / g.cell - 0.5))
+    j1 = int(math.ceil(((o.lon + dlon) - g.xll) / g.cell - 0.5))
+    i0, i1 = max(i0, 0), min(i1, g.nrows - 1)
+    j0, j1 = max(j0, 0), min(j1, g.ncols - 1)
+    if i0 > i1 or j0 > j1:
+        return []
+    rows = np.arange(i0, i1 + 1)
+    cols = np.arange(j0, j1 + 1)
+    dy = (g.yll + (g.nrows - rows - 0.5) * g.cell - o.lat) * KM_PER_DEG
+    dx = (g.xll + (cols + 0.5) * g.cell - o.lon) * (KM_PER_DEG * coslat)
+    ii, jj = np.nonzero((dy * dy)[:, None] + (dx * dx)[None, :]
+                        <= r_km * r_km)
+    return (rows[ii] * g.ncols + cols[jj]).tolist()
+
+
+def scan_render(stream, g, window_s):
+    """The previous renderer, kept as the reference: one pass in time order
+    with a dict of open windows, each committed when the next one opens."""
+    n_total = np.zeros(g.nrows * g.ncols, dtype=np.int64)
+    n_rain = np.zeros(g.nrows * g.ncols, dtype=np.int64)
+    sum_nsrr = np.zeros(g.nrows * g.ncols)
+    open_windows = {}
+    skipped = 0
+
+    def commit(px, win):
+        n_total[px] += 1
+        if win[1]:
+            n_rain[px] += 1
+            sum_nsrr[px] += win[2]
+
+    for o in stream:
+        pixels = scan_cover_indices(o, g)
+        if not pixels:
+            skipped += 1
+            continue
+        rc = bool(o.rain_certain)
+        value = o.nsrr if rc else 0.0
+        for px in pixels:
+            win = open_windows.get(px)
+            if win is not None and o.time - win[0] <= window_s:
+                if rc:
+                    win[1] = True
+                    if value > win[2]:
+                        win[2] = value
+            else:
+                if win is not None:
+                    commit(px, win)
+                open_windows[px] = [o.time, rc, value]
+    for px, win in open_windows.items():
+        commit(px, win)
+    shape = (g.nrows, g.ncols)
+    return (n_total.reshape(shape), n_rain.reshape(shape),
+            sum_nsrr.reshape(shape), skipped)
+
+
+def random_stream(rng, g, n, window_s):
+    # steps of exactly window_s and of its thirds put times exactly
+    # window_s after a window start; tenths are not binary fractions
+    steps = rng.choice([0.0, window_s, window_s / 3.0, 0.1, 7.7], n)
+    steps += rng.uniform(0, 2 * window_s, n) * (rng.uniform(size=n) < 0.3)
+    times = 1000.1 + np.cumsum(steps)
+    margin = 0.05
+    lat_hi = min(g.lat_max + margin, 89.0)
+    return [SwathObservation(
+        float(times[i]), float(rng.uniform(g.yll - margin, lat_hi)),
+        float(rng.uniform(g.xll - margin, g.lon_max + margin)),
+        float(rng.choice([0.0, 5.0, rng.uniform(0, 40)])),
+        bool(rng.uniform() < 0.6), float(rng.uniform(3.0, 6.0)))
+        for i in range(n)]
+
+
+def test_render_matches_scan_reference_on_random_streams():
+    rng = np.random.default_rng(53)
+    for trial in range(60):
+        ncols, nrows = (int(n) for n in rng.integers(1, 40, 2))
+        yll = float(rng.choice([9.0, -30.0, 62.0]))
+        cell = float(rng.choice([0.01, CELL, 0.013]))
+        g = GridGeometry(ncols, nrows, 30.0, yll, cell, ND)
+        window_s = float(rng.choice([60.0, 0.1, 37.3]))
+        stream = random_stream(rng, g, int(rng.integers(0, 400)), window_s)
+        n_total, n_rain, sum_nsrr, skipped = scan_render(stream, g, window_s)
+        acc, report = render_observations(stream, g, window_s)
+        assert np.array_equal(acc.n_total, n_total), trial
+        assert np.array_equal(acc.n_rain, n_rain), trial
+        assert np.array_equal(acc.sum_nsrr, sum_nsrr), trial
+        assert acc.sum_nsrr.dtype == np.float64
+        assert report == RenderReport(len(stream), skipped), trial
+
+
+def test_window_closes_only_after_more_than_the_window():
+    g = geom(4, 4)
+    lat, lon = g.yll + 2 * CELL, g.xll + 2 * CELL
+    # 0.3 - 0.1 rounds to 0.19999999999999998 <= 0.2, so 0.3 joins the window
+    # opened at 0.1; 0.4 - 0.1 exceeds it and opens the next one
+    stream = [obs(t, lat, lon, nsrr=v, rain=True)
+              for t, v in ((0.1, 1.0), (0.3, 2.0), (0.4, 4.0), (0.6, 8.0))]
+    acc, _ = render_observations(stream, g, dedup_window_s=0.2)
+    assert acc.n_total.max() == 2
+    assert acc.sum_nsrr.max() == 2.0 + 8.0
+
+
+@pytest.mark.parametrize("field", ["time", "lon", "nsrr"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_observation_rejects_non_finite_fields(field, bad):
+    kwargs = dict(time=0.0, lat=9.1, lon=30.1, nsrr=1.0, rain_certain=True,
+                  footprint_diameter=4.5)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=field):
+        SwathObservation(**kwargs)

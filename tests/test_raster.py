@@ -341,3 +341,100 @@ def test_geometry_validation():
         GridGeometry(1, 200, 0.0, 0.0, 1.0, ND)  # reaches past the pole
     with pytest.raises(ValueError):
         Grid(geom(2, 1), [1.0, np.nan])
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the implementations they replaced
+
+
+def nanquantile_window_iqr(grid, k):
+    """The previous window_iqr, kept as the reference: every window copied
+    out and handed to ``np.nanquantile``."""
+    g = grid.geometry
+    r = k // 2
+    vm = np.where(grid.valid_mask(), grid.values, np.nan)
+    padded = np.full((g.nrows + 2 * r, g.ncols + 2 * r), np.nan)
+    padded[r:r + g.nrows, r:r + g.ncols] = vm
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
+    flat = windows.reshape(g.nrows, g.ncols, k * k)
+    out = np.full((g.nrows, g.ncols), g.nodata)
+    ok = np.count_nonzero(~np.isnan(flat), axis=2) >= 4
+    if ok.any():
+        q1, q3 = np.nanquantile(flat[ok], [0.25, 0.75], axis=1)
+        out[ok] = q3 - q1
+    return out
+
+
+def brute_window_mean(grid, line):
+    """Explicit-loop weighted window mean over the valid cells, weights
+    ``outer(line, line)``."""
+    r = line.size // 2
+    g = grid.geometry
+    out = np.full((g.nrows, g.ncols), g.nodata)
+    for i in range(g.nrows):
+        for j in range(g.ncols):
+            num = den = 0.0
+            for di in range(-r, r + 1):
+                for dj in range(-r, r + 1):
+                    ii, jj = i + di, j + dj
+                    if (0 <= ii < g.nrows and 0 <= jj < g.ncols
+                            and grid.values[ii, jj] != g.nodata):
+                        w = line[di + r] * line[dj + r]
+                        num += w * grid.values[ii, jj]
+                        den += w
+            if den > 0:
+                out[i, j] = num / den
+    return out
+
+
+def random_grid(rng, nrows, ncols, nodata_frac, ties):
+    if ties:
+        vals = rng.integers(0, 5, (nrows, ncols)) * 0.7
+    else:
+        vals = rng.uniform(-40.0, 60.0, (nrows, ncols))
+    vals[rng.uniform(size=(nrows, ncols)) < nodata_frac] = ND
+    return Grid(geom(ncols, nrows, cell=0.1), vals)
+
+
+def test_window_iqr_matches_nanquantile_reference_on_random_grids():
+    rng = np.random.default_rng(41)
+    for trial in range(120):
+        nrows, ncols = (int(n) for n in rng.integers(1, 19, 2))
+        k = int(rng.choice(np.arange(1, 16, 2)))
+        grid = random_grid(rng, nrows, ncols,
+                           nodata_frac=float(rng.choice([0.0, 0.1, 0.6])),
+                           ties=trial % 2 == 0)
+        out = window_iqr(grid, k)
+        assert np.array_equal(out.values, nanquantile_window_iqr(grid, k)), \
+            (trial, nrows, ncols, k)
+
+
+def test_window_iqr_matches_reference_with_three_and_four_valid_cells():
+    # window (0, 0) of k=3 sees 3 valid cells, window (4, 4) sees 4
+    vals = np.full((6, 7), ND)
+    vals[0, 0], vals[0, 1], vals[1, 0] = 2.5, -1.0, 7.25
+    vals[3, 4], vals[4, 5], vals[5, 3], vals[5, 5] = 0.1, 0.7, 0.3, 0.3
+    grid = Grid(geom(7, 6, cell=0.1), vals)
+    out = window_iqr(grid, 3).values
+    assert np.array_equal(out, nanquantile_window_iqr(grid, 3))
+    assert out[0, 0] == ND
+    assert out[4, 4] != ND
+
+
+def test_filters_match_explicit_loop_on_random_grids():
+    rng = np.random.default_rng(42)
+    cases = [(int(rng.integers(1, 12)), int(rng.integers(1, 12)),
+              int(rng.choice(np.arange(1, 16, 2)))) for _ in range(24)]
+    cases += [(3, 5, 9), (2, 1, 15), (4, 4, 11)]  # windows wider than grid
+    for nrows, ncols, k in cases:
+        grid = random_grid(rng, nrows, ncols, nodata_frac=0.25, ties=False)
+        scale = np.abs(grid.values[grid.valid_mask()]).max(initial=1.0)
+        offsets = np.arange(k) - k // 2
+        for out, line in ((uniform_filter(grid, k), np.ones(k)),
+                          (gaussian_filter(grid, k),
+                           np.exp(-0.5 * (offsets / (k / 6.0)) ** 2))):
+            want = brute_window_mean(grid, line)
+            valid = want != ND
+            assert np.array_equal(out.valid_mask(), valid), (nrows, ncols, k)
+            assert np.allclose(out.values[valid], want[valid], rtol=1e-12,
+                               atol=1e-12 * scale), (nrows, ncols, k)
