@@ -233,15 +233,14 @@ _PREDICT_SCHEMA = {
 }
 
 
+def _located(row):
+    """A site row with its lat and lon (2nd and 3rd fields) as floats."""
+    return (row[0], float(row[1]), float(row[2]), *row[3:])
+
+
 def _read_locations_csv(path):
-    rows = []
-    for lineno, row in read_rows(path, ["site_id", "lat", "lon", "country"]):
-        try:
-            rows.append((row[0], float(row[1]), float(row[2]), row[3]))
-        except ValueError:
-            raise DataError(f"{path} line {lineno}: non-numeric "
-                            "coordinate") from None
-    return rows
+    return [r for _, r in read_rows(
+        path, ["site_id", "lat", "lon", "country"], _located)]
 
 
 def _cmd_predict(args) -> None:
@@ -347,16 +346,8 @@ _GAUGE_SCHEMA = {
 
 
 def _read_gauge_sites_csv(path):
-    rows = []
-    for lineno, row in read_rows(
-            path, ["site_id", "lat", "lon", "country", "tips_path"]):
-        try:
-            rows.append((row[0], float(row[1]), float(row[2]), row[3],
-                         row[4]))
-        except ValueError:
-            raise DataError(f"{path} line {lineno}: non-numeric "
-                            "coordinate") from None
-    return rows
+    return [r for _, r in read_rows(
+        path, ["site_id", "lat", "lon", "country", "tips_path"], _located)]
 
 
 def _parse_span_time(text: str, key: str) -> float:
@@ -440,8 +431,7 @@ _EVAL_SCHEMA = {
 
 
 def _read_site_countries_csv(path):
-    return {site: country for _, (site, country)
-            in read_rows(path, ["site_id", "country"])}
+    return dict(r for _, r in read_rows(path, ["site_id", "country"], tuple))
 
 
 def _cmd_eval(args) -> None:

@@ -189,8 +189,7 @@ def render_observations(observations, geometry: GridGeometry,
     coslat = np.array([math.cos(math.radians(o.lat)) for o in obs_list])
 
     obs_idx, px = _footprint_hits(lat, lon, diam, coslat, geometry)
-    skipped = len(obs_list) - int(np.count_nonzero(
-        np.bincount(obs_idx, minlength=len(obs_list))))
+    skipped = int(np.sum(np.bincount(obs_idx, minlength=len(obs_list)) == 0))
     order = np.argsort(px, kind="stable")  # by pixel, then time order
     px, obs_idx = px[order], obs_idx[order]
 
@@ -295,19 +294,15 @@ def write_observations_csv(observations, path) -> None:
                         int(o.rain_certain), repr(o.footprint_diameter)])
 
 
+def _observation(row) -> SwathObservation:
+    if row[4] not in ("0", "1"):
+        raise ValueError(f"rain_certain must be 0 or 1, got {row[4]!r}")
+    return SwathObservation(float(row[0]), float(row[1]), float(row[2]),
+                            float(row[3]), row[4] == "1", float(row[5]))
+
+
 def read_observations_csv(path):
-    out = []
-    for lineno, row in read_rows(path, _OBS_COLUMNS):
-        try:
-            if row[4] not in ("0", "1"):
-                raise ValueError(f"rain_certain must be 0 or 1, "
-                                 f"got {row[4]!r}")
-            out.append(SwathObservation(float(row[0]), float(row[1]),
-                                        float(row[2]), float(row[3]),
-                                        row[4] == "1", float(row[5])))
-        except ValueError as e:
-            raise DataError(f"{path} line {lineno}: {e}") from None
-    return out
+    return [o for _, o in read_rows(path, _OBS_COLUMNS, _observation)]
 
 
 # ---------------------------------------------------------------------------

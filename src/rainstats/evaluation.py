@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyDataError
+from .errors import EmptyDataError
 from .raster import Grid, _bilinear_many
 from .tables import read_rows
 
@@ -193,11 +193,5 @@ def write_error_samples_csv(samples, path) -> None:
 
 
 def read_error_samples_csv(path):
-    out = []
-    for lineno, row in read_rows(path, _SAMPLE_COLUMNS):
-        try:
-            out.append(ErrorSample(row[0], float(row[1]), float(row[2]),
-                                   float(row[3])))
-        except ValueError as e:
-            raise DataError(f"{path} line {lineno}: {e}") from None
-    return out
+    return [s for _, s in read_rows(path, _SAMPLE_COLUMNS, lambda row: (
+        ErrorSample(row[0], float(row[1]), float(row[2]), float(row[3]))))]

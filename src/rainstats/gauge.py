@@ -252,10 +252,5 @@ def write_tips_csv(events, path) -> None:
 
 
 def read_tips_csv(path):
-    out = []
-    for lineno, row in read_rows(path, _TIP_COLUMNS):
-        try:
-            out.append(TipEvent(_parse_tip_time(row[0]), float(row[1])))
-        except ValueError as e:
-            raise DataError(f"{path} line {lineno}: {e}") from None
-    return out
+    return [e for _, e in read_rows(path, _TIP_COLUMNS, lambda row: (
+        TipEvent(_parse_tip_time(row[0]), float(row[1]))))]

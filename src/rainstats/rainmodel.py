@@ -359,14 +359,10 @@ def read_sites_csv(path):
     order = []
     meta = {}
     points = {}
-    for lineno, row in read_rows(path, _SITE_COLUMNS):
-        site_id, lat, lon, country, years, p, r = row
-        try:
-            rec = (float(lat), float(lon), country, float(years))
-            point = (float(p), float(r))
-        except ValueError:
-            raise DataError(
-                f"{path} line {lineno}: non-numeric field") from None
+    rows = read_rows(path, _SITE_COLUMNS, lambda r: (
+        r[0], (float(r[1]), float(r[2]), r[3], float(r[4])),
+        (float(r[5]), float(r[6]))))
+    for lineno, (site_id, rec, point) in rows:
         if site_id not in meta:
             meta[site_id] = rec
             points[site_id] = []
@@ -389,12 +385,10 @@ def read_sites_csv(path):
 def read_climate_csv(path):
     """Map site_id -> ClimatePoint from a ``site_id,mt_mm,p0_percent`` CSV."""
     out = {}
-    for lineno, (sid, mt, p0) in read_rows(
-            path, ["site_id", "mt_mm", "p0_percent"]):
+    for lineno, (sid, point) in read_rows(
+            path, ["site_id", "mt_mm", "p0_percent"],
+            lambda r: (r[0], ClimatePoint(float(r[1]), float(r[2])))):
         if sid in out:
             raise DataError(f"{path} line {lineno}: duplicate site {sid}")
-        try:
-            out[sid] = ClimatePoint(float(mt), float(p0))
-        except ValueError as e:
-            raise DataError(f"{path} line {lineno}: {e}") from None
+        out[sid] = point
     return out

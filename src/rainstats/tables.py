@@ -7,13 +7,14 @@ import csv
 from .errors import DataError
 
 
-def read_rows(path, columns):
-    """Yield ``(line number, row)`` for each non-empty row of a CSV table.
+def read_rows(path, columns, convert):
+    """Yield ``(line number, convert(row))`` for each non-empty CSV row.
 
     The first row must equal ``columns`` and every later non-empty row must
-    have that many fields.  A wrong header, a wrong field count or text the
-    csv module cannot parse (such as a field over its size limit) raises
-    :class:`DataError` naming the file and line.
+    have that many fields.  A wrong header, a wrong field count, text the
+    csv module cannot parse (such as a field over its size limit) or a
+    ``ValueError`` from ``convert`` raises :class:`DataError` naming the
+    file and line.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -28,6 +29,11 @@ def read_rows(path, columns):
                 if len(row) != len(columns):
                     raise DataError(f"{path} line {reader.line_num}: "
                                     f"expected {len(columns)} columns")
-                yield reader.line_num, row
+                try:
+                    value = convert(row)
+                except ValueError as e:
+                    raise DataError(
+                        f"{path} line {reader.line_num}: {e}") from None
+                yield reader.line_num, value
         except csv.Error as e:
             raise DataError(f"{path} line {reader.line_num}: {e}") from None
