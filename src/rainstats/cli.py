@@ -19,7 +19,6 @@ import hashlib
 import os
 import sys
 from contextlib import contextmanager
-from datetime import datetime
 
 from . import __version__
 from . import climatology, evaluation, gauge, impact, rainmodel
@@ -110,8 +109,19 @@ def _write_manifest(path, command, args, cfg, input_keys, output_keys,
         lines.append(f"note.{key}={value}")
     for key in sorted(k for k in output_keys if cfg.get(k) is not None):
         lines.append(f"output.{key}={cfg[key]}")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _manifest_path(cfg: dict, primary_output_key: str) -> str:
@@ -203,19 +213,19 @@ def _cmd_fit(args) -> None:
             residual_rows.append([s.site_id, repr(p), repr(r), repr(pred),
                                   repr((pred - r) / r)])
 
-    rainmodel.write_params(result.params, cfg["out_params"])
-    with open(cfg["out_residuals"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["site_id", "p_percent", "observed", "predicted",
-                    "rel_error"])
-        w.writerows(residual_rows)
-    with open(cfg["out_report"], "w", newline="", encoding="utf-8") as f:
-        f.write(f"objective={result.objective!r}\n"
-                f"n_points={result.n_points}\n"
-                f"n_sites={len(training)}\n")
-    _write_manifest(_manifest_path(cfg, "out_params"), "fit", args, cfg,
-                    ["sites", "climate"],
-                    ["out_params", "out_residuals", "out_report"])
+    out_keys = ["out_params", "out_residuals", "out_report"]
+    manifest = _manifest_path(cfg, "out_params")
+    with _staged_outputs([cfg[key] for key in out_keys] + [manifest]) as tmp:
+        rainmodel.write_params(result.params, tmp[cfg["out_params"]])
+        _write_csv(tmp[cfg["out_residuals"]],
+                   ["site_id", "p_percent", "observed", "predicted",
+                    "rel_error"], residual_rows)
+        _write_text(tmp[cfg["out_report"]],
+                    f"objective={result.objective!r}\n"
+                    f"n_points={result.n_points}\n"
+                    f"n_sites={len(training)}\n")
+        _write_manifest(tmp[manifest], "fit", args, cfg,
+                        ["sites", "climate"], out_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +278,12 @@ def _cmd_predict(args) -> None:
         out_sites.append(SiteStatistics(site_id, lat, lon, country, 1.0,
                                         tuple(curve)))
 
-    rainmodel.write_sites_csv(out_sites, cfg["out_sites"])
-    _write_manifest(_manifest_path(cfg, "out_sites"), "predict", args, cfg,
-                    ["mt_grid", "p0_grid", "params", "locations"],
-                    ["out_sites"], notes={"skipped_locations": skipped})
+    manifest = _manifest_path(cfg, "out_sites")
+    with _staged_outputs([cfg["out_sites"], manifest]) as tmp:
+        rainmodel.write_sites_csv(out_sites, tmp[cfg["out_sites"]])
+        _write_manifest(tmp[manifest], "predict", args, cfg,
+                        ["mt_grid", "p0_grid", "params", "locations"],
+                        ["out_sites"], notes={"skipped_locations": skipped})
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +364,7 @@ def _read_gauge_sites_csv(path):
 
 def _parse_span_time(text: str, key: str) -> float:
     try:
-        return datetime.fromisoformat(
-            text.replace("Z", "+00:00")).timestamp()
+        return gauge.parse_utc_time(text)
     except ValueError:
         raise ConfigError(f"config key {key!r}: bad ISO8601 time "
                          f"{text!r}") from None
@@ -387,11 +398,11 @@ def _cmd_gauge(args) -> None:
         tips = gauge.read_tips_csv(tips_path)
         bucket = cfg["bucket_mm"]
         if bucket is None:
-            depths = {t.depth for t in tips}
+            depths = sorted(set(tips.depth.tolist()))
             if len(depths) > 1:
                 raise DataError(f"{tips_path}: mixed bucket depths "
-                                f"{sorted(depths)}; set bucket_mm")
-            bucket = depths.pop() if depths else 0.254
+                                f"{depths}; set bucket_mm")
+            bucket = depths[0] if depths else 0.254
         series = gauge.tips_to_rates(tips, bucket, span)
         series = gauge.qc_filter(series)
         selected = gauge.select_periods(series)
@@ -406,10 +417,11 @@ def _cmd_gauge(args) -> None:
         out_sites.append(SiteStatistics(site_id, lat, lon, country, years,
                                         tuple(points)))
 
-    rainmodel.write_sites_csv(out_sites, cfg["out_sites"])
-    _write_manifest(_manifest_path(cfg, "out_sites"), "gauge", args, cfg,
-                    ["sites"], ["out_sites"],
-                    notes={"skipped_sites": skipped})
+    manifest = _manifest_path(cfg, "out_sites")
+    with _staged_outputs([cfg["out_sites"], manifest]) as tmp:
+        rainmodel.write_sites_csv(out_sites, tmp[cfg["out_sites"]])
+        _write_manifest(tmp[manifest], "gauge", args, cfg, ["sites"],
+                        ["out_sites"], notes={"skipped_sites": skipped})
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +512,15 @@ def _cmd_eval(args) -> None:
     fractions = evaluation.rec_curve([abs(e) for e in rel_pct],
                                      cfg["rec_thresholds"])
 
-    with open(cfg["out_report"], "w", newline="", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-    with open(cfg["out_rec"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["threshold_pct", "fraction"])
-        for t, frac in zip(cfg["rec_thresholds"], fractions):
-            w.writerow([repr(t), repr(frac)])
-    _write_manifest(_manifest_path(cfg, "out_report"), "eval", args, cfg,
-                    ["samples", "sites"], ["out_report", "out_rec"])
+    manifest = _manifest_path(cfg, "out_report")
+    with _staged_outputs([cfg["out_report"], cfg["out_rec"],
+                          manifest]) as tmp:
+        _write_text(tmp[cfg["out_report"]], "\n".join(lines) + "\n")
+        _write_csv(tmp[cfg["out_rec"]], ["threshold_pct", "fraction"],
+                   [[repr(t), repr(frac)]
+                    for t, frac in zip(cfg["rec_thresholds"], fractions)])
+        _write_manifest(tmp[manifest], "eval", args, cfg,
+                        ["samples", "sites"], ["out_report", "out_rec"])
 
 
 # ---------------------------------------------------------------------------
@@ -568,20 +580,21 @@ def _cmd_impact(args) -> None:
                       f"{share.populated_pct:.4f}", f"{share.pop_pct:.4f}"]
                      for code, share in sorted(coverage.items())]
 
-    with open(cfg["out_impact"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["country_code", "total_pop", "heavy_pop"])
-        w.writerows(impact_rows)
-    if zone_rows is not None:
-        with open(cfg["out_zones"], "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["zone_code", "land_pct", "populated_pct", "pop_pct"])
-            w.writerows(zone_rows)
-    _write_manifest(_manifest_path(cfg, "out_impact"), "impact", args, cfg,
-                    ["mt_grid", "p0_grid", "params", "pop", "countries",
-                     "zones"],
-                    ["out_impact", "out_zones"],
-                    notes={"nodata_rate_pixels": nodata_pixels})
+    manifest = _manifest_path(cfg, "out_impact")
+    outputs = [cfg[key] for key in ("out_impact", "out_zones")
+               if cfg[key] is not None]
+    with _staged_outputs(outputs + [manifest]) as tmp:
+        _write_csv(tmp[cfg["out_impact"]],
+                   ["country_code", "total_pop", "heavy_pop"], impact_rows)
+        if zone_rows is not None:
+            _write_csv(tmp[cfg["out_zones"]],
+                       ["zone_code", "land_pct", "populated_pct", "pop_pct"],
+                       zone_rows)
+        _write_manifest(tmp[manifest], "impact", args, cfg,
+                        ["mt_grid", "p0_grid", "params", "pop", "countries",
+                         "zones"],
+                        ["out_impact", "out_zones"],
+                        notes={"nodata_rate_pixels": nodata_pixels})
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ minutes.  Within an event the cumulative depth is interpolated with a
 natural cubic spline over the tip times; per-minute depths come from spline
 differences, are clamped non-negative, and are rescaled so each event's
 total equals tips x bucket exactly.
+
+A record's splines come from one block-diagonal tridiagonal solve over all
+its events and are evaluated in numpy, with the same arithmetic as one
+``scipy.interpolate.CubicSpline`` per event, so results are bit-identical
+to that.  Tips travel as a record array (``time``, ``depth``) from
+:func:`read_tips_csv` to :func:`tips_to_rates`.  Time stamps without an
+offset are UTC.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import DataError
 from .rainmodel import STANDARD_LADDER
@@ -60,7 +67,7 @@ class MinuteSeries:
         self.valid = np.asarray(self.valid, dtype=bool)
         if self.rates.shape != self.valid.shape or self.rates.ndim != 1:
             raise ValueError("rates and valid must be equal-length vectors")
-        if np.any(self.rates[self.valid] < 0):
+        if np.any((self.rates < 0) & self.valid):
             raise ValueError("valid rates must be >= 0")
 
     @property
@@ -68,18 +75,87 @@ class MinuteSeries:
         return int(self.rates.size)
 
 
-def _split_events(times: np.ndarray):
-    breaks = np.nonzero(np.diff(times) > EVENT_GAP_S)[0] + 1
-    return np.split(np.arange(times.size), breaks)
+def _tip_times(events) -> np.ndarray:
+    if isinstance(events, np.ndarray):
+        return np.asarray(events["time"], dtype=np.float64)
+    return np.array([e.time for e in events], dtype=np.float64)
+
+
+def _event_knots(times: np.ndarray, bucket_mm: float):
+    """Knots of every event's cumulative-depth curve, events back to back.
+
+    Returns knot times ``x``, knot depths ``y``, and each event's first knot
+    index, knot count and tip count.  Each event gets a leading zero-depth
+    knot one inter-tip gap (one minute for a single tip) before its first
+    tip.  Events follow one another in ``x``, which stays non-decreasing
+    because event gaps exceed every lead.
+    """
+    first = np.concatenate(([0], np.flatnonzero(
+        np.diff(times) > EVENT_GAP_S) + 1))
+    n_tips = np.diff(np.append(first, times.size))
+    second = times[np.minimum(first + 1, times.size - 1)]
+    lead = np.where(n_tips >= 2, second - times[first], 60.0)
+    n_knots = n_tips + 1
+    k0 = np.cumsum(n_knots) - n_knots
+    local = np.arange(int(n_knots.sum())) - np.repeat(k0, n_knots)
+    x = np.empty(local.size)
+    x[local > 0] = times
+    x[k0] = times[first] - lead
+    y = bucket_mm * local.astype(np.float64)
+    return x, y, k0, n_knots, n_tips
+
+
+def _natural_splines(x, y, k0, n_knots):
+    """Piecewise-cubic coefficients ``(c0, c1, c2, c3)`` of every event's
+    natural cubic spline, one entry per interval between adjacent knots.
+
+    The tridiagonal slope systems ``CubicSpline(bc_type="natural")`` builds
+    for each event are stacked into one block-diagonal system, filled with
+    scipy's expressions, and solved by one LAPACK ``gtsv`` call.  Entries
+    coupling neighbouring events are zero; elimination and back
+    substitution only ever add multiples of them, so each block's slopes
+    are bit-identical to its own solve.  Coefficients follow
+    ``CubicHermiteSpline``.  Entries of intervals joining two events are
+    meaningless and never used.
+    """
+    is_first = np.zeros(x.size, dtype=bool)
+    is_first[k0] = True
+    is_last = np.zeros(x.size, dtype=bool)
+    is_last[k0 + n_knots - 1] = True
+    dx = np.where(is_first[1:], 1.0, np.diff(x))
+    dy = np.diff(y)
+    slope = dy / dx
+
+    zero = np.zeros(1)
+    dx_prev = np.where(is_first, 0.0, np.concatenate((zero, dx)))
+    dx_next = np.where(is_last, 0.0, np.concatenate((dx, zero)))
+    upper = np.where(is_first, dx_next, np.where(is_last, 0.0, dx_prev))
+    lower = np.where(is_last, dx_prev, np.where(is_first, 0.0, dx_next))
+    ab = np.zeros((3, x.size))
+    ab[0, 1:] = upper[:-1]
+    ab[1] = 2 * (dx_prev + dx_next)
+    ab[2, :-1] = lower[1:]
+    interior = 3 * (dx_next * np.concatenate((zero, slope))
+                    + dx_prev * np.concatenate((slope, zero)))
+    rhs = np.where(is_first, 3 * np.concatenate((dy, zero)),
+                   np.where(is_last, 3 * np.concatenate((zero, dy)),
+                            interior))
+    s = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 
 
 def tips_to_rates(events, bucket_mm: float, span) -> MinuteSeries:
     """Convert tip events to a 1-min rain-rate series over ``span``.
 
-    ``span`` is an (start_s, end_s) epoch interval; every tip must fall in
-    it.  Each event's cumulative curve gets a leading zero-depth knot one
-    inter-tip gap before the first tip (one minute for single-tip events),
-    standing in for the unobserved fill time of the first bucket.
+    ``events`` is a sequence of :class:`TipEvent` or a record array with a
+    ``time`` field, as :func:`read_tips_csv` returns.  ``span`` is an
+    (start_s, end_s) epoch interval; every tip must fall in it.  Each
+    event's cumulative curve gets a leading zero-depth knot one inter-tip
+    gap before the first tip (one minute for single-tip events), standing
+    in for the unobserved fill time of the first bucket.
     """
     if bucket_mm <= 0:
         raise ValueError(f"bucket must be positive, got {bucket_mm}")
@@ -90,43 +166,51 @@ def tips_to_rates(events, bucket_mm: float, span) -> MinuteSeries:
     n = int(math.ceil(end_s / 60.0)) - m0
     depths = np.zeros(n, dtype=np.float64)
 
-    times = np.asarray([e.time for e in events], dtype=np.float64)
+    times = _tip_times(events)
     if times.size:
         if np.any(np.diff(times) <= 0):
             raise DataError("tip times must be strictly increasing")
         if times[0] < start_s or times[-1] > end_s:
             raise ValueError("tips fall outside the requested span")
 
-        for idx in _split_events(times):
-            t = times[idx]
-            total = bucket_mm * t.size
-            if t.size >= 2:
-                lead = t[1] - t[0]
-            else:
-                lead = 60.0
-            knots_t = np.concatenate(([t[0] - lead], t))
-            knots_d = bucket_mm * np.arange(0, t.size + 1, dtype=np.float64)
-            spline = CubicSpline(knots_t, knots_d, bc_type="natural")
+        x, y, k0, n_knots, n_tips = _event_knots(times, bucket_mm)
+        c0, c1, c2, c3 = _natural_splines(x, y, k0, n_knots)
 
-            mb0 = int(math.floor(knots_t[0] / 60.0))
-            mb1 = int(math.floor(knots_t[-1] / 60.0))
-            edges = 60.0 * np.arange(mb0, mb1 + 2, dtype=np.float64)
-            edges = np.clip(edges, knots_t[0], knots_t[-1])
-            d = np.maximum(np.diff(spline(edges)), 0.0)
+        # Evaluate each event's spline at its minute edges, clipped to its
+        # knots, with PPoly's interval rule and power-sum order.
+        k1 = k0 + n_knots - 1
+        mb0 = np.floor(x[k0] / 60.0).astype(np.int64)
+        mb1 = np.floor(x[k1] / 60.0).astype(np.int64)
+        n_edges = mb1 - mb0 + 2
+        e0 = np.cumsum(n_edges) - n_edges
+        event = np.repeat(np.arange(k0.size), n_edges)
+        minute = np.arange(int(n_edges.sum())) - np.repeat(e0 - mb0, n_edges)
+        edges = np.clip(60.0 * minute.astype(np.float64), x[k0][event],
+                        x[k1][event])
+        j = np.clip(np.searchsorted(x, edges, side="right") - 1, k0[event],
+                    k1[event] - 1)
+        u = edges - x[j]
+        cum = c3[j] + c2[j] * u + c1[j] * (u * u) + c0[j] * (u * u * u)
+        d = np.maximum(np.diff(cum), 0.0)
 
-            lo = max(mb0, m0)
-            hi = min(mb1, m0 + n - 1)
-            if hi < lo:
+        # Rescale each event's minutes inside the span to tips x bucket.
+        lo = np.maximum(mb0, m0)
+        hi = np.minimum(mb1, m0 + n - 1)
+        for a, lo_e, hi_e, tips_e, first_tip in zip(
+                (e0 + lo - mb0).tolist(), lo.tolist(), hi.tolist(),
+                n_tips.tolist(), x[k0 + 1].tolist()):
+            if hi_e < lo_e:
                 continue
-            kept = d[lo - mb0:hi - mb0 + 1]
+            kept = d[a:a + hi_e - lo_e + 1]
+            total = bucket_mm * tips_e
             ssum = float(kept.sum())
             if ssum > 0:
                 kept = kept * (total / ssum)
             else:
-                kept = np.zeros(hi - lo + 1)
-                idx = min(max(int(t[0] // 60) - lo, 0), kept.size - 1)
-                kept[idx] = total
-            depths[lo - m0:hi - m0 + 1] += kept
+                kept = np.zeros(hi_e - lo_e + 1)
+                kept[min(max(int(first_tip // 60) - lo_e, 0),
+                         kept.size - 1)] = total
+            depths[lo_e - m0:hi_e - m0 + 1] += kept
 
     rates = depths * 60.0
     return MinuteSeries(m0, rates, np.ones(n, dtype=bool))
@@ -228,6 +312,7 @@ def exceedance_stats(series: MinuteSeries, ladder=STANDARD_LADDER,
 # tip CSV
 
 _TIP_COLUMNS = ["time_iso8601_utc", "depth_mm"]
+_TIP_DTYPE = np.dtype([("time", np.float64), ("depth", np.float64)])
 
 
 def _format_tip_time(t: float) -> str:
@@ -238,9 +323,13 @@ def _format_tip_time(t: float) -> str:
     return text + "Z"
 
 
-def _parse_tip_time(text: str) -> float:
-    return datetime.fromisoformat(
-        text.replace("Z", "+00:00")).timestamp()
+def parse_utc_time(text: str) -> float:
+    """Epoch seconds of an ISO 8601 stamp; a stamp without an offset is
+    taken as UTC, never as the machine's local time."""
+    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
 
 
 def write_tips_csv(events, path) -> None:
@@ -251,6 +340,16 @@ def write_tips_csv(events, path) -> None:
             w.writerow([_format_tip_time(e.time), repr(e.depth)])
 
 
-def read_tips_csv(path):
-    return [e for _, e in read_rows(path, _TIP_COLUMNS, lambda row: (
-        TipEvent(_parse_tip_time(row[0]), float(row[1]))))]
+def _tip_row(row):
+    depth = float(row[1])
+    if not 0 < depth < math.inf:
+        raise ValueError(f"tip depth must be positive and finite, "
+                         f"got {depth}")
+    return parse_utc_time(row[0]), depth
+
+
+def read_tips_csv(path) -> np.recarray:
+    """Tips as a record array with float fields ``time`` (epoch s) and
+    ``depth`` (mm), in file order."""
+    tips = [tip for _, tip in read_rows(path, _TIP_COLUMNS, _tip_row)]
+    return np.array(tips, dtype=_TIP_DTYPE).view(np.recarray)

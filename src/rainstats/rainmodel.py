@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,7 +239,9 @@ def fit_params(training, *, threads: int = 1, n_descents: int = 4) -> FitResult:
     Starts are a coarse logarithmic grid; the ``n_descents`` most promising
     seeds are refined with Nelder-Mead in log-parameter space (one restart
     each).  The best objective wins, with ties broken toward the
-    lexicographically smallest (x, y, z).  Deterministic for any ``threads``.
+    lexicographically smallest (x, y, z).  The descents run in turn:
+    ``threads`` is accepted for interface compatibility and has no effect,
+    since under the interpreter lock a thread pool over them was no faster.
     """
     arrays = _training_arrays(training)
 
@@ -263,13 +264,7 @@ def fit_params(training, *, threads: int = 1, n_descents: int = 4) -> FitResult:
         x, y, z = np.exp(res.x)
         return float(res.fun), float(x), float(y), float(z)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            candidates = list(pool.map(descend, starts))
-    else:
-        candidates = [descend(s) for s in starts]
-
-    candidates = [c for c in candidates if np.isfinite(c[0])]
+    candidates = [c for c in map(descend, starts) if np.isfinite(c[0])]
     if not candidates:
         raise SolverError("no fit start converged to a finite objective")
     fun, x, y, z = min(candidates)

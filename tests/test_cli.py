@@ -222,8 +222,7 @@ def test_build_clim_failed_output_leaves_no_outputs(tmp_path, monkeypatch):
 # gauge
 
 
-def test_gauge_end_to_end(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _write_gauge_inputs(tmp_path, **cfg):
     start = 1104537600.0  # 2005-01-01T00:00:00Z
     tips = []
     t = start + 86400.0
@@ -240,7 +239,12 @@ def test_gauge_end_to_end(tmp_path, monkeypatch):
     write_config(tmp_path / "g.cfg", sites="gsites.csv",
                  span_start="2005-01-01T00:00:00Z",
                  span_end="2006-06-01T00:00:00Z",
-                 exclude="b", out_sites="stats.csv")
+                 exclude="b", out_sites="stats.csv", **cfg)
+
+
+def test_gauge_end_to_end(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_gauge_inputs(tmp_path)
     assert run_cli("gauge", "--config", "g.cfg") == 0
 
     from rainstats.rainmodel import read_sites_csv
@@ -250,6 +254,15 @@ def test_gauge_end_to_end(tmp_path, monkeypatch):
     rates = [r for _, r in out[0].points]
     assert all(x >= y for x, y in zip(rates, rates[1:]))
     assert out[0].duration_years == pytest.approx(1.0, abs=0.01)
+
+
+def test_gauge_failed_manifest_write_leaves_no_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_gauge_inputs(tmp_path, out_manifest="manifest")
+    (tmp_path / "manifest").mkdir()
+    assert run_cli("gauge", "--config", "g.cfg") == 2
+    assert sorted(os.listdir(tmp_path)) == [
+        "g.cfg", "gsites.csv", "manifest", "tips_a.csv"]
 
 
 # ---------------------------------------------------------------------------

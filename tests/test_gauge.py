@@ -1,14 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+import time
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from rainstats.errors import DataError
-from rainstats.gauge import (MINUTES_PER_YEAR, QC_MAX_RATE_MM_H, MinuteSeries,
-                             TipEvent, exceedance_stats, qc_filter,
-                             read_tips_csv, select_periods, tips_to_rates,
-                             write_tips_csv)
+from scipy.interpolate import CubicSpline
+
+import rainstats
+from rainstats import cli
+from rainstats.errors import ConfigError, DataError
+from rainstats.gauge import (EVENT_GAP_S, MINUTES_PER_YEAR, QC_MAX_RATE_MM_H,
+                             MinuteSeries, TipEvent, exceedance_stats,
+                             parse_utc_time, qc_filter, read_tips_csv,
+                             select_periods, tips_to_rates, write_tips_csv)
 
 BUCKET = 0.254
 
@@ -74,6 +82,107 @@ def test_single_tip_event():
     series = tips_to_rates([TipEvent(1800.0, BUCKET)], BUCKET,
                            (0.0, 7200.0))
     assert series.rates.sum() / 60.0 == pytest.approx(BUCKET, rel=1e-9)
+
+
+def _reference_tips_to_rates(times, bucket_mm, span):
+    """The per-event ``CubicSpline`` conversion the banded solve replaced."""
+    start_s, end_s = float(span[0]), float(span[1])
+    m0 = int(math.floor(start_s / 60.0))
+    n = int(math.ceil(end_s / 60.0)) - m0
+    depths = np.zeros(n, dtype=np.float64)
+    breaks = np.nonzero(np.diff(times) > EVENT_GAP_S)[0] + 1
+    for idx in np.split(np.arange(times.size), breaks):
+        t = times[idx]
+        total = bucket_mm * t.size
+        lead = t[1] - t[0] if t.size >= 2 else 60.0
+        knots_t = np.concatenate(([t[0] - lead], t))
+        knots_d = bucket_mm * np.arange(0, t.size + 1, dtype=np.float64)
+        spline = CubicSpline(knots_t, knots_d, bc_type="natural")
+        mb0 = int(math.floor(knots_t[0] / 60.0))
+        mb1 = int(math.floor(knots_t[-1] / 60.0))
+        edges = 60.0 * np.arange(mb0, mb1 + 2, dtype=np.float64)
+        edges = np.clip(edges, knots_t[0], knots_t[-1])
+        d = np.maximum(np.diff(spline(edges)), 0.0)
+        lo = max(mb0, m0)
+        hi = min(mb1, m0 + n - 1)
+        if hi < lo:
+            continue
+        kept = d[lo - mb0:hi - mb0 + 1]
+        ssum = float(kept.sum())
+        if ssum > 0:
+            kept = kept * (total / ssum)
+        else:
+            kept = np.zeros(hi - lo + 1)
+            kept[min(max(int(t[0] // 60) - lo, 0), kept.size - 1)] = total
+        depths[lo - m0:hi - m0 + 1] += kept
+    return m0, depths * 60.0
+
+
+def _random_tip_times(rng):
+    """A tip stream mixing drizzle, bursts, whole-minute gaps (tips on
+    minute edges), gaps of exactly ``EVENT_GAP_S``, single-tip events and
+    longer dry spells."""
+    t = float(rng.choice([60.0 * rng.integers(1, 10**7),
+                          rng.uniform(0.0, 1.2e9)]))
+    times = [t]
+    for _ in range(int(rng.integers(0, 120))):
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            gap = rng.uniform(0.5, 30.0)
+        elif kind == 1:
+            gap = rng.uniform(30.0, 1800.0)
+        elif kind == 2:
+            gap = 60.0 * rng.integers(1, 30)
+        elif kind == 3:
+            gap = EVENT_GAP_S
+        elif kind == 4:
+            gap = EVENT_GAP_S + rng.choice([1e-3, 0.5, 60.0])
+        else:
+            gap = rng.uniform(EVENT_GAP_S, 20000.0)
+        t += float(gap)
+        times.append(t)
+    return np.array(times)
+
+
+def test_banded_solve_matches_per_event_splines():
+    """Bit-identical to one ``CubicSpline`` per event on seeded streams,
+    as a TipEvent list and as a record array, with spans that cut into
+    the first event's lead-in and end inside or just past the last
+    minute."""
+    single = edge = exact_gap = cut_start = cut_end = 0
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        times = _random_tip_times(rng)
+        bucket = float(rng.choice([0.1, 0.2, 0.254, 0.5]))
+        start = times[0] - float(rng.choice([0.0, 1.0, 59.0, 3600.0]))
+        if seed % 3 == 0:
+            # the last tip on a minute edge ending the span: the minute
+            # that edge opens lies outside the span
+            times[-1] = 60.0 * math.ceil(times[-1] / 60.0)
+            end = times[-1]
+        else:
+            end = times[-1] + float(rng.choice([0.25, 60.0, 7200.0]))
+        gaps = np.diff(times)
+        sizes = np.diff(np.concatenate(
+            ([0], np.flatnonzero(gaps > EVENT_GAP_S) + 1, [times.size])))
+        single += int(np.count_nonzero(sizes == 1))
+        edge += int(np.count_nonzero(times % 60.0 == 0))
+        exact_gap += int(np.count_nonzero(gaps == EVENT_GAP_S))
+        lead = gaps[0] if sizes[0] > 1 else 60.0
+        cut_start += (times[0] - lead) // 60 < start // 60
+        cut_end += end == times[-1] and end % 60.0 == 0
+
+        m0, want = _reference_tips_to_rates(times, bucket, (start, end))
+        if seed % 2:
+            tips = [TipEvent(float(t), bucket) for t in times]
+        else:
+            tips = np.rec.fromarrays([times, np.full(times.size, bucket)],
+                                     names="time,depth")
+        got = tips_to_rates(tips, bucket, (start, end))
+        assert got.start_minute == m0
+        assert np.array_equal(got.rates, want), seed
+    assert single > 100 and edge > 100 and exact_gap > 100
+    assert cut_start > 50 and cut_end > 50
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +354,61 @@ def test_tips_csv_rejects_bad_rows(tmp_path):
     path.write_text("time_iso8601_utc,depth_mm\nnot-a-time,0.254\n")
     with pytest.raises(DataError, match="line 2"):
         read_tips_csv(path)
+
+
+@pytest.mark.parametrize("depth", ["0", "-0.254", "nan", "inf"])
+def test_tips_csv_rejects_non_positive_or_non_finite_depth(tmp_path, depth):
+    path = tmp_path / "tips.csv"
+    path.write_text("time_iso8601_utc,depth_mm\n"
+                    "2005-01-01T00:00:00Z,0.254\n"
+                    f"2005-01-01T00:01:00Z,{depth}\n")
+    with pytest.raises(DataError, match="line 3: tip depth must be positive"):
+        read_tips_csv(path)
+
+
+def test_tips_csv_gives_time_and_depth_arrays(tmp_path):
+    path = tmp_path / "tips.csv"
+    path.write_text("time_iso8601_utc,depth_mm\n"
+                    "2005-01-01T00:00:00Z,0.254\n"
+                    "2005-01-01T00:01:30.5Z,0.2\n")
+    tips = read_tips_csv(path)
+    assert tips.time.tolist() == [1104537600.0, 1104537690.5]
+    assert tips.depth.tolist() == [0.254, 0.2]
+    path.write_text("time_iso8601_utc,depth_mm\n")
+    assert len(read_tips_csv(path)) == 0
+
+
+@pytest.fixture
+def kolkata_time(monkeypatch):
+    """Run with the machine's local time zone at UTC+05:30."""
+    monkeypatch.setenv("TZ", "Asia/Kolkata")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+def test_stamps_without_offset_are_utc(tmp_path, kolkata_time):
+    assert time.localtime(0).tm_gmtoff == 19800
+    utc = 1104537600.0  # 2005-01-01T00:00:00Z
+    assert parse_utc_time("2005-01-01T00:00:00") == utc
+    assert parse_utc_time("2005-01-01T00:00:00Z") == utc
+    assert parse_utc_time("2005-01-01T05:30:00+05:30") == utc
+    assert cli._parse_span_time("2005-01-01T00:00:00", "span_start") == utc
+    path = tmp_path / "tips.csv"
+    path.write_text("time_iso8601_utc,depth_mm\n"
+                    "2005-01-01T00:00:00,0.254\n")
+    assert read_tips_csv(path).time.tolist() == [utc]
+    with pytest.raises(ConfigError, match="span_end"):
+        cli._parse_span_time("2005-13-01", "span_end")
+
+
+def test_gauge_import_leaves_scipy_interpolate_unloaded():
+    code = ("import sys, rainstats.gauge; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.interpolate')))")
+    src = os.path.dirname(os.path.dirname(rainstats.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
