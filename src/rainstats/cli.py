@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 solver error.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import hashlib
 import os
@@ -26,7 +25,7 @@ from .configfile import Field, load_config
 from .errors import ConfigError, DataError, SolverError
 from .raster import Grid, GridGeometry, read_grid, sample_bilinear
 from .rainmodel import ClimatePoint, SiteStatistics
-from .tables import read_rows
+from .tables import read_rows, write_rows, write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,79 +73,86 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _require_inputs(cfg: dict, keys) -> None:
-    for key in keys:
-        path = cfg.get(key)
-        if path is None:
-            continue
+def _paths(cfg: dict, schema: dict, kind: str) -> dict:
+    """``{key: path}`` for each key of ``kind`` (in or out) set in ``cfg``."""
+    return {key: cfg[key] for key, field in schema.items()
+            if field.kind == kind and cfg[key] is not None}
+
+
+def _outputs(cfg: dict, schema: dict) -> dict:
+    """The output paths by key, the manifest under ``out_manifest``: by
+    default the path of the first output with ``.manifest`` appended."""
+    outputs = _paths(cfg, schema, "out")
+    first = next(key for key, field in schema.items() if field.kind == "out")
+    outputs["out_manifest"] = cfg["out_manifest"] or cfg[first] + ".manifest"
+    return outputs
+
+
+def _check_paths(args, cfg: dict, schema: dict) -> None:
+    """Refuse a run before it reads any input unless every input exists,
+    every output directory exists, and each output, the manifest included,
+    is a file of its own: not another output, an input or the config."""
+    inputs = _paths(cfg, schema, "in")
+    for path in inputs.values():
         if not os.path.isfile(path):
             raise FileNotFoundError(f"input file not found: {path}")
-
-
-def _check_output_dirs(cfg: dict, keys) -> None:
-    for key in keys:
-        path = cfg.get(key)
-        if path is None:
-            continue
+    taken = {os.path.realpath(path): key for key, path in
+             [("config", args.config), *inputs.items()]}
+    for key, path in _outputs(cfg, schema).items():
         parent = os.path.dirname(path)
         if parent and not os.path.isdir(parent):
             raise ConfigError(f"output directory does not exist: {parent}")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ConfigError(f"{key} {path!r} is the same file as "
+                              f"{taken[real]}")
+        taken[real] = key
 
 
-def _write_manifest(path, command, args, cfg, input_keys, output_keys,
-                    notes=None) -> None:
+def _manifest_text(args, cfg: dict, schema: dict, notes: dict) -> str:
     lines = [
-        f"command={command}",
+        f"command={args.command}",
         f"config={args.config}",
         f"config_sha256={_sha256(args.config)}",
         f"seed={args.seed}",
         f"version={__version__}",
     ]
-    for key in sorted(k for k in input_keys if cfg.get(k) is not None):
-        lines.append(f"input.{key}={cfg[key]}")
-        lines.append(f"input.{key}.sha256={_sha256(cfg[key])}")
-    for key, value in sorted((notes or {}).items()):
+    for key, path in sorted(_paths(cfg, schema, "in").items()):
+        lines.append(f"input.{key}={path}")
+        lines.append(f"input.{key}.sha256={_sha256(path)}")
+    for key, value in sorted(notes.items()):
         lines.append(f"note.{key}={value}")
-    for key in sorted(k for k in output_keys if cfg.get(k) is not None):
-        lines.append(f"output.{key}={cfg[key]}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(text)
-
-
-def _manifest_path(cfg: dict, primary_output_key: str) -> str:
-    return cfg.get("out_manifest") or cfg[primary_output_key] + ".manifest"
+    for key, path in sorted(_paths(cfg, schema, "out").items()):
+        if key != "out_manifest":
+            lines.append(f"output.{key}={path}")
+    return "\n".join(lines) + "\n"
 
 
 @contextmanager
-def _staged_outputs(paths):
-    """Yield ``{path: temp path}`` with one temp file beside each output.
+def _staged_outputs(args, cfg: dict, schema: dict, notes=None):
+    """Yield ``{output key: temp path}`` with one temp file beside each
+    output of ``schema`` but the manifest.
 
-    The block writes the temp files; only when it succeeds are they moved
-    over their outputs, so a failure at any step leaves no output behind.
-    Outputs that are directories are refused before any move.
+    The block writes the temp files.  Only when it succeeds is the manifest
+    written and are all of them moved over their outputs, so a failure at
+    any step leaves no output behind.  Outputs that are directories are
+    refused before any move.
     """
-    temps = {path: os.path.join(os.path.dirname(path),
-                                f".{os.path.basename(path)}.{os.getpid()}.tmp")
-             for path in paths}
+    outputs = _outputs(cfg, schema)
+    temps = {key: os.path.join(os.path.dirname(path),
+                               f".{os.path.basename(path)}.{os.getpid()}.tmp")
+             for key, path in outputs.items()}
     try:
-        yield temps
-        for path in temps:
+        yield {key: temp for key, temp in temps.items()
+               if key != "out_manifest"}
+        write_text(temps["out_manifest"],
+                   _manifest_text(args, cfg, schema, notes or {}))
+        for path in outputs.values():
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, "output is a directory",
                                         path)
-        for path, temp in temps.items():
-            os.replace(temp, path)
+        for key, path in outputs.items():
+            os.replace(temps[key], path)
     finally:
         for temp in temps.values():
             if os.path.exists(temp):
@@ -177,20 +183,18 @@ def _config_check(condition: bool, message: str) -> None:
 
 
 _FIT_SCHEMA = {
-    "sites": Field("str", required=True),
-    "climate": Field("str", required=True),
-    "out_params": Field("str", required=True),
-    "out_residuals": Field("str", required=True),
-    "out_report": Field("str", required=True),
-    "out_manifest": Field("str"),
+    "sites": Field("in", required=True),
+    "climate": Field("in", required=True),
+    "out_params": Field("out", required=True),
+    "out_residuals": Field("out", required=True),
+    "out_report": Field("out", required=True),
+    "out_manifest": Field("out"),
 }
 
 
 def _cmd_fit(args) -> None:
     cfg = load_config(args.config, _FIT_SCHEMA)
-    _require_inputs(cfg, ["sites", "climate"])
-    _check_output_dirs(cfg, ["out_params", "out_residuals", "out_report",
-                             "out_manifest"])
+    _check_paths(args, cfg, _FIT_SCHEMA)
 
     sites = rainmodel.read_sites_csv(cfg["sites"])
     climate = rainmodel.read_climate_csv(cfg["climate"])
@@ -200,7 +204,7 @@ def _cmd_fit(args) -> None:
             raise DataError(f"no climate record for site {s.site_id}")
         training.append((s, climate[s.site_id]))
 
-    result = rainmodel.fit_params(training, threads=max(1, args.threads))
+    result = rainmodel.fit_params(training)
 
     residual_rows = []
     for s, c in training:
@@ -213,19 +217,15 @@ def _cmd_fit(args) -> None:
             residual_rows.append([s.site_id, repr(p), repr(r), repr(pred),
                                   repr((pred - r) / r)])
 
-    out_keys = ["out_params", "out_residuals", "out_report"]
-    manifest = _manifest_path(cfg, "out_params")
-    with _staged_outputs([cfg[key] for key in out_keys] + [manifest]) as tmp:
-        rainmodel.write_params(result.params, tmp[cfg["out_params"]])
-        _write_csv(tmp[cfg["out_residuals"]],
+    with _staged_outputs(args, cfg, _FIT_SCHEMA) as tmp:
+        rainmodel.write_params(result.params, tmp["out_params"])
+        write_rows(tmp["out_residuals"],
                    ["site_id", "p_percent", "observed", "predicted",
                     "rel_error"], residual_rows)
-        _write_text(tmp[cfg["out_report"]],
-                    f"objective={result.objective!r}\n"
-                    f"n_points={result.n_points}\n"
-                    f"n_sites={len(training)}\n")
-        _write_manifest(tmp[manifest], "fit", args, cfg,
-                        ["sites", "climate"], out_keys)
+        write_text(tmp["out_report"],
+                   f"objective={result.objective!r}\n"
+                   f"n_points={result.n_points}\n"
+                   f"n_sites={len(training)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +233,13 @@ def _cmd_fit(args) -> None:
 
 
 _PREDICT_SCHEMA = {
-    "mt_grid": Field("str", required=True),
-    "p0_grid": Field("str", required=True),
-    "params": Field("str", required=True),
-    "locations": Field("str", required=True),
+    "mt_grid": Field("in", required=True),
+    "p0_grid": Field("in", required=True),
+    "params": Field("in", required=True),
+    "locations": Field("in", required=True),
     "ladder": Field("floats"),
-    "out_sites": Field("str", required=True),
-    "out_manifest": Field("str"),
+    "out_sites": Field("out", required=True),
+    "out_manifest": Field("out"),
 }
 
 
@@ -255,8 +255,7 @@ def _read_locations_csv(path):
 
 def _cmd_predict(args) -> None:
     cfg = load_config(args.config, _PREDICT_SCHEMA)
-    _require_inputs(cfg, ["mt_grid", "p0_grid", "params", "locations"])
-    _check_output_dirs(cfg, ["out_sites", "out_manifest"])
+    _check_paths(args, cfg, _PREDICT_SCHEMA)
     ladder = _validate_ladder(cfg["ladder"])
 
     mt = read_grid(cfg["mt_grid"])
@@ -278,12 +277,9 @@ def _cmd_predict(args) -> None:
         out_sites.append(SiteStatistics(site_id, lat, lon, country, 1.0,
                                         tuple(curve)))
 
-    manifest = _manifest_path(cfg, "out_sites")
-    with _staged_outputs([cfg["out_sites"], manifest]) as tmp:
-        rainmodel.write_sites_csv(out_sites, tmp[cfg["out_sites"]])
-        _write_manifest(tmp[manifest], "predict", args, cfg,
-                        ["mt_grid", "p0_grid", "params", "locations"],
-                        ["out_sites"], notes={"skipped_locations": skipped})
+    with _staged_outputs(args, cfg, _PREDICT_SCHEMA,
+                         {"skipped_locations": skipped}) as tmp:
+        rainmodel.write_sites_csv(out_sites, tmp["out_sites"])
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +287,9 @@ def _cmd_predict(args) -> None:
 
 
 _BUILD_CLIM_SCHEMA = {
-    "observations": Field("str", required=True),
-    "reference_mt": Field("str", required=True),
-    "elevation": Field("str", required=True),
+    "observations": Field("in", required=True),
+    "reference_mt": Field("in", required=True),
+    "elevation": Field("in", required=True),
     "ncols": Field("int", required=True),
     "nrows": Field("int", required=True),
     "xll": Field("float", required=True),
@@ -305,18 +301,16 @@ _BUILD_CLIM_SCHEMA = {
     "sigma_gauss": Field("float"),
     "dedup_window_s": Field("float",
                             default=climatology.DEFAULT_DEDUP_WINDOW_S),
-    "out_mt": Field("str", required=True),
-    "out_p0": Field("str", required=True),
-    "out_report": Field("str", required=True),
-    "out_manifest": Field("str"),
+    "out_mt": Field("out", required=True),
+    "out_p0": Field("out", required=True),
+    "out_report": Field("out", required=True),
+    "out_manifest": Field("out"),
 }
 
 
 def _cmd_build_clim(args) -> None:
     cfg = load_config(args.config, _BUILD_CLIM_SCHEMA)
-    _require_inputs(cfg, ["observations", "reference_mt", "elevation"])
-    _check_output_dirs(cfg, ["out_mt", "out_p0", "out_report",
-                             "out_manifest"])
+    _check_paths(args, cfg, _BUILD_CLIM_SCHEMA)
     try:
         GridGeometry(cfg["ncols"], cfg["nrows"], cfg["xll"], cfg["yll"],
                      cfg["cell"], cfg["nodata"])
@@ -329,15 +323,8 @@ def _cmd_build_clim(args) -> None:
                   "sigma_gauss must be positive")
     _config_check(cfg["dedup_window_s"] > 0,
                   "dedup_window_s must be positive")
-    out_keys = ["out_mt", "out_p0", "out_report"]
-    manifest = _manifest_path(cfg, "out_mt")
-    with _staged_outputs([cfg[key] for key in out_keys] + [manifest]) as tmp:
-        climatology.build_climatology(
-            {**cfg, **{key: tmp[cfg[key]] for key in out_keys}},
-            threads=max(1, args.threads))
-        _write_manifest(tmp[manifest], "build-clim", args, cfg,
-                        ["observations", "reference_mt", "elevation"],
-                        out_keys)
+    with _staged_outputs(args, cfg, _BUILD_CLIM_SCHEMA) as tmp:
+        climatology.build_climatology({**cfg, **tmp})
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +332,15 @@ def _cmd_build_clim(args) -> None:
 
 
 _GAUGE_SCHEMA = {
-    "sites": Field("str", required=True),
+    "sites": Field("in", required=True),
     "span_start": Field("str", required=True),
     "span_end": Field("str", required=True),
     "bucket_mm": Field("float"),
     "ladder": Field("floats"),
     "min_count": Field("int", default=20),
     "exclude": Field("strs", default=()),
-    "out_sites": Field("str", required=True),
-    "out_manifest": Field("str"),
+    "out_sites": Field("out", required=True),
+    "out_manifest": Field("out"),
 }
 
 
@@ -372,8 +359,7 @@ def _parse_span_time(text: str, key: str) -> float:
 
 def _cmd_gauge(args) -> None:
     cfg = load_config(args.config, _GAUGE_SCHEMA)
-    _require_inputs(cfg, ["sites"])
-    _check_output_dirs(cfg, ["out_sites", "out_manifest"])
+    _check_paths(args, cfg, _GAUGE_SCHEMA)
     ladder = _validate_ladder(cfg["ladder"])
     span = (_parse_span_time(cfg["span_start"], "span_start"),
             _parse_span_time(cfg["span_end"], "span_end"))
@@ -417,11 +403,9 @@ def _cmd_gauge(args) -> None:
         out_sites.append(SiteStatistics(site_id, lat, lon, country, years,
                                         tuple(points)))
 
-    manifest = _manifest_path(cfg, "out_sites")
-    with _staged_outputs([cfg["out_sites"], manifest]) as tmp:
-        rainmodel.write_sites_csv(out_sites, tmp[cfg["out_sites"]])
-        _write_manifest(tmp[manifest], "gauge", args, cfg, ["sites"],
-                        ["out_sites"], notes={"skipped_sites": skipped})
+    with _staged_outputs(args, cfg, _GAUGE_SCHEMA,
+                         {"skipped_sites": skipped}) as tmp:
+        rainmodel.write_sites_csv(out_sites, tmp["out_sites"])
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +413,16 @@ def _cmd_gauge(args) -> None:
 
 
 _EVAL_SCHEMA = {
-    "samples": Field("str", required=True),
-    "sites": Field("str"),
+    "samples": Field("in", required=True),
+    "sites": Field("in"),
     "rec_thresholds": Field("floats",
                             default=tuple(float(t) for t in
                                           range(10, 101, 10))),
     "classify_p": Field("float", default=0.01),
     "threshold": Field("float", default=95.0),
-    "out_report": Field("str", required=True),
-    "out_rec": Field("str", required=True),
-    "out_manifest": Field("str"),
+    "out_report": Field("out", required=True),
+    "out_rec": Field("out", required=True),
+    "out_manifest": Field("out"),
 }
 
 
@@ -448,8 +432,7 @@ def _read_site_countries_csv(path):
 
 def _cmd_eval(args) -> None:
     cfg = load_config(args.config, _EVAL_SCHEMA)
-    _require_inputs(cfg, ["samples", "sites"])
-    _check_output_dirs(cfg, ["out_report", "out_rec", "out_manifest"])
+    _check_paths(args, cfg, _EVAL_SCHEMA)
     ts = cfg["rec_thresholds"]
     _config_check(bool(ts) and all(a < b for a, b in zip(ts, ts[1:])),
                   "rec_thresholds must be non-empty and ascending")
@@ -512,15 +495,11 @@ def _cmd_eval(args) -> None:
     fractions = evaluation.rec_curve([abs(e) for e in rel_pct],
                                      cfg["rec_thresholds"])
 
-    manifest = _manifest_path(cfg, "out_report")
-    with _staged_outputs([cfg["out_report"], cfg["out_rec"],
-                          manifest]) as tmp:
-        _write_text(tmp[cfg["out_report"]], "\n".join(lines) + "\n")
-        _write_csv(tmp[cfg["out_rec"]], ["threshold_pct", "fraction"],
+    with _staged_outputs(args, cfg, _EVAL_SCHEMA) as tmp:
+        write_text(tmp["out_report"], "\n".join(lines) + "\n")
+        write_rows(tmp["out_rec"], ["threshold_pct", "fraction"],
                    [[repr(t), repr(frac)]
                     for t, frac in zip(cfg["rec_thresholds"], fractions)])
-        _write_manifest(tmp[manifest], "eval", args, cfg,
-                        ["samples", "sites"], ["out_report", "out_rec"])
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +507,17 @@ def _cmd_eval(args) -> None:
 
 
 _IMPACT_SCHEMA = {
-    "mt_grid": Field("str", required=True),
-    "p0_grid": Field("str", required=True),
-    "params": Field("str", required=True),
-    "pop": Field("str", required=True),
-    "countries": Field("str", required=True),
-    "zones": Field("str"),
+    "mt_grid": Field("in", required=True),
+    "p0_grid": Field("in", required=True),
+    "params": Field("in", required=True),
+    "pop": Field("in", required=True),
+    "countries": Field("in", required=True),
+    "zones": Field("in"),
     "p": Field("float", default=0.01),
     "threshold": Field("float", default=95.0),
-    "out_impact": Field("str", required=True),
-    "out_zones": Field("str"),
-    "out_manifest": Field("str"),
+    "out_impact": Field("out", required=True),
+    "out_zones": Field("out"),
+    "out_manifest": Field("out"),
 }
 
 
@@ -546,9 +525,7 @@ def _cmd_impact(args) -> None:
     cfg = load_config(args.config, _IMPACT_SCHEMA)
     if (cfg["zones"] is None) != (cfg["out_zones"] is None):
         raise ConfigError("zones and out_zones must be given together")
-    _require_inputs(cfg, ["mt_grid", "p0_grid", "params", "pop", "countries",
-                          "zones"])
-    _check_output_dirs(cfg, ["out_impact", "out_zones", "out_manifest"])
+    _check_paths(args, cfg, _IMPACT_SCHEMA)
     _config_check(0 < cfg["p"] <= 100, "p must be in (0, 100]")
     _config_check(cfg["threshold"] >= 0, "threshold must be >= 0")
 
@@ -580,21 +557,14 @@ def _cmd_impact(args) -> None:
                       f"{share.populated_pct:.4f}", f"{share.pop_pct:.4f}"]
                      for code, share in sorted(coverage.items())]
 
-    manifest = _manifest_path(cfg, "out_impact")
-    outputs = [cfg[key] for key in ("out_impact", "out_zones")
-               if cfg[key] is not None]
-    with _staged_outputs(outputs + [manifest]) as tmp:
-        _write_csv(tmp[cfg["out_impact"]],
+    with _staged_outputs(args, cfg, _IMPACT_SCHEMA,
+                         {"nodata_rate_pixels": nodata_pixels}) as tmp:
+        write_rows(tmp["out_impact"],
                    ["country_code", "total_pop", "heavy_pop"], impact_rows)
         if zone_rows is not None:
-            _write_csv(tmp[cfg["out_zones"]],
+            write_rows(tmp["out_zones"],
                        ["zone_code", "land_pct", "populated_pct", "pop_pct"],
                        zone_rows)
-        _write_manifest(tmp[manifest], "impact", args, cfg,
-                        ["mt_grid", "p0_grid", "params", "pop", "countries",
-                         "zones"],
-                        ["out_impact", "out_zones"],
-                        notes={"nodata_rate_pixels": nodata_pixels})
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ and applies a final Gaussian smoothing pass.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -20,7 +19,7 @@ from .errors import DataError, SolverError
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      require_aligned, resample, uniform_filter, window_iqr,
                      write_grid)
-from .tables import read_rows
+from .tables import read_rows, write_rows, write_text
 
 EARTH_RADIUS_KM = 6371.0088
 KM_PER_DEG = EARTH_RADIUS_KM * math.pi / 180.0
@@ -286,12 +285,10 @@ _OBS_COLUMNS = ["time_s", "lat", "lon", "nsrr_mm_h", "rain_certain",
 
 
 def write_observations_csv(observations, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(_OBS_COLUMNS)
-        for o in observations:
-            w.writerow([repr(o.time), repr(o.lat), repr(o.lon), repr(o.nsrr),
-                        int(o.rain_certain), repr(o.footprint_diameter)])
+    write_rows(path, _OBS_COLUMNS, (
+        [repr(o.time), repr(o.lat), repr(o.lon), repr(o.nsrr),
+         int(o.rain_certain), repr(o.footprint_diameter)]
+        for o in observations))
 
 
 def _observation(row) -> SwathObservation:
@@ -387,8 +384,7 @@ def build_climatology(config: Mapping, threads: int = 1) -> ClimatologyResult:
     def write_all():
         write_grid(mt_final, config["out_mt"])
         write_grid(p0_final, config["out_p0"])
-        with open(config["out_report"], "w", newline="", encoding="utf-8") as f:
-            f.write(report)
+        write_text(config["out_report"], report)
 
     _stage("write", write_all)
     return ClimatologyResult(mt_final, p0_final, report)

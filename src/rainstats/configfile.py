@@ -13,7 +13,10 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Field:
-    kind: str                 # str | int | float | bool | floats | strs
+    """One config key.  Kinds ``in`` and ``out`` are strings naming an input
+    or an output file; they read like ``str``."""
+
+    kind: str                 # str | in | out | int | float | floats | strs
     required: bool = False
     default: object = None
 
@@ -37,16 +40,12 @@ def parse_config_text(text: str) -> dict:
 
 def _convert(key: str, raw: str, kind: str):
     try:
-        if kind == "str":
+        if kind in ("str", "in", "out"):
             return raw
         if kind == "int":
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw in ("0", "1"):
-                return raw == "1"
-            raise ValueError("expected 0 or 1")
         if kind == "floats":
             return tuple(float(t) for t in raw.split(",") if t.strip())
         if kind == "strs":

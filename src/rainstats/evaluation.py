@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -10,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyDataError
 from .raster import Grid, _bilinear_many
-from .tables import read_rows
+from .tables import read_rows, write_rows
 
 #: Rain rate at 0.01% exceedance above which a location counts as heavy.
 HEAVY_RATE_MM_H = 95.0
@@ -184,12 +183,9 @@ _SAMPLE_COLUMNS = ["site_id", "p_percent", "observed", "predicted"]
 
 
 def write_error_samples_csv(samples, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(_SAMPLE_COLUMNS)
-        for s in samples:
-            w.writerow([s.site_id, repr(s.p), repr(s.observed),
-                        repr(s.predicted)])
+    write_rows(path, _SAMPLE_COLUMNS, (
+        [s.site_id, repr(s.p), repr(s.observed), repr(s.predicted)]
+        for s in samples))
 
 
 def read_error_samples_csv(path):

@@ -17,7 +17,6 @@ offset are UTC.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -27,7 +26,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DataError
 from .rainmodel import STANDARD_LADDER
-from .tables import read_rows
+from .tables import read_rows, write_rows
 
 #: Physically implausible 1-min rate (2 inches per minute), mm/h.
 QC_MAX_RATE_MM_H = 3048.0
@@ -333,11 +332,8 @@ def parse_utc_time(text: str) -> float:
 
 
 def write_tips_csv(events, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(_TIP_COLUMNS)
-        for e in events:
-            w.writerow([_format_tip_time(e.time), repr(e.depth)])
+    write_rows(path, _TIP_COLUMNS, (
+        [_format_tip_time(e.time), repr(e.depth)] for e in events))
 
 
 def _tip_row(row):

@@ -18,7 +18,6 @@ Probabilities are expressed in percent throughout.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DataError, SolverError
-from .tables import read_rows
+from .tables import read_rows, write_rows, write_text
 
 #: Standard exceedance-probability ladder (percent), ascending.
 STANDARD_LADDER = (0.001, 0.002, 0.003, 0.005, 0.01, 0.02, 0.03, 0.05,
@@ -303,8 +302,7 @@ def loglinear_resample(points, targets):
 
 
 def write_params(params: ModelParams, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(f"x={params.x!r}\ny={params.y!r}\nz={params.z!r}\n")
+    write_text(path, f"x={params.x!r}\ny={params.y!r}\nz={params.z!r}\n")
 
 
 def read_params(path) -> ModelParams:
@@ -340,13 +338,10 @@ _SITE_COLUMNS = ["site_id", "lat", "lon", "country", "years", "p_percent",
 
 def write_sites_csv(sites, path) -> None:
     """One row per (site, rung): the standard site-statistics CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(_SITE_COLUMNS)
-        for s in sites:
-            for p, r in s.points:
-                w.writerow([s.site_id, repr(s.lat), repr(s.lon), s.country,
-                            repr(s.duration_years), repr(p), repr(r)])
+    write_rows(path, _SITE_COLUMNS, (
+        [s.site_id, repr(s.lat), repr(s.lon), s.country,
+         repr(s.duration_years), repr(p), repr(r)]
+        for s in sites for p, r in s.points))
 
 
 def read_sites_csv(path):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, GridParseError
+from .tables import write_text
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
                 "NODATA_value")
@@ -151,9 +152,7 @@ def write_grid(grid: Grid, path) -> None:
     ]
     for row in grid.values:
         lines.append(" ".join(_fmt(v) for v in row.tolist()))
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_header_value(key: str, token: str, lineno: int):

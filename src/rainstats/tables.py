@@ -1,4 +1,10 @@
-"""Reading the CSV tables every subcommand takes as input."""
+"""The files every subcommand reads and writes.
+
+CSV tables are read by :func:`read_rows` and written by :func:`write_rows`;
+text files (reports, manifests, grids, params) are written by
+:func:`write_text`.  Everything written is UTF-8 with ``\n`` line ends on
+every platform.
+"""
 
 from __future__ import annotations
 
@@ -37,3 +43,16 @@ def read_rows(path, columns, convert):
                 yield reader.line_num, value
         except csv.Error as e:
             raise DataError(f"{path} line {reader.line_num}: {e}") from None
+
+
+def write_rows(path, columns, rows) -> None:
+    """Write a CSV table: the ``columns`` header, then each of ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def write_text(path, text: str) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(text)

@@ -120,8 +120,7 @@ def test_bad_config_values_exit_1(tmp_path, monkeypatch):
 # predict
 
 
-def test_predict_matches_library_curves(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _write_predict_inputs(tmp_path):
     g = GridGeometry(10, 10, 0.0, 0.0, 0.5, ND)
     rng = np.random.default_rng(62)
     mt = Grid(g, rng.uniform(300, 3000, 100))
@@ -134,6 +133,12 @@ def test_predict_matches_library_curves(tmp_path, monkeypatch):
         w.writerow(["site_id", "lat", "lon", "country"])
         w.writerow(["a", "2.25", "2.25", "XX"])
         w.writerow(["b", "1.1", "3.7", "YY"])
+    return mt, p0
+
+
+def test_predict_matches_library_curves(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    mt, p0 = _write_predict_inputs(tmp_path)
     write_config(tmp_path / "p.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
                  params="params.txt", locations="locs.csv",
                  out_sites="pred.csv", ladder="0.01,0.1,1")
@@ -329,8 +334,7 @@ def test_eval_report_and_rec(tmp_path, monkeypatch):
 # impact
 
 
-def test_impact_matches_hand_tabulation(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _write_impact_inputs(tmp_path):
     g = GridGeometry(4, 4, 0.0, 0.0, 1.0, ND)
     mt_vals = np.array([[3500.0, 3500.0, 400.0, 400.0]] * 4)
     p0_vals = np.full((4, 4), 5.0)
@@ -343,6 +347,12 @@ def test_impact_matches_hand_tabulation(tmp_path, monkeypatch):
     zone_vals = np.array([[9, 9, 8, 8]] * 4, dtype=float)
     write_grid(Grid(g, zone_vals), tmp_path / "zones.grd")
     write_params(PARAMS, tmp_path / "params.txt")
+    return pop_vals
+
+
+def test_impact_matches_hand_tabulation(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pop_vals = _write_impact_inputs(tmp_path)
     write_config(tmp_path / "i.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
                  params="params.txt", pop="pop.grd",
                  countries="countries.grd", zones="zones.grd",
@@ -433,3 +443,84 @@ def test_eval_rerun_identical_bytes(tmp_path, monkeypatch):
                    "--threads", "4") == 0
     for n, blob in blobs.items():
         assert (tmp_path / n).read_bytes() == blob
+
+
+# ---------------------------------------------------------------------------
+# output paths
+
+
+_SCHEMAS = {name: getattr(cli, name) for name in sorted(vars(cli))
+            if name.startswith("_") and name.endswith("_SCHEMA")}
+
+
+def test_every_schema_marks_its_outputs():
+    assert len(_SCHEMAS) == 6
+    for name, schema in _SCHEMAS.items():
+        assert "out_manifest" in schema, name
+        for key, field in schema.items():
+            assert (field.kind == "out") == key.startswith("out_"), (name, key)
+
+
+_RUNS = {
+    "fit": (_write_fit_inputs, cli._FIT_SCHEMA, dict(
+        sites="train_sites.csv", climate="train_climate.csv",
+        out_params="params.txt", out_residuals="residuals.csv",
+        out_report="fit_report.txt")),
+    "predict": (_write_predict_inputs, cli._PREDICT_SCHEMA, dict(
+        mt_grid="mt.grd", p0_grid="p0.grd", params="params.txt",
+        locations="locs.csv", out_sites="pred.csv")),
+    "eval": (_write_eval_samples, cli._EVAL_SCHEMA, dict(
+        samples="samples.csv", sites="countries.csv",
+        out_report="metrics.txt", out_rec="rec.csv")),
+    "impact": (_write_impact_inputs, cli._IMPACT_SCHEMA, dict(
+        mt_grid="mt.grd", p0_grid="p0.grd", params="params.txt",
+        pop="pop.grd", countries="countries.grd", zones="zones.grd",
+        out_impact="impact.csv", out_zones="zonecov.csv")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_output_that_is_a_directory_leaves_no_output(tmp_path, monkeypatch,
+                                                     command):
+    write_inputs, schema, cfg = _RUNS[command]
+    out_keys = [k for k, field in schema.items() if field.kind == "out"]
+    assert "out_manifest" in out_keys and len(out_keys) >= 2
+    for key in out_keys:
+        d = tmp_path / key
+        d.mkdir()
+        monkeypatch.chdir(d)
+        write_inputs(d)
+        (d / "blocker").mkdir()
+        write_config(d / "run.cfg", **{**cfg, key: "blocker"})
+        before = sorted(os.listdir(d))
+        assert run_cli(command, "--config", "run.cfg") == 2, key
+        assert sorted(os.listdir(d)) == before, key
+        assert os.listdir(d / "blocker") == [], key
+
+
+_CLASHES = {
+    "two-outputs": dict(out_rec="m.txt"),
+    "manifest-and-output": dict(out_manifest="m.txt"),
+    "output-and-default-manifest": dict(out_rec="m.txt.manifest"),
+    "output-and-input": dict(out_report="samples.csv"),
+    "output-and-optional-input": dict(out_rec="./countries.csv"),
+    "manifest-and-config": dict(out_manifest="e.cfg"),
+    "output-and-symlinked-input": dict(out_report="link.csv"),
+}
+
+
+@pytest.mark.parametrize("clash", list(_CLASHES.values()), ids=list(_CLASHES))
+def test_eval_refuses_outputs_that_share_a_file(tmp_path, monkeypatch, capsys,
+                                                clash):
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    os.symlink("samples.csv", tmp_path / "link.csv")
+    write_config(tmp_path / "e.cfg", **{
+        **dict(samples="samples.csv", sites="countries.csv",
+               out_report="m.txt", out_rec="rec.csv"), **clash})
+    before = {name: (tmp_path / name).read_bytes()
+              for name in os.listdir(tmp_path)}
+    assert run_cli("eval", "--config", "e.cfg") == 1
+    assert "is the same file as" in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes()
+            for name in os.listdir(tmp_path)} == before
