@@ -88,11 +88,20 @@ def _outputs(cfg: dict, schema: dict) -> dict:
     return outputs
 
 
-def _check_paths(args, cfg: dict, schema: dict) -> None:
+def _inputs(cfg: dict, schema: dict, learned=None) -> dict:
+    """The input paths by key: the schema's, plus ``learned`` ones that a
+    handler found listed in an input (gauge's ``tips.<site_id>`` files)."""
+    return {**_paths(cfg, schema, "in"), **(learned or {})}
+
+
+def _check_paths(args, cfg: dict, schema: dict, learned=None) -> None:
     """Refuse a run before it reads any input unless every input exists,
     every output directory exists, and each output, the manifest included,
-    is a file of its own: not another output, an input or the config."""
-    inputs = _paths(cfg, schema, "in")
+    is a file of its own: not another output, an input or the config.
+
+    A handler calls it again with the ``learned`` inputs once it has read
+    the input that lists them."""
+    inputs = _inputs(cfg, schema, learned)
     for path in inputs.values():
         if not os.path.isfile(path):
             raise FileNotFoundError(f"input file not found: {path}")
@@ -109,7 +118,8 @@ def _check_paths(args, cfg: dict, schema: dict) -> None:
         taken[real] = key
 
 
-def _manifest_text(args, cfg: dict, schema: dict, notes: dict) -> str:
+def _manifest_text(args, cfg: dict, schema: dict, notes: dict,
+                   learned=None) -> str:
     lines = [
         f"command={args.command}",
         f"config={args.config}",
@@ -117,7 +127,7 @@ def _manifest_text(args, cfg: dict, schema: dict, notes: dict) -> str:
         f"seed={args.seed}",
         f"version={__version__}",
     ]
-    for key, path in sorted(_paths(cfg, schema, "in").items()):
+    for key, path in sorted(_inputs(cfg, schema, learned).items()):
         lines.append(f"input.{key}={path}")
         lines.append(f"input.{key}.sha256={_sha256(path)}")
     for key, value in sorted(notes.items()):
@@ -129,9 +139,11 @@ def _manifest_text(args, cfg: dict, schema: dict, notes: dict) -> str:
 
 
 @contextmanager
-def _staged_outputs(args, cfg: dict, schema: dict, notes=None):
+def _staged_outputs(args, cfg: dict, schema: dict, notes=None,
+                    learned=None):
     """Yield ``{output key: temp path}`` with one temp file beside each
-    output of ``schema`` but the manifest.
+    output of ``schema`` but the manifest.  The manifest hashes the
+    schema's inputs and the ``learned`` ones.
 
     The block writes the temp files.  Only when it succeeds is the manifest
     written and are all of them moved over their outputs, so a failure at
@@ -146,7 +158,7 @@ def _staged_outputs(args, cfg: dict, schema: dict, notes=None):
         yield {key: temp for key, temp in temps.items()
                if key != "out_manifest"}
         write_text(temps["out_manifest"],
-                   _manifest_text(args, cfg, schema, notes or {}))
+                   _manifest_text(args, cfg, schema, notes or {}, learned))
         for path in outputs.values():
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, "output is a directory",
@@ -345,8 +357,13 @@ _GAUGE_SCHEMA = {
 
 
 def _read_gauge_sites_csv(path):
-    return [r for _, r in read_rows(
-        path, ["site_id", "lat", "lon", "country", "tips_path"], _located)]
+    rows = {}
+    for lineno, row in read_rows(
+            path, ["site_id", "lat", "lon", "country", "tips_path"], _located):
+        if row[0] in rows:
+            raise DataError(f"{path} line {lineno}: duplicate site {row[0]}")
+        rows[row[0]] = row
+    return list(rows.values())
 
 
 def _parse_span_time(text: str, key: str) -> float:
@@ -371,9 +388,9 @@ def _cmd_gauge(args) -> None:
     excluded = set(cfg["exclude"])
 
     site_rows = _read_gauge_sites_csv(cfg["sites"])
-    for _, _, _, _, tips_path in site_rows:
-        if not os.path.isfile(tips_path):
-            raise FileNotFoundError(f"input file not found: {tips_path}")
+    tips_paths = {f"tips.{site_id}": tips_path
+                  for site_id, _, _, _, tips_path in site_rows}
+    _check_paths(args, cfg, _GAUGE_SCHEMA, tips_paths)
 
     out_sites = []
     skipped = 0
@@ -403,8 +420,8 @@ def _cmd_gauge(args) -> None:
         out_sites.append(SiteStatistics(site_id, lat, lon, country, years,
                                         tuple(points)))
 
-    with _staged_outputs(args, cfg, _GAUGE_SCHEMA,
-                         {"skipped_sites": skipped}) as tmp:
+    with _staged_outputs(args, cfg, _GAUGE_SCHEMA, {"skipped_sites": skipped},
+                         tips_paths) as tmp:
         rainmodel.write_sites_csv(out_sites, tmp["out_sites"])
 
 
@@ -456,10 +473,11 @@ def _cmd_eval(args) -> None:
 
     _summary_block("rel_error_pct", rel_pct)
     _summary_block("bias_error_mm_h", bias)
-    for p in sorted({s.p for s in samples}):
-        sel = [100.0 * evaluation.relative_error(s) for s in samples
-               if s.p == p]
-        _summary_block(f"p.{p!r}.rel_error_pct", sel)
+    rel_pct_by_p = {}
+    for s, e in zip(samples, rel_pct):
+        rel_pct_by_p.setdefault(s.p, []).append(e)
+    for p in sorted(rel_pct_by_p):
+        _summary_block(f"p.{p!r}.rel_error_pct", rel_pct_by_p[p])
 
     classify_rows = [s for s in samples if s.p == cfg["classify_p"]]
     if classify_rows:

@@ -25,6 +25,8 @@ class ErrorSample:
     predicted: float
 
     def __post_init__(self):
+        if math.isnan(self.p):
+            raise ValueError("probability must be a number, got nan")
         if self.observed <= 0:
             raise ValueError("observed rate must be positive for relative "
                              f"error, got {self.observed}")

@@ -292,18 +292,19 @@ def exceedance_stats(series: MinuteSeries, ladder=STANDARD_LADDER,
     k = floor(p/100 * N); rungs expecting fewer than ``min_count``
     observations are omitted.
     """
-    rates = series.rates[series.valid]
-    n = rates.size
+    n = int(np.count_nonzero(series.valid))
     if n == 0:
         raise ValueError("series has no valid minutes")
-    ranked = np.sort(rates)[::-1]
+    # Valid rates are never negative, so only the wet minutes need ranking;
+    # every rank past them is a dry minute's 0.0.
+    wet = np.sort(series.rates[series.valid & (series.rates != 0)])[::-1]
     out = []
     for p in ladder:
         expected = (p / 100.0) * n
         if expected < min_count:
             continue
         k = max(1, int(math.floor(expected)))
-        out.append((float(p), float(ranked[k - 1])))
+        out.append((float(p), float(wet[k - 1]) if k <= wet.size else 0.0))
     return out
 
 

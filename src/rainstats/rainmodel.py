@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DataError, SolverError
 from .tables import read_rows, write_rows, write_text
@@ -225,6 +224,17 @@ def _mean_sq_rel_error(arrays, params: ModelParams) -> float:
     ps, rs, mts, p0s = arrays
     eps = (_rain_rate_array(ps, mts, p0s, params) - rs) / rs
     return float(np.mean(eps * eps))
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call.
+
+    Only the fit needs it, and importing ``scipy.optimize`` at module level
+    would slow the start-up of every other command.  :func:`fit_params`
+    calls it through this module global.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 _SEED_X = (0.25, 1.0, 4.0)

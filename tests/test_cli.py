@@ -1,5 +1,8 @@
 import csv
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,6 +273,72 @@ def test_gauge_failed_manifest_write_leaves_no_output(tmp_path, monkeypatch):
         "g.cfg", "gsites.csv", "manifest", "tips_a.csv"]
 
 
+def _write_two_tip_files(tmp_path):
+    """Gauge inputs whose sites a and b (excluded) list their own tip
+    files."""
+    _write_gauge_inputs(tmp_path)
+    shutil.copyfile(tmp_path / "tips_a.csv", tmp_path / "tips_b.csv")
+    text = (tmp_path / "gsites.csv").read_text()
+    (tmp_path / "gsites.csv").write_text(
+        text.replace("b,6.6,3.5,NGA,tips_a.csv", "b,6.6,3.5,NGA,tips_b.csv"))
+
+
+_TIP_CLASHES = {
+    "output-and-tips": dict(out_sites="tips_a.csv"),
+    "manifest-and-excluded-tips": dict(out_manifest="tips_b.csv"),
+    "output-and-symlinked-tips": dict(out_sites="link.csv"),
+}
+
+
+@pytest.mark.parametrize("clash", list(_TIP_CLASHES.values()),
+                         ids=list(_TIP_CLASHES))
+def test_gauge_refuses_outputs_that_are_tip_files(tmp_path, monkeypatch,
+                                                  capsys, clash):
+    monkeypatch.chdir(tmp_path)
+    _write_two_tip_files(tmp_path)
+    os.symlink("tips_a.csv", tmp_path / "link.csv")
+    write_config(tmp_path / "g.cfg", sites="gsites.csv",
+                 span_start="2005-01-01T00:00:00Z",
+                 span_end="2006-06-01T00:00:00Z", exclude="b",
+                 **{"out_sites": "stats.csv", **clash})
+    before = {name: (tmp_path / name).read_bytes()
+              for name in os.listdir(tmp_path)}
+    assert run_cli("gauge", "--config", "g.cfg") == 1
+    assert "is the same file as tips." in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes()
+            for name in os.listdir(tmp_path)} == before
+
+
+def test_gauge_manifest_records_every_listed_tip_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_two_tip_files(tmp_path)
+    assert run_cli("gauge", "--config", "g.cfg") == 0
+    first = read_report(tmp_path / "stats.csv.manifest")
+    for site in ("a", "b"):  # b is excluded but still listed
+        assert first[f"input.tips.{site}"] == f"tips_{site}.csv"
+        assert first[f"input.tips.{site}.sha256"] == cli._sha256(
+            tmp_path / f"tips_{site}.csv")
+    keys = [k for k in first if k.startswith("input.")]
+    assert keys == sorted(keys)
+
+    lines = (tmp_path / "tips_a.csv").read_text().splitlines(True)
+    (tmp_path / "tips_a.csv").write_text("".join(lines[:-1]))
+    assert run_cli("gauge", "--config", "g.cfg") == 0
+    second = read_report(tmp_path / "stats.csv.manifest")
+    assert {k for k in first if first[k] != second[k]} == {
+        "input.tips.a.sha256"}
+
+
+def test_gauge_duplicate_site_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_gauge_inputs(tmp_path)
+    with open(tmp_path / "gsites.csv", "a") as f:
+        f.write("a,6.7,3.6,NGA,tips_b.csv\n")
+    assert run_cli("gauge", "--config", "g.cfg") == 2
+    assert "line 4: duplicate site a" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "stats.csv")
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -406,6 +475,49 @@ def test_eval_malformed_samples_exits_2(tmp_path, monkeypatch):
     assert not os.path.exists(tmp_path / "metrics.txt")
 
 
+def test_eval_per_probability_blocks_match_a_full_scan(tmp_path,
+                                                       monkeypatch):
+    from rainstats.evaluation import (p311_summary, read_error_samples_csv,
+                                      relative_error)
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(5)
+    ps = rng.choice([0.001, 0.01, 0.1, 1.0, 5.0], 600)
+    obs = rng.uniform(1.0, 150.0, ps.size)
+    pred = obs * rng.uniform(0.3, 1.9, ps.size)
+    with open(tmp_path / "samples.csv", "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["site_id", "p_percent", "observed", "predicted"])
+        w.writerows([f"s{i % 40}", repr(p), repr(o), repr(q)]
+                     for i, (p, o, q) in enumerate(zip(
+                         ps.tolist(), obs.tolist(), pred.tolist())))
+    write_config(tmp_path / "e.cfg", samples="samples.csv",
+                 out_report="m.txt", out_rec="rec.csv")
+    assert run_cli("eval", "--config", "e.cfg") == 0
+
+    samples = read_error_samples_csv(tmp_path / "samples.csv")
+    expected = []
+    for p in sorted({s.p for s in samples}):
+        summary = p311_summary([100.0 * relative_error(s) for s in samples
+                                if s.p == p])
+        expected += [f"p.{p!r}.rel_error_pct.{name}="
+                     f"{getattr(summary, name):.4f}"
+                     for name in ("mean", "sd", "rms")]
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("p.")] == expected
+
+
+def test_eval_nan_probability_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    with open(tmp_path / "samples.csv", "a") as f:
+        f.write("x,nan,100.0,90.0\n")
+    write_config(tmp_path / "e.cfg", samples="samples.csv",
+                 out_report="m.txt", out_rec="rec.csv")
+    assert run_cli("eval", "--config", "e.cfg") == 2
+    assert "line 24" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "m.txt")
+
+
 def test_eval_short_sites_row_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write_eval_samples(tmp_path)
@@ -524,3 +636,14 @@ def test_eval_refuses_outputs_that_share_a_file(tmp_path, monkeypatch, capsys,
     assert "is the same file as" in capsys.readouterr().err
     assert {name: (tmp_path / name).read_bytes()
             for name in os.listdir(tmp_path)} == before
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = ("import sys, rainstats.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.optimize')))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -13,6 +13,7 @@ from scipy.interpolate import CubicSpline
 import rainstats
 from rainstats import cli
 from rainstats.errors import ConfigError, DataError
+from rainstats.rainmodel import STANDARD_LADDER
 from rainstats.gauge import (EVENT_GAP_S, MINUTES_PER_YEAR, QC_MAX_RATE_MM_H,
                              MinuteSeries, TipEvent, exceedance_stats,
                              parse_utc_time, qc_filter, read_tips_csv,
@@ -315,6 +316,62 @@ def test_exceedance_matches_brute_force_sort():
         k = int(math.floor((p / 100) * nv))
         assert (p / 100) * nv >= 20
         assert r == vr[nv - k]
+
+
+def _full_sort_exceedance(series, ladder, min_count):
+    """Reference: rank every valid minute, dry ones included."""
+    rates = series.rates[series.valid]
+    ranked = np.sort(rates)[::-1]
+    out = []
+    for p in ladder:
+        expected = (p / 100.0) * rates.size
+        if expected >= min_count:
+            k = max(1, int(math.floor(expected)))
+            out.append((float(p), float(ranked[k - 1])))
+    return out
+
+
+def test_exceedance_matches_full_sort_on_seeded_series():
+    rng = np.random.default_rng(45)
+    # rungs up to 100 % reach ranks past the last wet minute
+    ladder = STANDARD_LADDER + (10.0, 50.0, 100.0)
+    for wet_frac in (0.0, 1e-4, 0.04, 0.5, 1.0):
+        for _ in range(6):
+            n = int(rng.integers(1, 200_000))
+            wet = rng.uniform(size=n) < wet_frac
+            # rounded to 0.1 mm/h so that many rates tie
+            rates = np.where(wet, np.round(rng.gamma(0.5, 10.0, n), 1), 0.0)
+            valid = rng.uniform(size=n) < rng.choice([0.7, 1.0])
+            valid[0] = True
+            series = MinuteSeries(0, rates, valid)
+            for min_count in (1, 20):
+                assert exceedance_stats(series, ladder, min_count) == \
+                    _full_sort_exceedance(series, ladder, min_count)
+
+
+def test_exceedance_of_an_all_dry_series_is_zero():
+    series = MinuteSeries(0, np.zeros(10_000), np.ones(10_000, dtype=bool))
+    points = exceedance_stats(series, min_count=1)
+    assert [p for p, _ in points] == [p for p in STANDARD_LADDER
+                                      if p >= 0.01]
+    assert all(r == 0.0 for _, r in points)
+
+
+@pytest.mark.parametrize("n_wet", [15, 19, 20, 25])
+def test_exceedance_at_the_min_count_boundary(n_wet):
+    # 2000 valid minutes: the 1 % rung expects exactly 20 and takes k = 20
+    rates = np.zeros(2100)
+    rates[:n_wet] = np.arange(n_wet, 0, -1) + 0.5
+    valid = np.ones(2100, dtype=bool)
+    valid[-100:] = False
+    rates[-100:] = 999.0  # invalid minutes never rank
+    series = MinuteSeries(0, rates, valid)
+    # wet rates are n_wet + 0.5 down to 1.5; the 2 % rung takes k = 40
+    assert exceedance_stats(series, (1.0, 2.0), min_count=20) == [
+        (1.0, n_wet - 18.5 if n_wet >= 20 else 0.0), (2.0, 0.0)]
+    assert exceedance_stats(series, (1.0,), min_count=21) == []
+    assert exceedance_stats(series, (1.0, 2.0), min_count=20) == \
+        _full_sort_exceedance(series, (1.0, 2.0), 20)
 
 
 def test_exceedance_is_monotone():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rainstats import rainmodel
 from rainstats.errors import DataError, SolverError
 from rainstats.rainmodel import (RATE_CAP_MM_H, STANDARD_LADDER, ClimatePoint,
                                  ModelParams, SiteStatistics,
@@ -322,6 +323,23 @@ def test_fit_rejects_degenerate_training():
     site2 = SiteStatistics("w", 0.0, 0.0, "NA", 1.0, ((5.0, 10.0),))
     with pytest.raises(ValueError):
         fit_params([(site2, ClimatePoint(1000, 2.0))])
+
+
+def test_fit_calls_minimize_through_the_module_global(monkeypatch):
+    training = _make_training(GEN_PARAMS, _training_climates(5, seed=17))
+    expected = fit_params(training, n_descents=3)
+    nfev = []
+
+    def counting_minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    real_minimize = rainmodel.minimize
+    monkeypatch.setattr(rainmodel, "minimize", counting_minimize)
+    assert fit_params(training, n_descents=3) == expected
+    assert len(nfev) == 6  # one descent and one restart per start
+    assert all(n > 0 for n in nfev)
 
 
 # ---------------------------------------------------------------------------
