@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -73,41 +74,33 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _paths(cfg: dict, schema: dict, kind: str) -> dict:
-    """``{key: path}`` for each key of ``kind`` (in or out) set in ``cfg``."""
-    return {key: cfg[key] for key, field in schema.items()
-            if field.kind == kind and cfg[key] is not None}
-
-
-def _outputs(cfg: dict, schema: dict) -> dict:
-    """The output paths by key, the manifest under ``out_manifest``: by
+def _files(args, cfg: dict, schema: dict):
+    """A run's ``({key: input path}, {key: output path})`` from the keys
+    ``schema`` marks ``in`` or ``out`` and ``cfg`` sets, checked by
+    :func:`_check_paths`.  The manifest is the output ``out_manifest``: by
     default the path of the first output with ``.manifest`` appended."""
-    outputs = _paths(cfg, schema, "out")
+    inputs, outputs = ({key: path for key, path in cfg.items()
+                        if schema[key].kind == kind and path is not None}
+                       for kind in ("in", "out"))
     first = next(key for key, field in schema.items() if field.kind == "out")
     outputs["out_manifest"] = cfg["out_manifest"] or cfg[first] + ".manifest"
-    return outputs
+    _check_paths(args, inputs, outputs)
+    return inputs, outputs
 
 
-def _inputs(cfg: dict, schema: dict, learned=None) -> dict:
-    """The input paths by key: the schema's, plus ``learned`` ones that a
-    handler found listed in an input (gauge's ``tips.<site_id>`` files)."""
-    return {**_paths(cfg, schema, "in"), **(learned or {})}
-
-
-def _check_paths(args, cfg: dict, schema: dict, learned=None) -> None:
+def _check_paths(args, inputs: dict, outputs: dict) -> None:
     """Refuse a run before it reads any input unless every input exists,
     every output directory exists, and each output, the manifest included,
     is a file of its own: not another output, an input or the config.
 
-    A handler calls it again with the ``learned`` inputs once it has read
-    the input that lists them."""
-    inputs = _inputs(cfg, schema, learned)
+    Gauge calls it again once its sites CSV has added the tip files to
+    ``inputs``."""
     for path in inputs.values():
         if not os.path.isfile(path):
             raise FileNotFoundError(f"input file not found: {path}")
     taken = {os.path.realpath(path): key for key, path in
              [("config", args.config), *inputs.items()]}
-    for key, path in _outputs(cfg, schema).items():
+    for key, path in outputs.items():
         parent = os.path.dirname(path)
         if parent and not os.path.isdir(parent):
             raise ConfigError(f"output directory does not exist: {parent}")
@@ -118,8 +111,7 @@ def _check_paths(args, cfg: dict, schema: dict, learned=None) -> None:
         taken[real] = key
 
 
-def _manifest_text(args, cfg: dict, schema: dict, notes: dict,
-                   learned=None) -> str:
+def _manifest_text(args, inputs: dict, outputs: dict, notes: dict) -> str:
     lines = [
         f"command={args.command}",
         f"config={args.config}",
@@ -127,30 +119,27 @@ def _manifest_text(args, cfg: dict, schema: dict, notes: dict,
         f"seed={args.seed}",
         f"version={__version__}",
     ]
-    for key, path in sorted(_inputs(cfg, schema, learned).items()):
+    for key, path in sorted(inputs.items()):
         lines.append(f"input.{key}={path}")
         lines.append(f"input.{key}.sha256={_sha256(path)}")
     for key, value in sorted(notes.items()):
         lines.append(f"note.{key}={value}")
-    for key, path in sorted(_paths(cfg, schema, "out").items()):
+    for key, path in sorted(outputs.items()):
         if key != "out_manifest":
             lines.append(f"output.{key}={path}")
     return "\n".join(lines) + "\n"
 
 
 @contextmanager
-def _staged_outputs(args, cfg: dict, schema: dict, notes=None,
-                    learned=None):
+def _staged_outputs(args, inputs: dict, outputs: dict, notes=None):
     """Yield ``{output key: temp path}`` with one temp file beside each
-    output of ``schema`` but the manifest.  The manifest hashes the
-    schema's inputs and the ``learned`` ones.
+    output but the manifest, which hashes ``inputs``.
 
     The block writes the temp files.  Only when it succeeds is the manifest
     written and are all of them moved over their outputs, so a failure at
     any step leaves no output behind.  Outputs that are directories are
     refused before any move.
     """
-    outputs = _outputs(cfg, schema)
     temps = {key: os.path.join(os.path.dirname(path),
                                f".{os.path.basename(path)}.{os.getpid()}.tmp")
              for key, path in outputs.items()}
@@ -158,7 +147,7 @@ def _staged_outputs(args, cfg: dict, schema: dict, notes=None,
         yield {key: temp for key, temp in temps.items()
                if key != "out_manifest"}
         write_text(temps["out_manifest"],
-                   _manifest_text(args, cfg, schema, notes or {}, learned))
+                   _manifest_text(args, inputs, outputs, notes or {}))
         for path in outputs.values():
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, "output is a directory",
@@ -206,7 +195,7 @@ _FIT_SCHEMA = {
 
 def _cmd_fit(args) -> None:
     cfg = load_config(args.config, _FIT_SCHEMA)
-    _check_paths(args, cfg, _FIT_SCHEMA)
+    inputs, outputs = _files(args, cfg, _FIT_SCHEMA)
 
     sites = rainmodel.read_sites_csv(cfg["sites"])
     climate = rainmodel.read_climate_csv(cfg["climate"])
@@ -229,7 +218,7 @@ def _cmd_fit(args) -> None:
             residual_rows.append([s.site_id, repr(p), repr(r), repr(pred),
                                   repr((pred - r) / r)])
 
-    with _staged_outputs(args, cfg, _FIT_SCHEMA) as tmp:
+    with _staged_outputs(args, inputs, outputs) as tmp:
         rainmodel.write_params(result.params, tmp["out_params"])
         write_rows(tmp["out_residuals"],
                    ["site_id", "p_percent", "observed", "predicted",
@@ -267,7 +256,7 @@ def _read_locations_csv(path):
 
 def _cmd_predict(args) -> None:
     cfg = load_config(args.config, _PREDICT_SCHEMA)
-    _check_paths(args, cfg, _PREDICT_SCHEMA)
+    inputs, outputs = _files(args, cfg, _PREDICT_SCHEMA)
     ladder = _validate_ladder(cfg["ladder"])
 
     mt = read_grid(cfg["mt_grid"])
@@ -289,7 +278,7 @@ def _cmd_predict(args) -> None:
         out_sites.append(SiteStatistics(site_id, lat, lon, country, 1.0,
                                         tuple(curve)))
 
-    with _staged_outputs(args, cfg, _PREDICT_SCHEMA,
+    with _staged_outputs(args, inputs, outputs,
                          {"skipped_locations": skipped}) as tmp:
         rainmodel.write_sites_csv(out_sites, tmp["out_sites"])
 
@@ -322,7 +311,7 @@ _BUILD_CLIM_SCHEMA = {
 
 def _cmd_build_clim(args) -> None:
     cfg = load_config(args.config, _BUILD_CLIM_SCHEMA)
-    _check_paths(args, cfg, _BUILD_CLIM_SCHEMA)
+    inputs, outputs = _files(args, cfg, _BUILD_CLIM_SCHEMA)
     try:
         GridGeometry(cfg["ncols"], cfg["nrows"], cfg["xll"], cfg["yll"],
                      cfg["cell"], cfg["nodata"])
@@ -335,7 +324,7 @@ def _cmd_build_clim(args) -> None:
                   "sigma_gauss must be positive")
     _config_check(cfg["dedup_window_s"] > 0,
                   "dedup_window_s must be positive")
-    with _staged_outputs(args, cfg, _BUILD_CLIM_SCHEMA) as tmp:
+    with _staged_outputs(args, inputs, outputs) as tmp:
         climatology.build_climatology({**cfg, **tmp})
 
 
@@ -376,7 +365,7 @@ def _parse_span_time(text: str, key: str) -> float:
 
 def _cmd_gauge(args) -> None:
     cfg = load_config(args.config, _GAUGE_SCHEMA)
-    _check_paths(args, cfg, _GAUGE_SCHEMA)
+    inputs, outputs = _files(args, cfg, _GAUGE_SCHEMA)
     ladder = _validate_ladder(cfg["ladder"])
     span = (_parse_span_time(cfg["span_start"], "span_start"),
             _parse_span_time(cfg["span_end"], "span_end"))
@@ -388,9 +377,9 @@ def _cmd_gauge(args) -> None:
     excluded = set(cfg["exclude"])
 
     site_rows = _read_gauge_sites_csv(cfg["sites"])
-    tips_paths = {f"tips.{site_id}": tips_path
-                  for site_id, _, _, _, tips_path in site_rows}
-    _check_paths(args, cfg, _GAUGE_SCHEMA, tips_paths)
+    inputs.update((f"tips.{site_id}", tips_path)
+                  for site_id, _, _, _, tips_path in site_rows)
+    _check_paths(args, inputs, outputs)
 
     out_sites = []
     skipped = 0
@@ -420,8 +409,8 @@ def _cmd_gauge(args) -> None:
         out_sites.append(SiteStatistics(site_id, lat, lon, country, years,
                                         tuple(points)))
 
-    with _staged_outputs(args, cfg, _GAUGE_SCHEMA, {"skipped_sites": skipped},
-                         tips_paths) as tmp:
+    with _staged_outputs(args, inputs, outputs,
+                         {"skipped_sites": skipped}) as tmp:
         rainmodel.write_sites_csv(out_sites, tmp["out_sites"])
 
 
@@ -449,10 +438,11 @@ def _read_site_countries_csv(path):
 
 def _cmd_eval(args) -> None:
     cfg = load_config(args.config, _EVAL_SCHEMA)
-    _check_paths(args, cfg, _EVAL_SCHEMA)
+    inputs, outputs = _files(args, cfg, _EVAL_SCHEMA)
     ts = cfg["rec_thresholds"]
-    _config_check(bool(ts) and all(a < b for a, b in zip(ts, ts[1:])),
-                  "rec_thresholds must be non-empty and ascending")
+    _config_check(bool(ts) and all(a < b for a, b in zip(ts, ts[1:]))
+                  and all(map(math.isfinite, ts)),
+                  "rec_thresholds must be finite, non-empty and ascending")
     _config_check(0 < cfg["classify_p"] <= 100,
                   "classify_p must be in (0, 100]")
     _config_check(cfg["threshold"] >= 0, "threshold must be >= 0")
@@ -471,6 +461,13 @@ def _cmd_eval(args) -> None:
         lines.append(f"{prefix}.sd={s.sd:.4f}")
         lines.append(f"{prefix}.rms={s.rms:.4f}")
 
+    def _confusion_block(prefix, actuals, preds):
+        cm = evaluation.confusion(actuals, preds)
+        for name in ("tn", "fp", "fn", "tp"):
+            lines.append(f"{prefix}.{name}={getattr(cm, name)}")
+        lines.append(f"{prefix}.accuracy={evaluation.accuracy(cm):.4f}")
+        lines.append(f"{prefix}.mcc={evaluation.mcc(cm):.4f}")
+
     _summary_block("rel_error_pct", rel_pct)
     _summary_block("bias_error_mm_h", bias)
     rel_pct_by_p = {}
@@ -484,14 +481,9 @@ def _cmd_eval(args) -> None:
         thr = cfg["threshold"]
         actuals = [s.observed > thr for s in classify_rows]
         preds = [s.predicted > thr for s in classify_rows]
-        cm = evaluation.confusion(actuals, preds)
         lines.append(f"classify.p={cfg['classify_p']!r}")
         lines.append(f"classify.threshold={thr!r}")
-        for name in ("tn", "fp", "fn", "tp"):
-            lines.append(f"classify.by_site.{name}={getattr(cm, name)}")
-        lines.append(f"classify.by_site.accuracy="
-                     f"{evaluation.accuracy(cm):.4f}")
-        lines.append(f"classify.by_site.mcc={evaluation.mcc(cm):.4f}")
+        _confusion_block("classify.by_site", actuals, preds)
         if cfg["sites"] is not None:
             countries = _read_site_countries_csv(cfg["sites"])
             records = []
@@ -499,21 +491,14 @@ def _cmd_eval(args) -> None:
                 if s.site_id not in countries:
                     raise DataError(f"no country for site {s.site_id}")
                 records.append((countries[s.site_id], a, p))
-            pairs = evaluation.by_country(records)
-            ccm = evaluation.confusion([a for a, _ in pairs.values()],
-                                       [p for _, p in pairs.values()])
-            for name in ("tn", "fp", "fn", "tp"):
-                lines.append(f"classify.by_country.{name}="
-                             f"{getattr(ccm, name)}")
-            lines.append(f"classify.by_country.accuracy="
-                         f"{evaluation.accuracy(ccm):.4f}")
-            lines.append(f"classify.by_country.mcc="
-                         f"{evaluation.mcc(ccm):.4f}")
+            pairs = evaluation.by_country(records).values()
+            _confusion_block("classify.by_country", [a for a, _ in pairs],
+                             [p for _, p in pairs])
 
     fractions = evaluation.rec_curve([abs(e) for e in rel_pct],
                                      cfg["rec_thresholds"])
 
-    with _staged_outputs(args, cfg, _EVAL_SCHEMA) as tmp:
+    with _staged_outputs(args, inputs, outputs) as tmp:
         write_text(tmp["out_report"], "\n".join(lines) + "\n")
         write_rows(tmp["out_rec"], ["threshold_pct", "fraction"],
                    [[repr(t), repr(frac)]
@@ -543,7 +528,7 @@ def _cmd_impact(args) -> None:
     cfg = load_config(args.config, _IMPACT_SCHEMA)
     if (cfg["zones"] is None) != (cfg["out_zones"] is None):
         raise ConfigError("zones and out_zones must be given together")
-    _check_paths(args, cfg, _IMPACT_SCHEMA)
+    inputs, outputs = _files(args, cfg, _IMPACT_SCHEMA)
     _config_check(0 < cfg["p"] <= 100, "p must be in (0, 100]")
     _config_check(cfg["threshold"] >= 0, "threshold must be >= 0")
 
@@ -575,7 +560,7 @@ def _cmd_impact(args) -> None:
                       f"{share.populated_pct:.4f}", f"{share.pop_pct:.4f}"]
                      for code, share in sorted(coverage.items())]
 
-    with _staged_outputs(args, cfg, _IMPACT_SCHEMA,
+    with _staged_outputs(args, inputs, outputs,
                          {"nodata_rate_pixels": nodata_pixels}) as tmp:
         write_rows(tmp["out_impact"],
                    ["country_code", "total_pop", "heavy_pop"], impact_rows)

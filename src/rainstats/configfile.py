@@ -63,6 +63,8 @@ def load_config(path, schema: dict) -> dict:
             raw = parse_config_text(f.read())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from None
 
     unknown = sorted(set(raw) - set(schema))
     if unknown:

@@ -25,13 +25,13 @@ class ErrorSample:
     predicted: float
 
     def __post_init__(self):
-        if math.isnan(self.p):
-            raise ValueError("probability must be a number, got nan")
-        if self.observed <= 0:
-            raise ValueError("observed rate must be positive for relative "
-                             f"error, got {self.observed}")
-        if self.predicted < 0:
-            raise ValueError(f"predicted rate must be >= 0, "
+        if not 0 < self.p <= 100:
+            raise ValueError(f"probability must be in (0, 100], got {self.p}")
+        if not 0 < self.observed < math.inf:
+            raise ValueError("observed rate must be positive and finite for "
+                             f"relative error, got {self.observed}")
+        if not 0 <= self.predicted < math.inf:
+            raise ValueError(f"predicted rate must be >= 0 and finite, "
                              f"got {self.predicted}")
 
 

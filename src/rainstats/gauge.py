@@ -224,62 +224,36 @@ def qc_filter(series: MinuteSeries) -> MinuteSeries:
     return MinuteSeries(series.start_minute, series.rates.copy(), valid)
 
 
-def _month_start_after(dt: datetime) -> datetime:
-    if dt.day == 1 and dt.hour == 0 and dt.minute == 0 and dt.second == 0:
-        return dt
-    y, m = dt.year, dt.month + 1
-    if m > 12:
-        y, m = y + 1, 1
-    return datetime(y, m, 1, tzinfo=timezone.utc)
-
-
-def _add_months(dt: datetime, months: int) -> datetime:
-    m = dt.month - 1 + months
-    return datetime(dt.year + m // 12, m % 12 + 1, 1, tzinfo=timezone.utc)
-
-
 def select_periods(series: MinuteSeries):
     """Longest run of consecutive calendar 12-month periods with > 90% valid
     minutes, tiled from the first full month of the record.
 
-    Ties break toward the earliest run.  Returns the corresponding
-    sub-series, or None when no period qualifies.
+    Period edges are ``datetime64[M]`` month starts, the first at or after
+    the record's first minute and the last at or before its end.  Ties
+    break toward the earliest run.  Returns the corresponding sub-series,
+    or None when no period qualifies; raises ValueError when no period
+    fits in the record.
     """
-    start_dt = datetime.fromtimestamp(series.start_minute * 60,
-                                      tz=timezone.utc)
-    end_minute = series.start_minute + series.n_minutes
-    first = _month_start_after(start_dt)
-
-    periods = []  # (idx0, idx1) minute index ranges into the series
-    j = 0
-    while True:
-        p_start = _add_months(first, 12 * j)
-        p_end = _add_months(first, 12 * (j + 1))
-        idx0 = int(p_start.timestamp()) // 60 - series.start_minute
-        idx1 = int(p_end.timestamp()) // 60 - series.start_minute
-        if idx1 > series.n_minutes:
-            break
-        periods.append((idx0, idx1))
-        j += 1
-    if not periods:
+    start = np.datetime64(series.start_minute, "m")
+    first = start.astype("datetime64[M]")
+    if first < start:
+        first += 1
+    end = np.datetime64(series.start_minute + series.n_minutes, "m")
+    n_periods = int((end.astype("datetime64[M]") - first).astype(int)) // 12
+    if n_periods < 1:
         raise ValueError("series must span at least 12 full calendar months")
+    edges = ((first + 12 * np.arange(n_periods + 1)).astype("datetime64[m]")
+             .astype(np.int64) - series.start_minute).tolist()
 
-    good = [bool(np.mean(series.valid[a:b]) > 0.9) for a, b in periods]
-    best_len, best_start = 0, 0
-    run_len, run_start = 0, 0
-    for i, g in enumerate(good):
-        if g:
-            if run_len == 0:
-                run_start = i
-            run_len += 1
-            if run_len > best_len:
-                best_len, best_start = run_len, run_start
-        else:
-            run_len = 0
+    best_len = best_start = run_len = 0
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        good = np.count_nonzero(series.valid[a:b]) / (b - a) > 0.9
+        run_len = run_len + 1 if good else 0
+        if run_len > best_len:
+            best_len, best_start = run_len, i + 1 - run_len
     if best_len == 0:
         return None
-    a = periods[best_start][0]
-    b = periods[best_start + best_len - 1][1]
+    a, b = edges[best_start], edges[best_start + best_len]
     return MinuteSeries(series.start_minute + a, series.rates[a:b].copy(),
                         series.valid[a:b].copy())
 

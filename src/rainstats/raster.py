@@ -192,13 +192,14 @@ def read_grid(path) -> Grid:
         raise GridParseError(f"header: {e}") from None
 
     nrows, ncols = geometry.nrows, geometry.ncols
+    n_lines = len(raw) - 6 - (raw[-1] == "")
+    if n_lines < nrows:
+        raise GridParseError(
+            f"line {7 + n_lines}: expected {nrows} data rows, file ends "
+            f"after {n_lines}")
     values = np.empty((nrows, ncols), dtype=np.float64)
     for r in range(nrows):
         lineno = 7 + r
-        if 6 + r >= len(raw):
-            raise GridParseError(
-                f"line {lineno}: expected {nrows} data rows, file ends after "
-                f"{r}")
         tokens = raw[6 + r].split()
         if len(tokens) != ncols:
             raise GridParseError(

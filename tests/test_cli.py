@@ -99,6 +99,18 @@ def test_unknown_config_key_exits_1(tmp_path, monkeypatch):
     assert run_cli("fit", "--config", "fit.cfg") == 1
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_config_exits_1(tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.chdir(tmp_path)
+    if kind == "directory":
+        (tmp_path / "fit.cfg").mkdir()
+    else:
+        (tmp_path / "fit.cfg").write_bytes(b"sites=\xff\xfe.csv\n")
+    assert run_cli("fit", "--config", "fit.cfg") == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "fit.cfg" in err
+
+
 def test_usage_error_exits_1():
     assert run_cli("fit") == 1          # missing --config
     assert run_cli() == 1               # missing subcommand
@@ -156,6 +168,23 @@ def test_predict_matches_library_curves(tmp_path, monkeypatch):
                                sample_bilinear(p0, s.lat, s.lon))
         expected = estimate_site_curve(climate, PARAMS, (0.01, 0.1, 1.0))
         assert list(s.points) == expected
+
+
+def test_predict_grid_claiming_more_rows_than_it_has_exits_2(
+        tmp_path, monkeypatch, capsys):
+    # 10^16 cells (71 PiB): the row count is checked before any allocation
+    monkeypatch.chdir(tmp_path)
+    _write_predict_inputs(tmp_path)
+    (tmp_path / "mt.grd").write_text(
+        "ncols 100000000\nnrows 100000000\nxllcorner 0.0\nyllcorner 0.0\n"
+        "cellsize 1e-07\nNODATA_value -9999.0\n1.0\n")
+    write_config(tmp_path / "p.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                 params="params.txt", locations="locs.csv",
+                 out_sites="pred.csv")
+    assert run_cli("predict", "--config", "p.cfg") == 2
+    err = capsys.readouterr().err
+    assert "file ends after 1" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "pred.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +545,35 @@ def test_eval_nan_probability_exits_2(tmp_path, monkeypatch, capsys):
     assert run_cli("eval", "--config", "e.cfg") == 2
     assert "line 24" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "m.txt")
+
+
+@pytest.mark.parametrize("row", ["a,0.01,nan,1.0", "c,150,50.0,40.0",
+                                 "b,0.01,50.0,inf", "d,0,50.0,40.0"])
+def test_eval_bad_rate_or_probability_exits_2(tmp_path, monkeypatch, capsys,
+                                              row):
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    with open(tmp_path / "samples.csv", "a") as f:
+        f.write(row + "\n")
+    write_config(tmp_path / "e.cfg", samples="samples.csv",
+                 out_report="m.txt", out_rec="rec.csv")
+    assert run_cli("eval", "--config", "e.cfg") == 2
+    err = capsys.readouterr().err
+    assert "line 24" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "m.txt")
+    assert not os.path.exists(tmp_path / "rec.csv")
+
+
+@pytest.mark.parametrize("thresholds", ["nan", "inf", "10,inf"])
+def test_eval_non_finite_rec_threshold_exits_1(tmp_path, monkeypatch,
+                                               thresholds):
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    write_config(tmp_path / "e.cfg", samples="samples.csv",
+                 out_report="m.txt", out_rec="rec.csv",
+                 rec_thresholds=thresholds)
+    assert run_cli("eval", "--config", "e.cfg") == 1
+    assert not os.path.exists(tmp_path / "rec.csv")
 
 
 def test_eval_short_sites_row_exits_2(tmp_path, monkeypatch, capsys):

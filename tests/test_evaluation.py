@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,19 @@ def test_error_sample_requires_positive_observed():
         ErrorSample("a", 0.01, 0.0, 10.0)
     with pytest.raises(ValueError):
         ErrorSample("a", 0.01, 10.0, -1.0)
+
+
+def test_error_sample_requires_finite_rates_and_p_in_range():
+    for p, observed, predicted in [(0.01, math.nan, 10.0),
+                                   (0.01, math.inf, 10.0),
+                                   (0.01, 10.0, math.nan),
+                                   (0.01, 10.0, math.inf),
+                                   (0.0, 10.0, 10.0), (-1.0, 10.0, 10.0),
+                                   (150.0, 10.0, 10.0),
+                                   (math.inf, 10.0, 10.0)]:
+        with pytest.raises(ValueError):
+            ErrorSample("a", p, observed, predicted)
+    assert ErrorSample("a", 100.0, 10.0, 0.0).p == 100.0
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,127 @@ def test_select_periods_longest_run_wins():
     assert out.n_minutes == _minutes_between(ts(2003, 1, 1), ts(2006, 1, 1))
 
 
+def _reference_periods(series):
+    """Minute index ranges of the 12-month periods, tiled with ``datetime``
+    from the first month start at or after the record's start."""
+    dt = datetime.fromtimestamp(series.start_minute * 60, tz=timezone.utc)
+    if dt.day == 1 and dt.hour == 0 and dt.minute == 0 and dt.second == 0:
+        first = dt
+    else:
+        y, m = dt.year, dt.month + 1
+        if m > 12:
+            y, m = y + 1, 1
+        first = datetime(y, m, 1, tzinfo=timezone.utc)
+
+    def add_months(dt, months):
+        m = dt.month - 1 + months
+        return datetime(dt.year + m // 12, m % 12 + 1, 1, tzinfo=timezone.utc)
+
+    periods = []
+    j = 0
+    while True:
+        p_start = add_months(first, 12 * j)
+        p_end = add_months(first, 12 * (j + 1))
+        idx0 = int(p_start.timestamp()) // 60 - series.start_minute
+        idx1 = int(p_end.timestamp()) // 60 - series.start_minute
+        if idx1 > series.n_minutes:
+            return periods
+        periods.append((idx0, idx1))
+        j += 1
+
+
+def _select_periods_reference(series):
+    """The calendar tiling ``select_periods`` replaced, as an oracle."""
+    periods = _reference_periods(series)
+    if not periods:
+        raise ValueError("series must span at least 12 full calendar months")
+    good = [bool(np.mean(series.valid[a:b]) > 0.9) for a, b in periods]
+    best_len, best_start = 0, 0
+    run_len, run_start = 0, 0
+    for i, g in enumerate(good):
+        if g:
+            if run_len == 0:
+                run_start = i
+            run_len += 1
+            if run_len > best_len:
+                best_len, best_start = run_len, run_start
+        else:
+            run_len = 0
+    if best_len == 0:
+        return None
+    a = periods[best_start][0]
+    b = periods[best_start + best_len - 1][1]
+    return MinuteSeries(series.start_minute + a, series.rates[a:b].copy(),
+                        series.valid[a:b].copy())
+
+
+def _random_period_series(rng):
+    """A record starting between 1960 and 2030, a third of them exactly on
+    a month boundary, 6 to 50 months long, each 12-month period fully
+    valid, exactly 90 % valid, one minute over 90 %, 80 % valid or
+    sprinkled, plus invalid minutes outside the periods."""
+    start = int(rng.integers(-10 * 525960, 60 * 525960))
+    if rng.random() < 1 / 3:
+        month = np.datetime64(start, "m").astype("datetime64[M]")
+        start = int(month.astype("datetime64[m]").astype(np.int64))
+    n = int(rng.integers(6 * 43830, 50 * 43830))
+    series = MinuteSeries(start, rng.random(n), rng.random(n) > 0.3)
+    valid = series.valid
+    for a, b in _reference_periods(series):
+        kind = rng.integers(5)
+        valid[a:b] = True
+        if kind == 1:
+            valid[a:a + (b - a) // 10] = False
+        elif kind == 2:
+            valid[a:a + (b - a) // 10 - 1] = False
+        elif kind == 3:
+            valid[b - (b - a) // 5:b] = False
+        elif kind == 4:
+            valid[a:b] = rng.random(b - a) > rng.choice([0.05, 0.1, 0.15])
+    return series
+
+
+def test_select_periods_matches_datetime_tiling_on_random_records():
+    rng = np.random.default_rng(837)
+    outcomes = {"equal": 0, "none": 0, "short": 0}
+    for _ in range(150):
+        series = _random_period_series(rng)
+        try:
+            expected = _select_periods_reference(series)
+        except ValueError:
+            with pytest.raises(ValueError):
+                select_periods(series)
+            outcomes["short"] += 1
+            continue
+        got = select_periods(series)
+        if expected is None:
+            assert got is None
+            outcomes["none"] += 1
+            continue
+        assert got.start_minute == expected.start_minute
+        assert np.array_equal(got.rates, expected.rates)
+        assert np.array_equal(got.valid, expected.valid)
+        outcomes["equal"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_select_periods_exactly_90_percent_and_ties_match_reference():
+    # 2001-2007 starting mid-March: six periods from 2001-04-01, with runs
+    # [good, good], bad, [good, good], exactly 90 %: a tie kept at the first
+    series = _series_over(ts(2001, 3, 9, 7, 13), ts(2007, 5, 2))
+    periods = _reference_periods(series)
+    assert len(periods) == 6
+    for i in (2, 5):
+        a, b = periods[i]
+        series.valid[a:a + (b - a) // 10] = False
+        assert np.mean(series.valid[a:b]) == 0.9
+    expected = _select_periods_reference(series)
+    got = select_periods(series)
+    assert got.start_minute == expected.start_minute == (
+        series.start_minute + periods[0][0])
+    assert got.n_minutes == expected.n_minutes == periods[1][1] - periods[0][0]
+
+
 # ---------------------------------------------------------------------------
 # exceedance statistics
 

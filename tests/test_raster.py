@@ -102,6 +102,18 @@ def test_parse_error_missing_rows(tmp_path):
         read_grid(path)
 
 
+def test_parse_error_missing_rows_is_found_before_allocating(tmp_path):
+    # the header claims 10^16 cells (71 PiB), which numpy refuses at once
+    path = tmp_path / "huge.grd"
+    path.write_text("ncols 100000000\nnrows 100000000\nxllcorner 0.0\n"
+                    "yllcorner 0.0\ncellsize 1e-07\nNODATA_value -9999.0\n"
+                    "1.0\n")
+    with pytest.raises(GridParseError,
+                       match="line 8: expected 100000000 data rows, file "
+                             "ends after 1"):
+        read_grid(path)
+
+
 def test_parse_error_trailing_content(tmp_path):
     path = tmp_path / "bad.grd"
     path.write_text("ncols 1\nnrows 1\nxllcorner 0.0\nyllcorner 0.0\n"
