@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -26,40 +25,7 @@ from .configfile import Field, load_config
 from .errors import ConfigError, DataError, SolverError
 from .raster import Grid, GridGeometry, read_grid, sample_bilinear
 from .rainmodel import ClimatePoint, SiteStatistics
-from .tables import read_rows, write_rows, write_text
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ConfigError(message)
-
-
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True,
-                        help="flat key=value configuration file")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized step (recorded in the "
-                             "manifest; identical seeds give identical bytes)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker count; results are identical for any N")
-
-    parser = _Parser(prog="rainstats",
-                     description="Rain-rate exceedance statistics toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("fit", parents=[common],
-                   help="fit model constants to training site statistics")
-    sub.add_parser("predict", parents=[common],
-                   help="estimate site curves from climatology grids")
-    sub.add_parser("build-clim", parents=[common],
-                   help="build climatology grids from swath observations")
-    sub.add_parser("gauge", parents=[common],
-                   help="derive site statistics from tipping-bucket records")
-    sub.add_parser("eval", parents=[common],
-                   help="score predictions against observed statistics")
-    sub.add_parser("impact", parents=[common],
-                   help="tabulate heavy-rain population impact")
-    return parser
+from .tables import read_keyed, write_rows, write_text
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +126,7 @@ def _staged_outputs(args, inputs: dict, outputs: dict, notes=None):
                 os.remove(temp)
 
 
-def _validate_ladder(ladder):
-    if ladder is None:
-        return rainmodel.STANDARD_LADDER
+def _validate_ladder(ladder) -> None:
     if not ladder:
         raise ConfigError("ladder must list at least one probability")
     for a, b in zip(ladder, ladder[1:]):
@@ -171,7 +135,6 @@ def _validate_ladder(ladder):
     for p in ladder:
         if not (0 < p <= 100):
             raise ConfigError(f"ladder probability {p} outside (0, 100]")
-    return tuple(ladder)
 
 
 def _config_check(condition: bool, message: str) -> None:
@@ -193,8 +156,7 @@ _FIT_SCHEMA = {
 }
 
 
-def _cmd_fit(args) -> None:
-    cfg = load_config(args.config, _FIT_SCHEMA)
+def _cmd_fit(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _FIT_SCHEMA)
 
     sites = rainmodel.read_sites_csv(cfg["sites"])
@@ -238,35 +200,30 @@ _PREDICT_SCHEMA = {
     "p0_grid": Field("in", required=True),
     "params": Field("in", required=True),
     "locations": Field("in", required=True),
-    "ladder": Field("floats"),
+    "ladder": Field("floats", default=rainmodel.STANDARD_LADDER),
     "out_sites": Field("out", required=True),
     "out_manifest": Field("out"),
 }
 
 
 def _located(row):
-    """A site row with its lat and lon (2nd and 3rd fields) as floats."""
-    return (row[0], float(row[1]), float(row[2]), *row[3:])
+    """The fields after a site row's id, with lat and lon as floats."""
+    return (float(row[1]), float(row[2]), *row[3:])
 
 
-def _read_locations_csv(path):
-    return [r for _, r in read_rows(
-        path, ["site_id", "lat", "lon", "country"], _located)]
-
-
-def _cmd_predict(args) -> None:
-    cfg = load_config(args.config, _PREDICT_SCHEMA)
+def _cmd_predict(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _PREDICT_SCHEMA)
-    ladder = _validate_ladder(cfg["ladder"])
+    _validate_ladder(cfg["ladder"])
 
     mt = read_grid(cfg["mt_grid"])
     p0 = read_grid(cfg["p0_grid"])
     params = rainmodel.read_params(cfg["params"])
-    locations = _read_locations_csv(cfg["locations"])
+    locations = read_keyed(cfg["locations"],
+                           ["site_id", "lat", "lon", "country"], _located)
 
     out_sites = []
     skipped = 0
-    for site_id, lat, lon, country in locations:
+    for site_id, (lat, lon, country) in locations.items():
         mt_v = sample_bilinear(mt, lat, lon)
         p0_v = sample_bilinear(p0, lat, lon)
         if mt_v == mt.geometry.nodata or p0_v == p0.geometry.nodata:
@@ -274,7 +231,7 @@ def _cmd_predict(args) -> None:
             continue
         curve = rainmodel.estimate_site_curve(
             ClimatePoint(max(mt_v, 0.0), min(max(p0_v, 0.0), 100.0)),
-            params, ladder)
+            params, cfg["ladder"])
         out_sites.append(SiteStatistics(site_id, lat, lon, country, 1.0,
                                         tuple(curve)))
 
@@ -309,8 +266,7 @@ _BUILD_CLIM_SCHEMA = {
 }
 
 
-def _cmd_build_clim(args) -> None:
-    cfg = load_config(args.config, _BUILD_CLIM_SCHEMA)
+def _cmd_build_clim(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _BUILD_CLIM_SCHEMA)
     try:
         GridGeometry(cfg["ncols"], cfg["nrows"], cfg["xll"], cfg["yll"],
@@ -337,22 +293,12 @@ _GAUGE_SCHEMA = {
     "span_start": Field("str", required=True),
     "span_end": Field("str", required=True),
     "bucket_mm": Field("float"),
-    "ladder": Field("floats"),
+    "ladder": Field("floats", default=rainmodel.STANDARD_LADDER),
     "min_count": Field("int", default=20),
     "exclude": Field("strs", default=()),
     "out_sites": Field("out", required=True),
     "out_manifest": Field("out"),
 }
-
-
-def _read_gauge_sites_csv(path):
-    rows = {}
-    for lineno, row in read_rows(
-            path, ["site_id", "lat", "lon", "country", "tips_path"], _located):
-        if row[0] in rows:
-            raise DataError(f"{path} line {lineno}: duplicate site {row[0]}")
-        rows[row[0]] = row
-    return list(rows.values())
 
 
 def _parse_span_time(text: str, key: str) -> float:
@@ -363,10 +309,9 @@ def _parse_span_time(text: str, key: str) -> float:
                          f"{text!r}") from None
 
 
-def _cmd_gauge(args) -> None:
-    cfg = load_config(args.config, _GAUGE_SCHEMA)
+def _cmd_gauge(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _GAUGE_SCHEMA)
-    ladder = _validate_ladder(cfg["ladder"])
+    _validate_ladder(cfg["ladder"])
     span = (_parse_span_time(cfg["span_start"], "span_start"),
             _parse_span_time(cfg["span_end"], "span_end"))
     if span[1] <= span[0]:
@@ -376,14 +321,16 @@ def _cmd_gauge(args) -> None:
     _config_check(cfg["min_count"] >= 1, "min_count must be >= 1")
     excluded = set(cfg["exclude"])
 
-    site_rows = _read_gauge_sites_csv(cfg["sites"])
-    inputs.update((f"tips.{site_id}", tips_path)
-                  for site_id, _, _, _, tips_path in site_rows)
+    site_rows = read_keyed(
+        cfg["sites"], ["site_id", "lat", "lon", "country", "tips_path"],
+        _located)
+    inputs.update((f"tips.{site_id}", row[-1])
+                  for site_id, row in site_rows.items())
     _check_paths(args, inputs, outputs)
 
     out_sites = []
     skipped = 0
-    for site_id, lat, lon, country, tips_path in site_rows:
+    for site_id, (lat, lon, country, tips_path) in site_rows.items():
         if site_id in excluded:
             skipped += 1
             continue
@@ -401,7 +348,8 @@ def _cmd_gauge(args) -> None:
         if selected is None:
             skipped += 1
             continue
-        points = gauge.exceedance_stats(selected, ladder, cfg["min_count"])
+        points = gauge.exceedance_stats(selected, cfg["ladder"],
+                                        cfg["min_count"])
         if not points:
             skipped += 1
             continue
@@ -432,17 +380,11 @@ _EVAL_SCHEMA = {
 }
 
 
-def _read_site_countries_csv(path):
-    return dict(r for _, r in read_rows(path, ["site_id", "country"], tuple))
-
-
-def _cmd_eval(args) -> None:
-    cfg = load_config(args.config, _EVAL_SCHEMA)
+def _cmd_eval(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _EVAL_SCHEMA)
     ts = cfg["rec_thresholds"]
-    _config_check(bool(ts) and all(a < b for a, b in zip(ts, ts[1:]))
-                  and all(map(math.isfinite, ts)),
-                  "rec_thresholds must be finite, non-empty and ascending")
+    _config_check(bool(ts) and all(a < b for a, b in zip(ts, ts[1:])),
+                  "rec_thresholds must be non-empty and ascending")
     _config_check(0 < cfg["classify_p"] <= 100,
                   "classify_p must be in (0, 100]")
     _config_check(cfg["threshold"] >= 0, "threshold must be >= 0")
@@ -485,7 +427,8 @@ def _cmd_eval(args) -> None:
         lines.append(f"classify.threshold={thr!r}")
         _confusion_block("classify.by_site", actuals, preds)
         if cfg["sites"] is not None:
-            countries = _read_site_countries_csv(cfg["sites"])
+            countries = read_keyed(cfg["sites"], ["site_id", "country"],
+                                   lambda row: row[1])
             records = []
             for s, a, p in zip(classify_rows, actuals, preds):
                 if s.site_id not in countries:
@@ -524,8 +467,7 @@ _IMPACT_SCHEMA = {
 }
 
 
-def _cmd_impact(args) -> None:
-    cfg = load_config(args.config, _IMPACT_SCHEMA)
+def _cmd_impact(args, cfg: dict) -> None:
     if (cfg["zones"] is None) != (cfg["out_zones"] is None):
         raise ConfigError("zones and out_zones must be given together")
     inputs, outputs = _files(args, cfg, _IMPACT_SCHEMA)
@@ -574,21 +516,51 @@ def _cmd_impact(args) -> None:
 # entry points
 
 
-_HANDLERS = {
-    "fit": _cmd_fit,
-    "predict": _cmd_predict,
-    "build-clim": _cmd_build_clim,
-    "gauge": _cmd_gauge,
-    "eval": _cmd_eval,
-    "impact": _cmd_impact,
+#: name: (config schema, handler, help), in the order ``--help`` lists them
+_COMMANDS = {
+    "fit": (_FIT_SCHEMA, _cmd_fit,
+            "fit model constants to training site statistics"),
+    "predict": (_PREDICT_SCHEMA, _cmd_predict,
+                "estimate site curves from climatology grids"),
+    "build-clim": (_BUILD_CLIM_SCHEMA, _cmd_build_clim,
+                   "build climatology grids from swath observations"),
+    "gauge": (_GAUGE_SCHEMA, _cmd_gauge,
+              "derive site statistics from tipping-bucket records"),
+    "eval": (_EVAL_SCHEMA, _cmd_eval,
+             "score predictions against observed statistics"),
+    "impact": (_IMPACT_SCHEMA, _cmd_impact,
+               "tabulate heavy-rain population impact"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True,
+                        help="flat key=value configuration file")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed for any randomized step (recorded in the "
+                             "manifest; identical seeds give identical bytes)")
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker count; results are identical for any N")
+
+    parser = _Parser(prog="rainstats",
+                     description="Rain-rate exceedance statistics toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, _, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _HANDLERS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        schema, handler, _ = _COMMANDS[args.command]
+        handler(args, load_config(args.config, schema))
         return 0
     except ConfigError as e:
         print(f"rainstats: config error: {e}", file=sys.stderr)

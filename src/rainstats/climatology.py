@@ -10,6 +10,7 @@ and applies a final Gaussian smoothing pass.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -313,9 +314,12 @@ class ClimatologyResult:
     report: str
 
 
-def _stage(name: str, fn):
+@contextmanager
+def _stage(name: str):
+    """Put ``stage <name>:`` in front of the message of an error raised in
+    the block, as a :class:`SolverError` or a :class:`DataError`."""
     try:
-        return fn()
+        yield
     except SolverError as e:
         raise SolverError(f"stage {name}: {e}") from e
     except (ValueError, OSError) as e:
@@ -347,28 +351,23 @@ def build_climatology(config: Mapping, threads: int = 1) -> ClimatologyResult:
     sigma = float(sigma) if sigma is not None else None
     dedup = float(config.get("dedup_window_s", DEFAULT_DEDUP_WINDOW_S))
 
-    observations = _stage(
-        "read", lambda: read_observations_csv(config["observations"]))
-    reference = _stage("read", lambda: read_grid(config["reference_mt"]))
-    elevation = _stage("read", lambda: read_grid(config["elevation"]))
-
-    acc, render_report = _stage(
-        "render", lambda: render_observations(observations, geometry, dedup,
-                                              threads=threads))
-    mt0, p00, _cond = _stage("initial", lambda: initial_estimates(acc))
-
-    elev_local = _stage(
-        "elevation", lambda: resample(elevation, geometry, "bilinear"))
-    weight = _stage(
-        "elevation", lambda: elevation_weight(elev_local, k_uniform))
-
-    ref_local = _stage(
-        "merge", lambda: resample(reference, geometry, "bilinear"))
-    mt_adj = _stage(
-        "merge", lambda: merge_reference(mt0, ref_local, weight, k_uniform))
-
-    mt_final, p0_final = _stage(
-        "finalize", lambda: finalize(mt_adj, p00, k_gauss, sigma))
+    with _stage("read"):
+        observations = read_observations_csv(config["observations"])
+        reference = read_grid(config["reference_mt"])
+        elevation = read_grid(config["elevation"])
+    with _stage("render"):
+        acc, render_report = render_observations(observations, geometry,
+                                                 dedup, threads=threads)
+    with _stage("initial"):
+        mt0, p00, _cond = initial_estimates(acc)
+    with _stage("elevation"):
+        elev_local = resample(elevation, geometry, "bilinear")
+        weight = elevation_weight(elev_local, k_uniform)
+    with _stage("merge"):
+        ref_local = resample(reference, geometry, "bilinear")
+        mt_adj = merge_reference(mt0, ref_local, weight, k_uniform)
+    with _stage("finalize"):
+        mt_final, p0_final = finalize(mt_adj, p00, k_gauss, sigma)
 
     lines = [
         f"observations={render_report.n_observations}",
@@ -381,10 +380,8 @@ def build_climatology(config: Mapping, threads: int = 1) -> ClimatologyResult:
     ]
     report = "\n".join(lines) + "\n"
 
-    def write_all():
+    with _stage("write"):
         write_grid(mt_final, config["out_mt"])
         write_grid(p0_final, config["out_p0"])
         write_text(config["out_report"], report)
-
-    _stage("write", write_all)
     return ClimatologyResult(mt_final, p0_final, report)

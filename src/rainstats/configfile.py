@@ -6,6 +6,7 @@ rejected so typos fail fast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -14,7 +15,8 @@ from .errors import ConfigError
 @dataclass(frozen=True)
 class Field:
     """One config key.  Kinds ``in`` and ``out`` are strings naming an input
-    or an output file; they read like ``str``."""
+    or an output file; they read like ``str``.  Kinds ``float`` and
+    ``floats`` accept finite numbers only."""
 
     kind: str                 # str | in | out | int | float | floats | strs
     required: bool = False
@@ -38,6 +40,13 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _convert(key: str, raw: str, kind: str):
     try:
         if kind in ("str", "in", "out"):
@@ -45,9 +54,9 @@ def _convert(key: str, raw: str, kind: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "floats":
-            return tuple(float(t) for t in raw.split(",") if t.strip())
+            return tuple(_finite(t) for t in raw.split(",") if t.strip())
         if kind == "strs":
             return tuple(t.strip() for t in raw.split(",") if t.strip())
     except ValueError as e:

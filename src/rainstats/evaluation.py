@@ -114,11 +114,10 @@ def confusion(actuals, predictions) -> ConfusionMatrix:
                          f"{len(p)} predictions")
     if not a:
         raise ValueError("cannot build a confusion matrix from no labels")
-    tn = sum(1 for x, y in zip(a, p) if not x and not y)
-    fp = sum(1 for x, y in zip(a, p) if not x and y)
-    fn = sum(1 for x, y in zip(a, p) if x and not y)
-    tp = sum(1 for x, y in zip(a, p) if x and y)
-    return ConfusionMatrix(tn, fp, fn, tp)
+    cells = [0, 0, 0, 0]  # tn, fp, fn, tp
+    for x, y in zip(a, p):
+        cells[2 * x + y] += 1
+    return ConfusionMatrix(*cells)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:

@@ -156,8 +156,9 @@ def tips_to_rates(events, bucket_mm: float, span) -> MinuteSeries:
     gap before the first tip (one minute for single-tip events), standing
     in for the unobserved fill time of the first bucket.
     """
-    if bucket_mm <= 0:
-        raise ValueError(f"bucket must be positive, got {bucket_mm}")
+    if not 0 < bucket_mm < math.inf:
+        raise ValueError(f"bucket must be positive and finite, "
+                         f"got {bucket_mm}")
     start_s, end_s = float(span[0]), float(span[1])
     if end_s <= start_s:
         raise ValueError("span end must be after span start")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SolverError
-from .tables import read_rows, write_rows, write_text
+from .tables import read_keyed, read_rows, write_rows, write_text
 
 #: Standard exceedance-probability ladder (percent), ascending.
 STANDARD_LADDER = (0.001, 0.002, 0.003, 0.005, 0.01, 0.02, 0.03, 0.05,
@@ -324,22 +324,22 @@ def read_params(path) -> ModelParams:
                 continue
             key, sep, value = line.partition("=")
             if not sep or key not in ("x", "y", "z"):
-                raise DataError(f"params file line {lineno}: expected "
+                raise DataError(f"{path} line {lineno}: expected "
                                 f"'x=', 'y=' or 'z=', got {line!r}")
             if key in found:
-                raise DataError(f"params file line {lineno}: duplicate {key}")
+                raise DataError(f"{path} line {lineno}: duplicate {key}")
             try:
                 found[key] = float(value)
             except ValueError:
-                raise DataError(f"params file line {lineno}: non-numeric "
+                raise DataError(f"{path} line {lineno}: non-numeric "
                                 f"value {value!r}") from None
     missing = [k for k in ("x", "y", "z") if k not in found]
     if missing:
-        raise DataError(f"params file is missing {', '.join(missing)}")
+        raise DataError(f"{path}: missing {', '.join(missing)}")
     try:
         return ModelParams(found["x"], found["y"], found["z"])
     except ValueError as e:
-        raise DataError(f"params file: {e}") from None
+        raise DataError(f"{path}: {e}") from None
 
 
 _SITE_COLUMNS = ["site_id", "lat", "lon", "country", "years", "p_percent",
@@ -356,24 +356,18 @@ def write_sites_csv(sites, path) -> None:
 
 def read_sites_csv(path):
     """Read site statistics grouped by ``site_id`` in first-seen order."""
-    order = []
     meta = {}
     points = {}
     rows = read_rows(path, _SITE_COLUMNS, lambda r: (
         r[0], (float(r[1]), float(r[2]), r[3], float(r[4])),
         (float(r[5]), float(r[6]))))
     for lineno, (site_id, rec, point) in rows:
-        if site_id not in meta:
-            meta[site_id] = rec
-            points[site_id] = []
-            order.append(site_id)
-        elif meta[site_id] != rec:
+        if meta.setdefault(site_id, rec) != rec:
             raise DataError(f"{path} line {lineno}: inconsistent "
                             f"metadata for site {site_id}")
-        points[site_id].append(point)
+        points.setdefault(site_id, []).append(point)
     sites = []
-    for sid in order:
-        lat, lon, country, years = meta[sid]
+    for sid, (lat, lon, country, years) in meta.items():
         try:
             sites.append(SiteStatistics(sid, lat, lon, country, years,
                                         tuple(points[sid])))
@@ -384,11 +378,5 @@ def read_sites_csv(path):
 
 def read_climate_csv(path):
     """Map site_id -> ClimatePoint from a ``site_id,mt_mm,p0_percent`` CSV."""
-    out = {}
-    for lineno, (sid, point) in read_rows(
-            path, ["site_id", "mt_mm", "p0_percent"],
-            lambda r: (r[0], ClimatePoint(float(r[1]), float(r[2])))):
-        if sid in out:
-            raise DataError(f"{path} line {lineno}: duplicate site {sid}")
-        out[sid] = point
-    return out
+    return read_keyed(path, ["site_id", "mt_mm", "p0_percent"],
+                      lambda r: ClimatePoint(float(r[1]), float(r[2])))

@@ -134,24 +134,19 @@ def require_aligned(*grids: Grid) -> None:
 # file I/O
 
 
-def _fmt(v: float) -> str:
-    # repr() is the shortest string that round-trips the exact double
-    return repr(float(v))
-
-
 def write_grid(grid: Grid, path) -> None:
     """Write a grid in the plain-text format described in the module docs."""
     g = grid.geometry
+    # repr() is the shortest string that round-trips the exact double
     lines = [
         f"ncols {g.ncols}",
         f"nrows {g.nrows}",
-        f"xllcorner {_fmt(g.xll)}",
-        f"yllcorner {_fmt(g.yll)}",
-        f"cellsize {_fmt(g.cell)}",
-        f"NODATA_value {_fmt(g.nodata)}",
+        f"xllcorner {float(g.xll)!r}",
+        f"yllcorner {float(g.yll)!r}",
+        f"cellsize {float(g.cell)!r}",
+        f"NODATA_value {float(g.nodata)!r}",
     ]
-    for row in grid.values:
-        lines.append(" ".join(_fmt(v) for v in row.tolist()))
+    lines += (" ".join(map(repr, row.tolist())) for row in grid.values)
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -168,12 +163,19 @@ def _parse_header_value(key: str, token: str, lineno: int):
 def read_grid(path) -> Grid:
     """Read a grid written by :func:`write_grid`.
 
-    Raises :class:`GridParseError` naming the offending line for malformed
-    headers, row/column count mismatches or non-numeric tokens.
+    Raises :class:`GridParseError` naming the file and line at fault for
+    malformed headers, row/column count mismatches or non-numeric tokens.
     """
     with open(path, encoding="utf-8") as f:
         raw = f.read().split("\n")
+    try:
+        return _parse_grid(raw)
+    except GridParseError as e:
+        raise GridParseError(f"{path}: {e}") from None
 
+
+def _parse_grid(raw) -> Grid:
+    """The grid in ``raw``, the lines of a grid file."""
     header = {}
     for i, key in enumerate(_HEADER_KEYS):
         lineno = i + 1

@@ -1,9 +1,9 @@
 """The files every subcommand reads and writes.
 
-CSV tables are read by :func:`read_rows` and written by :func:`write_rows`;
-text files (reports, manifests, grids, params) are written by
-:func:`write_text`.  Everything written is UTF-8 with ``\n`` line ends on
-every platform.
+CSV tables are read by :func:`read_rows`, or by :func:`read_keyed` when they
+hold one row per site, and written by :func:`write_rows`; text files
+(reports, manifests, grids, params) are written by :func:`write_text`.
+Everything written is UTF-8 with ``\n`` line ends on every platform.
 """
 
 from __future__ import annotations
@@ -43,6 +43,19 @@ def read_rows(path, columns, convert):
                 yield reader.line_num, value
         except csv.Error as e:
             raise DataError(f"{path} line {reader.line_num}: {e}") from None
+
+
+def read_keyed(path, columns, convert) -> dict:
+    """``{first field: convert(row)}`` for each row read by :func:`read_rows`,
+    in file order.  The first field is a site id, and a site listed twice
+    raises :class:`DataError` naming the file and the second line."""
+    out = {}
+    for lineno, (key, value) in read_rows(
+            path, columns, lambda row: (row[0], convert(row))):
+        if key in out:
+            raise DataError(f"{path} line {lineno}: duplicate site {key}")
+        out[key] = value
+    return out
 
 
 def write_rows(path, columns, rows) -> None:

@@ -187,6 +187,38 @@ def test_predict_grid_claiming_more_rows_than_it_has_exits_2(
     assert not os.path.exists(tmp_path / "pred.csv")
 
 
+def test_predict_repeated_location_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_predict_inputs(tmp_path)
+    with open(tmp_path / "locs.csv", "a") as f:
+        f.write("a,3.0,3.0,ZZ\n")
+    write_config(tmp_path / "p.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                 params="params.txt", locations="locs.csv",
+                 out_sites="pred.csv")
+    assert run_cli("predict", "--config", "p.cfg") == 2
+    err = capsys.readouterr().err
+    assert "locs.csv line 4: duplicate site a" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "pred.csv")
+    assert not os.path.exists(tmp_path / "pred.csv.manifest")
+
+
+@pytest.mark.parametrize("bad", ["p0.grd", "params.txt"])
+def test_predict_bad_grid_or_params_names_the_file(tmp_path, monkeypatch,
+                                                   capsys, bad):
+    monkeypatch.chdir(tmp_path)
+    _write_predict_inputs(tmp_path)
+    lines = (tmp_path / bad).read_text().splitlines(True)
+    (tmp_path / bad).write_text("".join(lines[:-1]))
+    write_config(tmp_path / "p.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                 params="params.txt", locations="locs.csv",
+                 out_sites="pred.csv")
+    assert run_cli("predict", "--config", "p.cfg") == 2
+    err = capsys.readouterr().err
+    assert f"data error: {bad}: " in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "pred.csv")
+
+
 # ---------------------------------------------------------------------------
 # build-clim
 
@@ -365,6 +397,15 @@ def test_gauge_duplicate_site_exits_2(tmp_path, monkeypatch, capsys):
         f.write("a,6.7,3.6,NGA,tips_b.csv\n")
     assert run_cli("gauge", "--config", "g.cfg") == 2
     assert "line 4: duplicate site a" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "stats.csv")
+
+
+def test_gauge_infinite_bucket_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_gauge_inputs(tmp_path, bucket_mm="inf")
+    assert run_cli("gauge", "--config", "g.cfg") == 1
+    err = capsys.readouterr().err
+    assert "bucket_mm" in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "stats.csv")
 
 
@@ -587,6 +628,33 @@ def test_eval_short_sites_row_exits_2(tmp_path, monkeypatch, capsys):
     assert "line 22" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "m.txt")
     assert not os.path.exists(tmp_path / "rec.csv")
+
+
+def test_eval_repeated_site_country_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    with open(tmp_path / "countries.csv", "a") as f:
+        f.write("c00,ZZ\n")
+    write_config(tmp_path / "e.cfg", samples="samples.csv",
+                 sites="countries.csv", out_report="m.txt", out_rec="rec.csv")
+    assert run_cli("eval", "--config", "e.cfg") == 2
+    err = capsys.readouterr().err
+    assert "countries.csv line 22: duplicate site c00" in err
+    assert not os.path.exists(tmp_path / "m.txt")
+    assert not os.path.exists(tmp_path / "rec.csv")
+
+
+def test_impact_infinite_threshold_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_impact_inputs(tmp_path)
+    write_config(tmp_path / "i.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                 params="params.txt", pop="pop.grd",
+                 countries="countries.grd", out_impact="impact.csv",
+                 threshold="inf")
+    assert run_cli("impact", "--config", "i.cfg") == 1
+    err = capsys.readouterr().err
+    assert "config key 'threshold'" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "impact.csv")
 
 
 def test_impact_requires_paired_zone_keys(tmp_path, monkeypatch):

@@ -79,6 +79,13 @@ def test_tips_outside_span_rejected():
         tips_to_rates([TipEvent(5000.0, BUCKET)], BUCKET, (0.0, 3600.0))
 
 
+@pytest.mark.parametrize("bucket", [math.inf, math.nan])
+def test_non_finite_bucket_rejected(bucket):
+    tips = [TipEvent(1800.0 + 60.0 * i, BUCKET) for i in range(10)]
+    with pytest.raises(ValueError, match="bucket must be positive"):
+        tips_to_rates(tips, bucket, (0.0, 7200.0))
+
+
 def test_single_tip_event():
     series = tips_to_rates([TipEvent(1800.0, BUCKET)], BUCKET,
                            (0.0, 7200.0))
