@@ -21,11 +21,10 @@ from contextlib import contextmanager
 
 from . import __version__
 from . import climatology, evaluation, gauge, impact, rainmodel
-from .configfile import Field, load_config
 from .errors import ConfigError, DataError, SolverError
 from .raster import Grid, GridGeometry, read_grid, sample_bilinear
 from .rainmodel import ClimatePoint, SiteStatistics
-from .tables import read_keyed, write_rows, write_text
+from .tables import Field, load_config, read_keyed, write_rows, write_text
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +372,7 @@ _EVAL_SCHEMA = {
                             default=tuple(float(t) for t in
                                           range(10, 101, 10))),
     "classify_p": Field("float", default=0.01),
-    "threshold": Field("float", default=95.0),
+    "threshold": Field("float", default=evaluation.HEAVY_RATE_MM_H),
     "out_report": Field("out", required=True),
     "out_rec": Field("out", required=True),
     "out_manifest": Field("out"),
@@ -460,7 +459,7 @@ _IMPACT_SCHEMA = {
     "countries": Field("in", required=True),
     "zones": Field("in"),
     "p": Field("float", default=0.01),
-    "threshold": Field("float", default=95.0),
+    "threshold": Field("float", default=evaluation.HEAVY_RATE_MM_H),
     "out_impact": Field("out", required=True),
     "out_zones": Field("out"),
     "out_manifest": Field("out"),
@@ -568,8 +567,9 @@ def main(argv=None) -> int:
     except SolverError as e:
         print(f"rainstats: solver error: {e}", file=sys.stderr)
         return 3
-    except (DataError, FileNotFoundError, ValueError, OSError) as e:
-        print(f"rainstats: data error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"rainstats: data error: {str(e) or 'out of memory'}",
+              file=sys.stderr)
         return 2
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDataError
+from .evaluation import HEAVY_RATE_MM_H
 from .rainmodel import ModelParams, _rain_rate_array
 from .raster import Grid, require_aligned
 
@@ -64,7 +65,7 @@ def rate_map(mt: Grid, p0: Grid, params: ModelParams, p: float) -> Grid:
     return Grid(mt.geometry, out)
 
 
-def heavy_mask(rate: Grid, threshold: float = 95.0):
+def heavy_mask(rate: Grid, threshold: float = HEAVY_RATE_MM_H):
     """Boolean (0/1) grid marking rates strictly above ``threshold``.
 
     Nodata pixels are marked false; their count is returned alongside.

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SolverError
-from .tables import read_keyed, read_rows, write_rows, write_text
+from .tables import (parse_pairs, read_keyed, read_rows, read_text,
+                     write_rows, write_text)
 
 #: Standard exceedance-probability ladder (percent), ascending.
 STANDARD_LADDER = (0.001, 0.002, 0.003, 0.005, 0.01, 0.02, 0.03, 0.05,
@@ -316,30 +317,28 @@ def write_params(params: ModelParams, path) -> None:
 
 
 def read_params(path) -> ModelParams:
-    found = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or key not in ("x", "y", "z"):
-                raise DataError(f"{path} line {lineno}: expected "
-                                f"'x=', 'y=' or 'z=', got {line!r}")
-            if key in found:
-                raise DataError(f"{path} line {lineno}: duplicate {key}")
-            try:
-                found[key] = float(value)
-            except ValueError:
-                raise DataError(f"{path} line {lineno}: non-numeric "
-                                f"value {value!r}") from None
-    missing = [k for k in ("x", "y", "z") if k not in found]
+    """Read a :func:`~.tables.parse_pairs` file setting ``x``, ``y``, ``z``."""
+    return read_text(path, _parse_params)
+
+
+def _parse_params(text: str) -> ModelParams:
+    values = {}
+    for key, (lineno, value) in parse_pairs(text).items():
+        if key not in ("x", "y", "z"):
+            raise DataError(f"line {lineno}: expected 'x=', 'y=' or 'z=', "
+                            f"got {key!r}")
+        try:
+            values[key] = float(value)
+        except ValueError:
+            raise DataError(f"line {lineno}: non-numeric value "
+                            f"{value!r}") from None
+    missing = [k for k in ("x", "y", "z") if k not in values]
     if missing:
-        raise DataError(f"{path}: missing {', '.join(missing)}")
+        raise DataError(f"missing {', '.join(missing)}")
     try:
-        return ModelParams(found["x"], found["y"], found["z"])
+        return ModelParams(**values)
     except ValueError as e:
-        raise DataError(f"{path}: {e}") from None
+        raise DataError(str(e)) from None
 
 
 _SITE_COLUMNS = ["site_id", "lat", "lon", "country", "years", "p_percent",

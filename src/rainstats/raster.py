@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, GridParseError
-from .tables import write_text
+from .tables import read_text, write_text
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
                 "NODATA_value")
@@ -150,41 +150,31 @@ def write_grid(grid: Grid, path) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_header_value(key: str, token: str, lineno: int):
-    try:
-        if key in ("ncols", "nrows"):
-            return int(token)
-        return float(token)
-    except ValueError:
-        raise GridParseError(
-            f"line {lineno}: non-numeric value {token!r} for {key}") from None
-
-
 def read_grid(path) -> Grid:
     """Read a grid written by :func:`write_grid`.
 
     Raises :class:`GridParseError` naming the file and line at fault for
     malformed headers, row/column count mismatches or non-numeric tokens.
     """
-    with open(path, encoding="utf-8") as f:
-        raw = f.read().split("\n")
-    try:
-        return _parse_grid(raw)
-    except GridParseError as e:
-        raise GridParseError(f"{path}: {e}") from None
+    return read_text(path, _parse_grid)
 
 
-def _parse_grid(raw) -> Grid:
-    """The grid in ``raw``, the lines of a grid file."""
+def _parse_grid(text: str) -> Grid:
+    """The grid in ``text``, the contents of a grid file."""
+    raw = text.split("\n")
+    del text  # the parse holds the lines and values, not the text too
     header = {}
-    for i, key in enumerate(_HEADER_KEYS):
-        lineno = i + 1
-        line = raw[i] if i < len(raw) else ""
+    for lineno, key in enumerate(_HEADER_KEYS, start=1):
+        line = raw[lineno - 1] if lineno <= len(raw) else ""
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
             raise GridParseError(
                 f"line {lineno}: expected '{key} <value>', got {line!r}")
-        header[key] = _parse_header_value(key, parts[1], lineno)
+        try:
+            header[key] = (int if key in ("ncols", "nrows") else float)(
+                parts[1])
+        except ValueError as e:
+            raise GridParseError(f"line {lineno}: {e}") from None
 
     try:
         geometry = GridGeometry(header["ncols"], header["nrows"],
@@ -208,10 +198,8 @@ def _parse_grid(raw) -> Grid:
                 f"line {lineno}: expected {ncols} values, found {len(tokens)}")
         try:
             row = [float(t) for t in tokens]
-        except ValueError:
-            bad = next(t for t in tokens if not _is_number(t))
-            raise GridParseError(
-                f"line {lineno}: non-numeric token {bad!r}") from None
+        except ValueError as e:
+            raise GridParseError(f"line {lineno}: {e}") from None
         values[r] = row
         if not np.all(np.isfinite(values[r])):
             raise GridParseError(f"line {lineno}: non-finite value in row")
@@ -222,14 +210,6 @@ def _parse_grid(raw) -> Grid:
                 f"line {7 + nrows + extra}: unexpected content after "
                 f"{nrows} data rows")
     return Grid(geometry, values)
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,53 @@
-"""The files every subcommand reads and writes.
+"""The files every subcommand reads and writes, all of them UTF-8.
 
 CSV tables are read by :func:`read_rows`, or by :func:`read_keyed` when they
-hold one row per site, and written by :func:`write_rows`; text files
-(reports, manifests, grids, params) are written by :func:`write_text`.
-Everything written is UTF-8 with ``\n`` line ends on every platform.
+hold one row per site; grids and params by :func:`read_text`; configs by
+:func:`load_config`.  Configs and params are :func:`parse_pairs` files.
+Every read error names the file.  CSV tables are written by
+:func:`write_rows` and text files (reports, manifests, grids, params) by
+:func:`write_text`, with ``\n`` line ends on every platform.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import ConfigError, DataError
+
+
+def read_text(path, parse):
+    """``parse(text)`` of the file at ``path``.  Bytes that are not UTF-8
+    and a :class:`DataError` from ``parse`` (keeping its type) raise with the
+    path in front of the message."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse(f.read())
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 at byte {e.start}") from None
+    except DataError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
+def parse_pairs(text: str) -> dict:
+    """``{key: (line number, value)}`` for each stripped ``key=value`` line
+    of ``text``, skipping blank and ``#`` lines.  A line without ``=`` or a
+    key, or a repeated key, raises :class:`DataError` naming the line."""
+    out = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise DataError(f"line {lineno}: expected key=value, "
+                            f"got {line!r}")
+        if key in out:
+            raise DataError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = (lineno, value.strip())
+    return out
 
 
 def read_rows(path, columns, convert):
@@ -20,7 +57,7 @@ def read_rows(path, columns, convert):
     have that many fields.  A wrong header, a wrong field count, text the
     csv module cannot parse (such as a field over its size limit) or a
     ``ValueError`` from ``convert`` raises :class:`DataError` naming the
-    file and line.
+    file and line, and bytes that are not UTF-8 one naming the file.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -43,6 +80,8 @@ def read_rows(path, columns, convert):
                 yield reader.line_num, value
         except csv.Error as e:
             raise DataError(f"{path} line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8") from None
 
 
 def read_keyed(path, columns, convert) -> dict:
@@ -55,6 +94,67 @@ def read_keyed(path, columns, convert) -> dict:
         if key in out:
             raise DataError(f"{path} line {lineno}: duplicate site {key}")
         out[key] = value
+    return out
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config key.  Kinds ``in`` and ``out`` are strings naming an input
+    or an output file; they read like ``str``.  Kinds ``float`` and
+    ``floats`` accept finite numbers only."""
+
+    kind: str                 # str | in | out | int | float | floats | strs
+    required: bool = False
+    default: object = None
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _convert(key: str, raw: str, kind: str):
+    try:
+        if kind in ("str", "in", "out"):
+            return raw
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return _finite(raw)
+        if kind == "floats":
+            return tuple(_finite(t) for t in raw.split(",") if t.strip())
+        if kind == "strs":
+            return tuple(t.strip() for t in raw.split(",") if t.strip())
+    except ValueError as e:
+        raise ConfigError(f"config key {key!r}: bad value {raw!r} ({e})") \
+            from None
+    raise ConfigError(f"internal: unknown field kind {kind!r}")
+
+
+def load_config(path, schema: dict) -> dict:
+    """Read a config file and type-check it against ``schema``, rejecting
+    unknown keys so typos fail fast.  Every failure is a ConfigError."""
+    try:
+        raw = read_text(path, parse_pairs)
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from None
+    except DataError as e:
+        raise ConfigError(str(e)) from None
+
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+
+    out = {}
+    for key, field in schema.items():
+        if key in raw:
+            out[key] = _convert(key, raw[key][1], field.kind)
+        elif field.required:
+            raise ConfigError(f"missing required config key {key!r}")
+        else:
+            out[key] = field.default
     return out
 
 

@@ -111,6 +111,15 @@ def test_unreadable_config_exits_1(tmp_path, monkeypatch, capsys, kind):
     assert "config error" in err and "fit.cfg" in err
 
 
+def test_config_line_without_equals_names_the_file(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fit.cfg").write_text("sites=a.csv\nclimate=b.csv\noops\n")
+    assert run_cli("fit", "--config", "fit.cfg") == 1
+    err = capsys.readouterr().err
+    assert "config error: fit.cfg: line 3: expected key=value" in err
+
+
 def test_usage_error_exits_1():
     assert run_cli("fit") == 1          # missing --config
     assert run_cli() == 1               # missing subcommand
@@ -285,6 +294,70 @@ def test_build_clim_failed_output_leaves_no_outputs(tmp_path, monkeypatch):
     assert run_cli("build-clim", "--config", "c.cfg") == 2
     assert sorted(os.listdir(tmp_path)) == [
         "c.cfg", "elev.grd", "obs.csv", "p0.grd", "ref.grd"]
+
+
+# ---------------------------------------------------------------------------
+# inputs that are not UTF-8, or too large for memory
+
+
+#: file appended to: (command, exit code, message with the file's old size)
+_NON_UTF8 = {
+    "mt.grd": ("predict", 2, "data error: mt.grd: not UTF-8 at byte {size}"),
+    "params.txt": ("predict", 2,
+                   "data error: params.txt: not UTF-8 at byte {size}"),
+    "locs.csv": ("predict", 2, "data error: locs.csv: not UTF-8"),
+    "obs.csv": ("build-clim", 2,
+                "data error: stage read: obs.csv: not UTF-8"),
+    "c.cfg": ("build-clim", 1,
+              "config error: c.cfg: not UTF-8 at byte {size}"),
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_UTF8))
+def test_non_utf8_input_names_the_file(tmp_path, monkeypatch, capsys, name):
+    command, code, message = _NON_UTF8[name]
+    monkeypatch.chdir(tmp_path)
+    if command == "predict":
+        _write_predict_inputs(tmp_path)
+        write_config(tmp_path / "c.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                     params="params.txt", locations="locs.csv",
+                     out_sites="pred.csv")
+    else:
+        _write_clim_config(tmp_path)
+    size = (tmp_path / name).stat().st_size
+    with open(tmp_path / name, "ab") as f:
+        f.write(b"\xff\xfe")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli(command, "--config", "c.cfg") == code
+    err = capsys.readouterr().err
+    assert message.format(size=size) in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_output_geometry_too_large_for_memory_exits_2(tmp_path):
+    # 10^15 output cells under a 2 GiB address-space limit, so no
+    # allocation for the output grid can succeed
+    _write_clim_config(tmp_path)
+    write_observations_csv([], tmp_path / "obs.csv")
+    write_config(tmp_path / "c.cfg", observations="obs.csv",
+                 reference_mt="ref.grd", elevation="elev.grd",
+                 ncols=100_000_000, nrows=10_000_000, xll=30.0, yll=9.0,
+                 cell=1e-07, nodata=ND, out_mt="mt.grd", out_p0="p0.grd",
+                 out_report="report.txt")
+    before = sorted(os.listdir(tmp_path))
+    code = ("import resource, sys; "
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard)); "
+            "from rainstats import cli; "
+            "sys.exit(cli.main(['build-clim', '--config', 'c.cfg']))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src,
+                              "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 2, out.stderr
+    assert "data error" in out.stderr and "Traceback" not in out.stderr
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,13 @@ def test_params_file_errors(tmp_path):
         read_params(path)
 
 
+def test_params_file_reads_like_a_config(tmp_path):
+    path = tmp_path / "params.txt"
+    path.write_text(f"# fitted\nx = {PARAMS.x!r}\n\n"
+                    f"y={PARAMS.y!r}\nz={PARAMS.z!r}\n")
+    assert read_params(path) == PARAMS
+
+
 def test_sites_csv_round_trip(tmp_path):
     sites = [
         SiteStatistics("alpha", 6.5, 3.4, "NGA", 3.0,
