@@ -4,8 +4,9 @@ Subcommands: ``fit``, ``predict``, ``build-clim``, ``gauge``, ``eval`` and
 ``impact``.  Each takes ``--config PATH`` (flat key=value file) plus
 ``--seed`` and ``--threads``.  Outputs are computed fully before anything is
 written, every run emits a manifest recording its inputs by content hash,
-and reruns with the same inputs produce byte-identical outputs for any
-thread count.
+and reruns with the same inputs produce byte-identical outputs.  Every
+command runs in one thread: ``--threads`` is accepted, and outputs are the
+same for any value.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 solver error.
 """
@@ -315,6 +316,8 @@ def _cmd_gauge(args, cfg: dict) -> None:
             _parse_span_time(cfg["span_end"], "span_end"))
     if span[1] <= span[0]:
         raise ConfigError("span_end must be after span_start")
+    _config_check(len(gauge.period_edges(*gauge.span_minutes(span))) >= 2,
+                  "span_start to span_end holds no full 12-month period")
     _config_check(cfg["bucket_mm"] is None or cfg["bucket_mm"] > 0,
                   "bucket_mm must be positive")
     _config_check(cfg["min_count"] >= 1, "min_count must be >= 1")
@@ -545,7 +548,9 @@ def _build_parser() -> _Parser:
                         help="seed for any randomized step (recorded in the "
                              "manifest; identical seeds give identical bytes)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker count; results are identical for any N")
+                        help="accepted for compatibility; every command "
+                             "runs in one thread and outputs are the same "
+                             "for any value")
 
     parser = _Parser(prog="rainstats",
                      description="Rain-rate exceedance statistics toolkit")

@@ -20,7 +20,7 @@ from .errors import DataError, SolverError
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      require_aligned, resample, uniform_filter, window_iqr,
                      write_grid)
-from .tables import read_rows, write_rows, write_text
+from .tables import read_rows, write_text
 
 EARTH_RADIUS_KM = 6371.0088
 KM_PER_DEG = EARTH_RADIUS_KM * math.pi / 180.0
@@ -285,13 +285,6 @@ _OBS_COLUMNS = ["time_s", "lat", "lon", "nsrr_mm_h", "rain_certain",
                 "diameter_km"]
 
 
-def write_observations_csv(observations, path) -> None:
-    write_rows(path, _OBS_COLUMNS, (
-        [repr(o.time), repr(o.lat), repr(o.lon), repr(o.nsrr),
-         int(o.rain_certain), repr(o.footprint_diameter)]
-        for o in observations))
-
-
 def _observation(row) -> SwathObservation:
     if row[4] not in ("0", "1"):
         raise ValueError(f"rain_certain must be 0 or 1, got {row[4]!r}")
@@ -331,7 +324,7 @@ def _valid_mean(grid: Grid) -> float:
     return float(np.mean(grid.values[m])) if m.any() else float("nan")
 
 
-def build_climatology(config: Mapping, threads: int = 1) -> ClimatologyResult:
+def build_climatology(config: Mapping) -> ClimatologyResult:
     """Run the full pipeline and write its outputs.
 
     ``config`` supplies: ``observations`` (CSV path), the output geometry
@@ -356,15 +349,14 @@ def build_climatology(config: Mapping, threads: int = 1) -> ClimatologyResult:
         reference = read_grid(config["reference_mt"])
         elevation = read_grid(config["elevation"])
     with _stage("render"):
-        acc, render_report = render_observations(observations, geometry,
-                                                 dedup, threads=threads)
+        acc, render_report = render_observations(observations, geometry, dedup)
     with _stage("initial"):
         mt0, p00, _cond = initial_estimates(acc)
     with _stage("elevation"):
-        elev_local = resample(elevation, geometry, "bilinear")
+        elev_local = resample(elevation, geometry)
         weight = elevation_weight(elev_local, k_uniform)
     with _stage("merge"):
-        ref_local = resample(reference, geometry, "bilinear")
+        ref_local = resample(reference, geometry)
         mt_adj = merge_reference(mt0, ref_local, weight, k_uniform)
     with _stage("finalize"):
         mt_final, p0_final = finalize(mt_adj, p00, k_gauss, sigma)

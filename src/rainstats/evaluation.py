@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyDataError
 from .raster import Grid, _bilinear_many
-from .tables import read_rows, write_rows
+from .tables import read_rows
 
 #: Rain rate at 0.01% exceedance above which a location counts as heavy.
 HEAVY_RATE_MM_H = 95.0
@@ -78,13 +78,6 @@ def rec_curve(abs_errors, thresholds):
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("thresholds must be sorted ascending")
     return [float(np.mean(e <= t)) for t in ts]
-
-
-def classify_heavy(r001: float) -> bool:
-    """True iff the 0.01% rain rate strictly exceeds 95 mm/h."""
-    if r001 < 0:
-        raise ValueError(f"rain rate must be >= 0, got {r001}")
-    return r001 > HEAVY_RATE_MM_H
 
 
 @dataclass(frozen=True)
@@ -181,12 +174,6 @@ def station_comparison(climatology: Grid, stations):
 # error-samples CSV
 
 _SAMPLE_COLUMNS = ["site_id", "p_percent", "observed", "predicted"]
-
-
-def write_error_samples_csv(samples, path) -> None:
-    write_rows(path, _SAMPLE_COLUMNS, (
-        [s.site_id, repr(s.p), repr(s.observed), repr(s.predicted)]
-        for s in samples))
 
 
 def read_error_samples_csv(path):

@@ -11,8 +11,8 @@ A record's splines come from one block-diagonal tridiagonal solve over all
 its events and are evaluated in numpy, with the same arithmetic as one
 ``scipy.interpolate.CubicSpline`` per event, so results are bit-identical
 to that.  Tips travel as a record array (``time``, ``depth``) from
-:func:`read_tips_csv` to :func:`tips_to_rates`.  Time stamps without an
-offset are UTC.
+:func:`read_tips_csv` to :func:`tips_to_rates`, which takes no other form.
+Time stamps without an offset are UTC.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DataError
 from .rainmodel import STANDARD_LADDER
-from .tables import read_rows, write_rows
+from .tables import read_rows
 
 #: Physically implausible 1-min rate (2 inches per minute), mm/h.
 QC_MAX_RATE_MM_H = 3048.0
@@ -35,18 +35,6 @@ QC_MAX_RATE_MM_H = 3048.0
 EVENT_GAP_S = 1800.0
 
 MINUTES_PER_YEAR = 525960.0  # 365.25 days
-
-
-@dataclass(frozen=True)
-class TipEvent:
-    """Time of one bucket tip and the bucket depth it represents."""
-
-    time: float
-    depth: float = 0.254
-
-    def __post_init__(self):
-        if self.depth <= 0:
-            raise ValueError(f"tip depth must be positive, got {self.depth}")
 
 
 @dataclass
@@ -72,12 +60,6 @@ class MinuteSeries:
     @property
     def n_minutes(self) -> int:
         return int(self.rates.size)
-
-
-def _tip_times(events) -> np.ndarray:
-    if isinstance(events, np.ndarray):
-        return np.asarray(events["time"], dtype=np.float64)
-    return np.array([e.time for e in events], dtype=np.float64)
 
 
 def _event_knots(times: np.ndarray, bucket_mm: float):
@@ -146,15 +128,22 @@ def _natural_splines(x, y, k0, n_knots):
     return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 
 
-def tips_to_rates(events, bucket_mm: float, span) -> MinuteSeries:
-    """Convert tip events to a 1-min rain-rate series over ``span``.
+def span_minutes(span):
+    """``(first epoch minute, minute count)`` of the whole minutes that
+    cover the ``(start_s, end_s)`` epoch interval ``span``."""
+    m0 = int(math.floor(float(span[0]) / 60.0))
+    return m0, int(math.ceil(float(span[1]) / 60.0)) - m0
 
-    ``events`` is a sequence of :class:`TipEvent` or a record array with a
-    ``time`` field, as :func:`read_tips_csv` returns.  ``span`` is an
-    (start_s, end_s) epoch interval; every tip must fall in it.  Each
-    event's cumulative curve gets a leading zero-depth knot one inter-tip
-    gap before the first tip (one minute for single-tip events), standing
-    in for the unobserved fill time of the first bucket.
+
+def tips_to_rates(tips, bucket_mm: float, span) -> MinuteSeries:
+    """Convert tips to a 1-min rain-rate series over :func:`span_minutes`.
+
+    ``tips`` is a record array whose ``time`` field holds epoch seconds, as
+    :func:`read_tips_csv` returns; each tip stands for ``bucket_mm``.
+    ``span`` is an (start_s, end_s) epoch interval; every tip must fall in
+    it.  Each event's cumulative curve gets a leading zero-depth knot one
+    inter-tip gap before the first tip (one minute for single-tip events),
+    standing in for the unobserved fill time of the first bucket.
     """
     if not 0 < bucket_mm < math.inf:
         raise ValueError(f"bucket must be positive and finite, "
@@ -162,11 +151,10 @@ def tips_to_rates(events, bucket_mm: float, span) -> MinuteSeries:
     start_s, end_s = float(span[0]), float(span[1])
     if end_s <= start_s:
         raise ValueError("span end must be after span start")
-    m0 = int(math.floor(start_s / 60.0))
-    n = int(math.ceil(end_s / 60.0)) - m0
+    m0, n = span_minutes(span)
     depths = np.zeros(n, dtype=np.float64)
 
-    times = _tip_times(events)
+    times = np.asarray(tips["time"], dtype=np.float64)
     if times.size:
         if np.any(np.diff(times) <= 0):
             raise DataError("tip times must be strictly increasing")
@@ -225,26 +213,36 @@ def qc_filter(series: MinuteSeries) -> MinuteSeries:
     return MinuteSeries(series.start_minute, series.rates.copy(), valid)
 
 
-def select_periods(series: MinuteSeries):
-    """Longest run of consecutive calendar 12-month periods with > 90% valid
-    minutes, tiled from the first full month of the record.
+def period_edges(start_minute: int, n_minutes: int) -> list:
+    """Edges of the calendar 12-month periods tiled from the first full
+    month of ``n_minutes`` minutes from epoch minute ``start_minute``, as
+    minute offsets from it.
 
-    Period edges are ``datetime64[M]`` month starts, the first at or after
-    the record's first minute and the last at or before its end.  Ties
-    break toward the earliest run.  Returns the corresponding sub-series,
-    or None when no period qualifies; raises ValueError when no period
-    fits in the record.
+    Edges are ``datetime64[M]`` month starts, the first at or after the
+    first minute and the last at or before the end.  Fewer than two edges
+    means no period fits.
     """
-    start = np.datetime64(series.start_minute, "m")
+    start = np.datetime64(start_minute, "m")
     first = start.astype("datetime64[M]")
     if first < start:
         first += 1
-    end = np.datetime64(series.start_minute + series.n_minutes, "m")
+    end = np.datetime64(start_minute + n_minutes, "m")
     n_periods = int((end.astype("datetime64[M]") - first).astype(int)) // 12
-    if n_periods < 1:
+    return ((first + 12 * np.arange(n_periods + 1)).astype("datetime64[m]")
+            .astype(np.int64) - start_minute).tolist()
+
+
+def select_periods(series: MinuteSeries):
+    """Longest run of consecutive :func:`period_edges` periods with > 90%
+    valid minutes.
+
+    Ties break toward the earliest run.  Returns the corresponding
+    sub-series, or None when no period qualifies; raises ValueError when
+    no period fits in the record.
+    """
+    edges = period_edges(series.start_minute, series.n_minutes)
+    if len(edges) < 2:
         raise ValueError("series must span at least 12 full calendar months")
-    edges = ((first + 12 * np.arange(n_periods + 1)).astype("datetime64[m]")
-             .astype(np.int64) - series.start_minute).tolist()
 
     best_len = best_start = run_len = 0
     for i, (a, b) in enumerate(zip(edges, edges[1:])):
@@ -290,14 +288,6 @@ _TIP_COLUMNS = ["time_iso8601_utc", "depth_mm"]
 _TIP_DTYPE = np.dtype([("time", np.float64), ("depth", np.float64)])
 
 
-def _format_tip_time(t: float) -> str:
-    dt = datetime.fromtimestamp(t, tz=timezone.utc)
-    text = dt.strftime("%Y-%m-%dT%H:%M:%S")
-    if dt.microsecond:
-        text += f".{dt.microsecond:06d}"
-    return text + "Z"
-
-
 def parse_utc_time(text: str) -> float:
     """Epoch seconds of an ISO 8601 stamp; a stamp without an offset is
     taken as UTC, never as the machine's local time."""
@@ -305,11 +295,6 @@ def parse_utc_time(text: str) -> float:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
-
-
-def write_tips_csv(events, path) -> None:
-    write_rows(path, _TIP_COLUMNS, (
-        [_format_tip_time(e.time), repr(e.depth)] for e in events))
 
 
 def _tip_row(row):

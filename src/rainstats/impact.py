@@ -12,32 +12,6 @@ from .rainmodel import ModelParams, _rain_rate_array
 from .raster import Grid, require_aligned
 
 
-@dataclass(frozen=True)
-class ZoneInfo:
-    code: int
-    letter: str
-    r001_mm_h: float
-
-
-#: Legacy rain zones with their 0.01% exceedance rain rates (mm/h).
-ZONE_TABLE = (
-    ZoneInfo(0, "A", 8.0),
-    ZoneInfo(1, "C", 15.0),
-    ZoneInfo(2, "D", 19.0),
-    ZoneInfo(3, "E", 22.0),
-    ZoneInfo(4, "F", 28.0),
-    ZoneInfo(5, "H", 32.0),
-    ZoneInfo(6, "J", 35.0),
-    ZoneInfo(7, "K", 42.0),
-    ZoneInfo(8, "M", 63.0),
-    ZoneInfo(9, "N", 95.0),
-    ZoneInfo(10, "P", 145.0),
-    ZoneInfo(11, "Q", 115.0),
-)
-
-assert len({z.code for z in ZONE_TABLE}) == len(ZONE_TABLE)
-
-
 def _require_category(grid: Grid, what: str) -> None:
     vals = grid.values[grid.valid_mask()]
     if vals.size and not np.all(vals == np.floor(vals)):

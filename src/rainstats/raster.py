@@ -107,9 +107,6 @@ class Grid:
     def valid_mask(self) -> np.ndarray:
         return self.values != self.geometry.nodata
 
-    def copy(self) -> "Grid":
-        return Grid(self.geometry, self.values)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
@@ -268,35 +265,16 @@ def sample_bilinear(grid: Grid, lat: float, lon: float) -> float:
     return float(vals[0])
 
 
-def resample(grid: Grid, target: GridGeometry, method: str = "nearest") -> Grid:
-    """Resample onto ``target``: each target cell takes ``method``'s value at
-    its center; centers outside the source bounds become nodata.
+def resample(grid: Grid, target: GridGeometry) -> Grid:
+    """Resample onto ``target``: each target cell takes the bilinear value
+    at its center, as :func:`sample_bilinear` gives it.  Centers outside the
+    source bounds, or whose 2x2 neighborhood touches nodata, become nodata.
     """
-    if method not in ("nearest", "bilinear"):
-        raise ValueError(f"unknown resampling method {method!r}")
-    g = grid.geometry
-    lats = target.row_center_lats()[:, None]
-    lons = target.col_center_lons()[None, :]
-    LAT = np.broadcast_to(lats, (target.nrows, target.ncols))
-    LON = np.broadcast_to(lons, (target.nrows, target.ncols))
-
-    if method == "nearest":
-        inside = ((LAT >= g.yll) & (LAT <= g.lat_max)
-                  & (LON >= g.xll) & (LON <= g.lon_max))
-        cols = np.clip(np.floor((LON - g.xll) / g.cell), 0,
-                       g.ncols - 1).astype(np.intp)
-        rows = np.clip(np.floor((g.lat_max - LAT) / g.cell), 0,
-                       g.nrows - 1).astype(np.intp)
-        vals = grid.values[rows, cols]
-        good = inside & (vals != g.nodata)
-    else:
-        vals, inside = _bilinear_many(grid, LAT, LON)
-        good = ~np.isnan(vals)
-
+    vals, inside = _bilinear_many(grid, target.row_center_lats()[:, None],
+                                  target.col_center_lons()[None, :])
     if not inside.any():
         raise ValueError("target geometry does not overlap the source grid")
-    out = np.where(good, vals, target.nodata)
-    return Grid(target, out)
+    return Grid(target, np.where(np.isnan(vals), target.nodata, vals))
 
 
 # ---------------------------------------------------------------------------

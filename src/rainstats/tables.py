@@ -115,7 +115,9 @@ def _finite(text: str) -> float:
     return value
 
 
-def _convert(key: str, raw: str, kind: str):
+def _convert(where: str, key: str, raw: str, kind: str):
+    """``raw`` as a value of ``kind``; a bad value raises a ConfigError whose
+    message starts with ``where``, the file and line it came from."""
     try:
         if kind in ("str", "in", "out"):
             return raw
@@ -128,14 +130,15 @@ def _convert(key: str, raw: str, kind: str):
         if kind == "strs":
             return tuple(t.strip() for t in raw.split(",") if t.strip())
     except ValueError as e:
-        raise ConfigError(f"config key {key!r}: bad value {raw!r} ({e})") \
-            from None
+        raise ConfigError(f"{where}: config key {key!r}: bad value {raw!r} "
+                          f"({e})") from None
     raise ConfigError(f"internal: unknown field kind {kind!r}")
 
 
 def load_config(path, schema: dict) -> dict:
     """Read a config file and type-check it against ``schema``, rejecting
-    unknown keys so typos fail fast.  Every failure is a ConfigError."""
+    unknown keys so typos fail fast.  Every failure is a ConfigError naming
+    the file, and the line for an unknown key or a bad value."""
     try:
         raw = read_text(path, parse_pairs)
     except OSError as e:
@@ -143,16 +146,19 @@ def load_config(path, schema: dict) -> dict:
     except DataError as e:
         raise ConfigError(str(e)) from None
 
-    unknown = sorted(set(raw) - set(schema))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key, (lineno, _) in raw.items():
+        if key not in schema:
+            raise ConfigError(f"{path}: line {lineno}: unknown config key "
+                              f"{key!r}")
 
     out = {}
     for key, field in schema.items():
         if key in raw:
-            out[key] = _convert(key, raw[key][1], field.kind)
+            lineno, value = raw[key]
+            out[key] = _convert(f"{path}: line {lineno}", key, value,
+                                field.kind)
         elif field.required:
-            raise ConfigError(f"missing required config key {key!r}")
+            raise ConfigError(f"{path}: missing required config key {key!r}")
         else:
             out[key] = field.default
     return out

@@ -16,12 +16,10 @@ import numpy as np
 from rainstats import cli
 from rainstats.climatology import (KM_PER_DEG, SwathObservation,
                                    elevation_weight, merge_reference,
-                                   render_observations,
-                                   write_observations_csv)
+                                   render_observations)
 from rainstats.evaluation import ConfusionMatrix, accuracy, mcc, p311_summary
-from rainstats.gauge import (MINUTES_PER_YEAR, MinuteSeries, TipEvent,
-                             exceedance_stats, qc_filter, tips_to_rates,
-                             write_tips_csv)
+from rainstats.gauge import (MINUTES_PER_YEAR, MinuteSeries,
+                             exceedance_stats, qc_filter, tips_to_rates)
 from rainstats.impact import heavy_mask, zonal_population, zone_coverage
 from rainstats.rainmodel import (STANDARD_LADDER, ClimatePoint, ModelParams,
                                  SiteStatistics, _exceedance_array,
@@ -30,6 +28,7 @@ from rainstats.rainmodel import (STANDARD_LADDER, ClimatePoint, ModelParams,
                                  write_params, write_sites_csv)
 from rainstats.raster import (Grid, GridGeometry, gaussian_filter,
                               uniform_filter, write_grid)
+from writers import tips, write_observations_csv, write_tips_csv
 
 ND = -9999.0
 PARAMS = ModelParams(1.0, 20000.0, 26.0)
@@ -193,7 +192,7 @@ def _minutes_to_tips(minute_rates, bucket):
     targets = bucket * np.arange(1, int(cum[-1] / bucket) + 1)
     idx = np.searchsorted(cum, targets)
     frac = (targets - cum[idx - 1]) / (cum[idx] - cum[idx - 1])
-    return [TipEvent(float(t), bucket) for t in 60.0 * (idx - 1 + frac)]
+    return tips(60.0 * (idx - 1 + frac), bucket)
 
 
 def test_criterion_5_gauge_end_to_end():
@@ -202,10 +201,10 @@ def test_criterion_5_gauge_end_to_end():
         params = ModelParams(0.8, 20000.0, 26.0)
         bucket = 0.254
         minute_rates = _synthetic_gauge_minutes(climate, params, years=5)
-        tips = _minutes_to_tips(minute_rates, bucket)
+        records = _minutes_to_tips(minute_rates, bucket)
         span = (0.0, 60.0 * minute_rates.size)
 
-        series = qc_filter(tips_to_rates(tips, bucket, span))
+        series = qc_filter(tips_to_rates(records, bucket, span))
         recovered = dict(exceedance_stats(series))
         for p in STANDARD_LADDER:
             if p < 0.01:
@@ -422,13 +421,13 @@ def _setup_build_clim(d):
 
 def _setup_gauge(d):
     start = 1104537600.0  # 2005-01-01T00:00:00Z
-    tips = []
+    times = []
     t = start + 43200.0
     for _ in range(450):
         for i in range(25):
-            tips.append(TipEvent(t + 60.0 * i, 0.254))
+            times.append(t + 60.0 * i)
         t += 86400.0
-    write_tips_csv(tips, d / "tips.csv")
+    write_tips_csv(tips(times), d / "tips.csv")
     with open(d / "gsites.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["site_id", "lat", "lon", "country", "tips_path"])

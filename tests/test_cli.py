@@ -7,13 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from rainstats import cli
-from rainstats.climatology import SwathObservation, write_observations_csv
-from rainstats.gauge import TipEvent, write_tips_csv
+from rainstats import cli, gauge
+from rainstats.climatology import SwathObservation
 from rainstats.rainmodel import (ClimatePoint, ModelParams, SiteStatistics,
                                  estimate_site_curve, rain_rate,
                                  read_params, write_params, write_sites_csv)
 from rainstats.raster import Grid, GridGeometry, write_grid
+from writers import tips, write_observations_csv, write_tips_csv
 
 ND = -9999.0
 PARAMS = ModelParams(1.0, 20000.0, 26.0)
@@ -118,6 +118,24 @@ def test_config_line_without_equals_names_the_file(tmp_path, monkeypatch,
     assert run_cli("fit", "--config", "fit.cfg") == 1
     err = capsys.readouterr().err
     assert "config error: fit.cfg: line 3: expected key=value" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("classify_p=abc", "e.cfg: line 4: config key 'classify_p': bad value "
+                       "'abc'"),
+    ("bogus=1", "e.cfg: line 4: unknown config key 'bogus'"),
+])
+def test_config_errors_name_the_file_and_line(tmp_path, monkeypatch, capsys,
+                                              line, message):
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    write_config(tmp_path / "e.cfg", samples="samples.csv",
+                 out_report="m.txt", out_rec="rec.csv")
+    with open(tmp_path / "e.cfg", "a") as f:
+        f.write(line + "\n")
+    assert run_cli("eval", "--config", "e.cfg") == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "m.txt")
 
 
 def test_usage_error_exits_1():
@@ -366,13 +384,13 @@ def test_output_geometry_too_large_for_memory_exits_2(tmp_path):
 
 def _write_gauge_inputs(tmp_path, **cfg):
     start = 1104537600.0  # 2005-01-01T00:00:00Z
-    tips = []
+    times = []
     t = start + 86400.0
     for _ in range(500):
         for i in range(30):
-            tips.append(TipEvent(t + 60.0 * i, 0.254))
+            times.append(t + 60.0 * i)
         t += 86400.0 * 0.8
-    write_tips_csv(tips, tmp_path / "tips_a.csv")
+    write_tips_csv(tips(times), tmp_path / "tips_a.csv")
     with open(tmp_path / "gsites.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["site_id", "lat", "lon", "country", "tips_path"])
@@ -480,6 +498,40 @@ def test_gauge_infinite_bucket_exits_1(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "bucket_mm" in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "stats.csv")
+
+
+@pytest.mark.parametrize("span", [
+    ("2001-01-01T00:00:00Z", "2001-06-01T00:00:00Z"),
+    ("2005-01-01T00:01:00Z", "2006-01-01T00:00:00Z"),
+])
+@pytest.mark.parametrize("exclude", ["b", "a,b"])
+def test_gauge_span_without_a_full_period_exits_1(tmp_path, monkeypatch,
+                                                  capsys, span, exclude):
+    # refused before any tip file is read, even when every site is excluded
+    monkeypatch.chdir(tmp_path)
+    _write_gauge_inputs(tmp_path)
+    write_config(tmp_path / "g.cfg", sites="gsites.csv", span_start=span[0],
+                 span_end=span[1], exclude=exclude, out_sites="stats.csv")
+    monkeypatch.setattr(gauge, "read_tips_csv",
+                        lambda path: pytest.fail(f"read {path}"))
+    assert run_cli("gauge", "--config", "g.cfg") == 1
+    err = capsys.readouterr().err
+    assert "config error: span_start to span_end holds no full 12-month " \
+           "period" in err
+    assert not os.path.exists(tmp_path / "stats.csv")
+
+
+def test_gauge_span_of_exactly_twelve_months_is_accepted(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_gauge_inputs(tmp_path)
+    write_config(tmp_path / "g.cfg", sites="gsites.csv",
+                 span_start="2005-01-01T00:00:59Z",
+                 span_end="2006-01-01T00:00:00Z", exclude="a,b",
+                 out_sites="stats.csv")
+    assert run_cli("gauge", "--config", "g.cfg") == 0
+    assert read_report(tmp_path / "stats.csv.manifest")[
+        "note.skipped_sites"] == "2"
 
 
 # ---------------------------------------------------------------------------

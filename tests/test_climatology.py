@@ -9,11 +9,11 @@ from rainstats.climatology import (HOURS_PER_YEAR, KM_PER_DEG,
                                    build_climatology, elevation_weight,
                                    finalize, initial_estimates,
                                    merge_reference, read_observations_csv,
-                                   render_observations,
-                                   write_observations_csv)
+                                   render_observations)
 from rainstats.errors import AlignmentError, DataError
 from rainstats.raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                               uniform_filter, write_grid)
+from writers import write_observations_csv
 
 ND = -9999.0
 CELL = 1.0 / 120.0
@@ -410,7 +410,7 @@ def test_pipeline_rerun_is_bit_identical(tmp_path):
     build_climatology(cfg)
     first = {k: (tmp_path / k).read_bytes()
              for k in ("mt.grd", "p0.grd", "report.txt")}
-    build_climatology(cfg, threads=4)
+    build_climatology(cfg)
     for k, blob in first.items():
         assert (tmp_path / k).read_bytes() == blob
 

@@ -5,12 +5,12 @@ import pytest
 
 from rainstats.errors import DataError, EmptyDataError
 from rainstats.evaluation import (ConfusionMatrix, ErrorSample, accuracy,
-                                  bias_error, by_country, classify_heavy,
-                                  confusion, mcc, p311_summary,
-                                  read_error_samples_csv, rec_curve,
-                                  relative_error, station_comparison,
-                                  write_error_samples_csv)
+                                  bias_error, by_country, confusion, mcc,
+                                  p311_summary, read_error_samples_csv,
+                                  rec_curve, relative_error,
+                                  station_comparison)
 from rainstats.raster import Grid, GridGeometry
+from writers import write_error_samples_csv
 
 ND = -9999.0
 
@@ -137,12 +137,6 @@ def test_rec_rejects_bad_input():
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def test_classify_heavy_boundaries():
-    assert classify_heavy(95.0) is False
-    assert classify_heavy(95.1) is True
-    assert classify_heavy(0.0) is False
 
 
 def test_confusion_counts():

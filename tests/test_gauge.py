@@ -15,9 +15,10 @@ from rainstats import cli
 from rainstats.errors import ConfigError, DataError
 from rainstats.rainmodel import STANDARD_LADDER
 from rainstats.gauge import (EVENT_GAP_S, MINUTES_PER_YEAR, QC_MAX_RATE_MM_H,
-                             MinuteSeries, TipEvent, exceedance_stats,
-                             parse_utc_time, qc_filter, read_tips_csv,
-                             select_periods, tips_to_rates, write_tips_csv)
+                             MinuteSeries, exceedance_stats, parse_utc_time,
+                             qc_filter, read_tips_csv, select_periods,
+                             tips_to_rates)
+from writers import tips, write_tips_csv
 
 BUCKET = 0.254
 
@@ -31,7 +32,7 @@ def ts(*args) -> float:
 
 
 def test_zero_tips_gives_all_zero_series():
-    series = tips_to_rates([], BUCKET, (0.0, 3600.0))
+    series = tips_to_rates(tips([], BUCKET), BUCKET, (0.0, 3600.0))
     assert series.n_minutes == 60
     assert np.all(series.rates == 0.0)
     assert np.all(series.valid)
@@ -39,8 +40,8 @@ def test_zero_tips_gives_all_zero_series():
 
 def test_steady_tips_give_steady_rate():
     # one tip per minute for two hours, well inside the span
-    tips = [TipEvent(1800.0 + 60.0 * i, BUCKET) for i in range(120)]
-    series = tips_to_rates(tips, BUCKET, (0.0, 14400.0))
+    times = [1800.0 + 60.0 * i for i in range(120)]
+    series = tips_to_rates(tips(times, BUCKET), BUCKET, (0.0, 14400.0))
     interior = series.rates[40:140]
     assert np.allclose(interior, 15.24, atol=1e-6)
 
@@ -48,47 +49,45 @@ def test_steady_tips_give_steady_rate():
 def test_event_total_depth_is_conserved():
     rng = np.random.default_rng(41)
     t = 600.0
-    tips = []
+    times = []
     for _ in range(400):
         gap = float(rng.uniform(1.0, 400.0))
         if rng.uniform() < 0.03:
             gap += 2400.0  # force an event break
         t += gap
-        tips.append(TipEvent(t, BUCKET))
-    series = tips_to_rates(tips, BUCKET, (0.0, t + 3600.0))
+        times.append(t)
+    series = tips_to_rates(tips(times, BUCKET), BUCKET, (0.0, t + 3600.0))
     total_depth = series.rates.sum() / 60.0
-    assert total_depth == pytest.approx(len(tips) * BUCKET, rel=1e-9)
+    assert total_depth == pytest.approx(len(times) * BUCKET, rel=1e-9)
 
 
 def test_minutes_outside_events_are_zero():
-    tips = [TipEvent(3600.0 + 10.0 * i, BUCKET) for i in range(30)]
-    series = tips_to_rates(tips, BUCKET, (0.0, 36000.0))
+    times = [3600.0 + 10.0 * i for i in range(30)]
+    series = tips_to_rates(tips(times, BUCKET), BUCKET, (0.0, 36000.0))
     assert np.all(series.rates[:50] == 0.0)
     assert np.all(series.rates[120:] == 0.0)
     assert series.rates[55:65].max() > 0
 
 
 def test_non_increasing_tip_times_rejected():
-    tips = [TipEvent(100.0, BUCKET), TipEvent(100.0, BUCKET)]
     with pytest.raises(DataError):
-        tips_to_rates(tips, BUCKET, (0.0, 3600.0))
+        tips_to_rates(tips([100.0, 100.0], BUCKET), BUCKET, (0.0, 3600.0))
 
 
 def test_tips_outside_span_rejected():
     with pytest.raises(ValueError):
-        tips_to_rates([TipEvent(5000.0, BUCKET)], BUCKET, (0.0, 3600.0))
+        tips_to_rates(tips([5000.0], BUCKET), BUCKET, (0.0, 3600.0))
 
 
 @pytest.mark.parametrize("bucket", [math.inf, math.nan])
 def test_non_finite_bucket_rejected(bucket):
-    tips = [TipEvent(1800.0 + 60.0 * i, BUCKET) for i in range(10)]
+    times = [1800.0 + 60.0 * i for i in range(10)]
     with pytest.raises(ValueError, match="bucket must be positive"):
-        tips_to_rates(tips, bucket, (0.0, 7200.0))
+        tips_to_rates(tips(times, BUCKET), bucket, (0.0, 7200.0))
 
 
 def test_single_tip_event():
-    series = tips_to_rates([TipEvent(1800.0, BUCKET)], BUCKET,
-                           (0.0, 7200.0))
+    series = tips_to_rates(tips([1800.0], BUCKET), BUCKET, (0.0, 7200.0))
     assert series.rates.sum() / 60.0 == pytest.approx(BUCKET, rel=1e-9)
 
 
@@ -154,7 +153,7 @@ def _random_tip_times(rng):
 
 def test_banded_solve_matches_per_event_splines():
     """Bit-identical to one ``CubicSpline`` per event on seeded streams,
-    as a TipEvent list and as a record array, with spans that cut into
+    as a record array, with spans that cut into
     the first event's lead-in and end inside or just past the last
     minute."""
     single = edge = exact_gap = cut_start = cut_end = 0
@@ -181,12 +180,7 @@ def test_banded_solve_matches_per_event_splines():
         cut_end += end == times[-1] and end % 60.0 == 0
 
         m0, want = _reference_tips_to_rates(times, bucket, (start, end))
-        if seed % 2:
-            tips = [TipEvent(float(t), bucket) for t in times]
-        else:
-            tips = np.rec.fromarrays([times, np.full(times.size, bucket)],
-                                     names="time,depth")
-        got = tips_to_rates(tips, bucket, (start, end))
+        got = tips_to_rates(tips(times, bucket), bucket, (start, end))
         assert got.start_minute == m0
         assert np.array_equal(got.rates, want), seed
     assert single > 100 and edge > 100 and exact_gap > 100
@@ -523,14 +517,13 @@ def test_exceedance_requires_valid_minutes():
 
 
 def test_tips_csv_round_trip(tmp_path):
-    tips = [TipEvent(ts(2002, 3, 1, 10, 30, 15), BUCKET),
-            TipEvent(ts(2002, 3, 1, 10, 31, 2) + 0.25, BUCKET)]
+    times = [ts(2002, 3, 1, 10, 30, 15), ts(2002, 3, 1, 10, 31, 2) + 0.25]
     path = tmp_path / "tips.csv"
-    write_tips_csv(tips, path)
+    write_tips_csv(tips(times, BUCKET), path)
     back = read_tips_csv(path)
     assert len(back) == 2
-    assert back[0].time == tips[0].time
-    assert back[1].time == pytest.approx(tips[1].time, abs=1e-6)
+    assert back[0].time == times[0]
+    assert back[1].time == pytest.approx(times[1], abs=1e-6)
     assert back[0].depth == BUCKET
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rainstats.errors import AlignmentError, EmptyDataError
-from rainstats.impact import (ZONE_TABLE, heavy_mask, rate_map,
-                              zonal_population, zone_coverage)
+from rainstats.impact import (heavy_mask, rate_map, zonal_population,
+                              zone_coverage)
 from rainstats.rainmodel import ClimatePoint, ModelParams, rain_rate
 from rainstats.raster import Grid, GridGeometry
 
@@ -13,14 +13,6 @@ PARAMS = ModelParams(1.0, 20000.0, 26.0)
 
 def geom(ncols, nrows, cell=1.0):
     return GridGeometry(ncols, nrows, 0.0, 0.0, cell, ND)
-
-
-def test_zone_table_thresholds():
-    expected = {"A": 8, "C": 15, "D": 19, "E": 22, "F": 28, "H": 32,
-                "J": 35, "K": 42, "M": 63, "N": 95, "P": 145, "Q": 115}
-    got = {z.letter: z.r001_mm_h for z in ZONE_TABLE}
-    assert got == expected
-    assert len({z.code for z in ZONE_TABLE}) == 12
 
 
 # ---------------------------------------------------------------------------

@@ -164,18 +164,10 @@ def test_sample_out_of_bounds_raises():
 # resampling
 
 
-def test_resample_identity_nearest_is_exact():
-    rng = np.random.default_rng(1)
-    vals = rng.uniform(-5, 5, 30)
-    vals[7] = ND
-    grid = Grid(geom(6, 5, cell=0.2), vals)
-    assert resample(grid, grid.geometry, "nearest") == grid
-
-
 def test_resample_constant_grid():
     grid = Grid.full(geom(4, 4, cell=0.5), 2.0)
     target = GridGeometry(7, 7, 0.1, 0.1, 0.25, ND)
-    out = resample(grid, target, "bilinear")
+    out = resample(grid, target)
     inside = out.valid_mask()
     assert inside.any()
     assert np.allclose(out.values[inside], 2.0, rtol=1e-12)
@@ -184,7 +176,7 @@ def test_resample_constant_grid():
 def test_resample_bilinear_matches_per_cell_sampling():
     grid = Grid(geom(2, 2, cell=1.0), [0.0, 1.0, 1.0, 2.0])
     target = GridGeometry(4, 4, 0.0, 0.0, 0.5, ND)
-    out = resample(grid, target, "bilinear")
+    out = resample(grid, target)
     for i in range(4):
         for j in range(4):
             lat = target.yll + (target.nrows - i - 0.5) * target.cell
@@ -195,7 +187,7 @@ def test_resample_bilinear_matches_per_cell_sampling():
 def test_resample_outside_source_is_nodata():
     grid = Grid.full(geom(2, 2, cell=1.0), 5.0)
     target = GridGeometry(4, 2, 0.0, 0.0, 1.0, ND)  # extends east of source
-    out = resample(grid, target, "nearest")
+    out = resample(grid, target)
     assert np.all(out.values[:, :2] == 5.0)
     assert np.all(out.values[:, 2:] == ND)
 
@@ -204,7 +196,7 @@ def test_resample_no_overlap_raises():
     grid = Grid.full(geom(2, 2, cell=1.0), 5.0)
     target = GridGeometry(2, 2, 50.0, 50.0, 1.0, ND)
     with pytest.raises(ValueError, match="overlap"):
-        resample(grid, target, "nearest")
+        resample(grid, target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Rules on the package's own source, checked by parsing it."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import rainstats
@@ -29,3 +30,40 @@ def test_only_tables_opens_files():
              if path.stem != "tables" for call in _open_calls(path)]
     assert calls == [("cli", "_sha256", "open(path, 'rb')")]
     assert _open_calls(SRC / "tables.py")
+
+
+#: Public definitions kept without a caller in the package, with the reason.
+UNCALLED = {
+    # waits on the end-to-end check of the paper's result (ROADMAP item 7)
+    ("evaluation", "station_comparison"),
+}
+
+
+def _callers(module, tree):
+    """``(name, (module, top-level definition))`` for each name the module
+    reads, bare or as an attribute; the definition is None outside one.
+    Strings, docstrings among them, are not read names."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)):
+                yield (getattr(node, "id", None) or node.attr,
+                       (module, getattr(stmt, "name", None)))
+
+
+def test_every_public_definition_has_a_caller():
+    # library code that no subcommand reaches is deleted or moved to tests
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    callers = defaultdict(set)
+    for module, tree in trees.items():
+        for name, caller in _callers(module, tree):
+            callers[name].add(caller)
+    unused = [(module, node.name) for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not callers[node.name] - {(module, node.name)}
+              and node.name not in rainstats.__all__
+              and (module, node.name) not in UNCALLED]
+    assert unused == []
