@@ -20,6 +20,8 @@ import os
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import __version__
 from . import climatology, evaluation, gauge, impact, rainmodel
 from .errors import ConfigError, DataError, SolverError
@@ -126,20 +128,17 @@ def _staged_outputs(args, inputs: dict, outputs: dict, notes=None):
                 os.remove(temp)
 
 
-def _validate_ladder(ladder) -> None:
-    if not ladder:
-        raise ConfigError("ladder must list at least one probability")
-    for a, b in zip(ladder, ladder[1:]):
-        if b <= a:
-            raise ConfigError("ladder must be strictly increasing")
-    for p in ladder:
-        if not (0 < p <= 100):
-            raise ConfigError(f"ladder probability {p} outside (0, 100]")
-
-
 def _config_check(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _validate_ladder(ladder) -> None:
+    _config_check(bool(ladder), "ladder must list at least one probability")
+    _config_check(all(a < b for a, b in zip(ladder, ladder[1:])),
+                  "ladder must be strictly increasing")
+    for p in ladder:
+        _config_check(0 < p <= 100, f"ladder probability {p} outside (0, 100]")
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +311,9 @@ def _parse_span_time(text: str, key: str) -> float:
 def _cmd_gauge(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _GAUGE_SCHEMA)
     _validate_ladder(cfg["ladder"])
-    span = (_parse_span_time(cfg["span_start"], "span_start"),
-            _parse_span_time(cfg["span_end"], "span_end"))
-    if span[1] <= span[0]:
-        raise ConfigError("span_end must be after span_start")
+    span = tuple(_parse_span_time(cfg[key], key)
+                 for key in ("span_start", "span_end"))
+    _config_check(span[1] > span[0], "span_end must be after span_start")
     _config_check(len(gauge.period_edges(*gauge.span_minutes(span))) >= 2,
                   "span_start to span_end holds no full 12-month period")
     _config_check(cfg["bucket_mm"] is None or cfg["bucket_mm"] > 0,
@@ -344,7 +342,10 @@ def _cmd_gauge(args, cfg: dict) -> None:
                 raise DataError(f"{tips_path}: mixed bucket depths "
                                 f"{depths}; set bucket_mm")
             bucket = depths[0] if depths else 0.254
-        series = gauge.tips_to_rates(tips, bucket, span)
+        try:
+            series = gauge.tips_to_rates(tips, bucket, span)
+        except ValueError as e:
+            raise DataError(f"{tips_path}: {e}") from None
         series = gauge.qc_filter(series)
         selected = gauge.select_periods(series)
         if selected is None:
@@ -392,10 +393,10 @@ def _cmd_eval(args, cfg: dict) -> None:
     _config_check(cfg["threshold"] >= 0, "threshold must be >= 0")
 
     samples = evaluation.read_error_samples_csv(cfg["samples"])
-    if not samples:
+    if not len(samples):
         raise DataError(f"{cfg['samples']}: no samples")
-    rel_pct = [100.0 * evaluation.relative_error(s) for s in samples]
-    bias = [evaluation.bias_error(s) for s in samples]
+    bias = samples.predicted - samples.observed
+    rel_pct = 100.0 * (bias / samples.observed)
 
     lines = [f"count={len(samples)}"]
 
@@ -414,17 +415,14 @@ def _cmd_eval(args, cfg: dict) -> None:
 
     _summary_block("rel_error_pct", rel_pct)
     _summary_block("bias_error_mm_h", bias)
-    rel_pct_by_p = {}
-    for s, e in zip(samples, rel_pct):
-        rel_pct_by_p.setdefault(s.p, []).append(e)
-    for p in sorted(rel_pct_by_p):
-        _summary_block(f"p.{p!r}.rel_error_pct", rel_pct_by_p[p])
+    for p in np.unique(samples.p).tolist():
+        _summary_block(f"p.{p!r}.rel_error_pct", rel_pct[samples.p == p])
 
-    classify_rows = [s for s in samples if s.p == cfg["classify_p"]]
-    if classify_rows:
+    classify = samples[samples.p == cfg["classify_p"]]
+    if len(classify):
         thr = cfg["threshold"]
-        actuals = [s.observed > thr for s in classify_rows]
-        preds = [s.predicted > thr for s in classify_rows]
+        actuals = classify.observed > thr
+        preds = classify.predicted > thr
         lines.append(f"classify.p={cfg['classify_p']!r}")
         lines.append(f"classify.threshold={thr!r}")
         _confusion_block("classify.by_site", actuals, preds)
@@ -432,16 +430,15 @@ def _cmd_eval(args, cfg: dict) -> None:
             countries = read_keyed(cfg["sites"], ["site_id", "country"],
                                    lambda row: row[1])
             records = []
-            for s, a, p in zip(classify_rows, actuals, preds):
-                if s.site_id not in countries:
-                    raise DataError(f"no country for site {s.site_id}")
-                records.append((countries[s.site_id], a, p))
+            for site_id, a, p in zip(classify.site_id, actuals, preds):
+                if site_id not in countries:
+                    raise DataError(f"no country for site {site_id}")
+                records.append((countries[site_id], a, p))
             pairs = evaluation.by_country(records).values()
             _confusion_block("classify.by_country", [a for a, _ in pairs],
                              [p for _, p in pairs])
 
-    fractions = evaluation.rec_curve([abs(e) for e in rel_pct],
-                                     cfg["rec_thresholds"])
+    fractions = evaluation.rec_curve(rel_pct, cfg["rec_thresholds"])
 
     with _staged_outputs(args, inputs, outputs) as tmp:
         write_text(tmp["out_report"], "\n".join(lines) + "\n")
@@ -470,8 +467,8 @@ _IMPACT_SCHEMA = {
 
 
 def _cmd_impact(args, cfg: dict) -> None:
-    if (cfg["zones"] is None) != (cfg["out_zones"] is None):
-        raise ConfigError("zones and out_zones must be given together")
+    _config_check((cfg["zones"] is None) == (cfg["out_zones"] is None),
+                  "zones and out_zones must be given together")
     inputs, outputs = _files(args, cfg, _IMPACT_SCHEMA)
     _config_check(0 < cfg["p"] <= 100, "p must be in (0, 100]")
     _config_check(cfg["threshold"] >= 0, "threshold must be >= 0")
@@ -564,7 +561,12 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         schema, handler, _ = _COMMANDS[args.command]
-        handler(args, load_config(args.config, schema))
+        cfg = load_config(args.config, schema)
+        try:
+            handler(args, cfg)
+        except ConfigError as e:
+            # the handlers check values and paths that the config set
+            raise ConfigError(f"{args.config}: {e}") from None
         return 0
     except ConfigError as e:
         print(f"rainstats: config error: {e}", file=sys.stderr)

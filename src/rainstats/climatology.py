@@ -5,6 +5,9 @@ per-pixel deduplication windows, turns the accumulated counts into initial
 mean-annual-rainfall and probability-of-rain estimates, blends the rainfall
 grid toward a smoothed reference inversely weighted by terrain variability,
 and applies a final Gaussian smoothing pass.
+
+Observations travel as one record array from :func:`read_observations_csv`
+to :func:`render_observations`, which takes no other form.
 """
 
 from __future__ import annotations
@@ -31,31 +34,6 @@ DEFAULT_K_UNIFORM = 121
 DEFAULT_K_GAUSS = 21
 
 
-@dataclass(frozen=True)
-class SwathObservation:
-    """One radar footprint: center location, near-surface rain rate and the
-    rain-certain flag."""
-
-    time: float
-    lat: float
-    lon: float
-    nsrr: float
-    rain_certain: bool
-    footprint_diameter: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.time) and math.isfinite(self.lon)):
-            raise ValueError("time and lon must be finite, got "
-                             f"{self.time}, {self.lon}")
-        if not 0 <= self.nsrr < math.inf:
-            raise ValueError(f"nsrr must be finite and >= 0, got {self.nsrr}")
-        if not (3.0 <= self.footprint_diameter <= 6.0):
-            raise ValueError("footprint diameter must be within [3, 6] km, "
-                             f"got {self.footprint_diameter}")
-        if not (-90.0 < self.lat < 90.0):
-            raise ValueError(f"latitude {self.lat} out of range")
-
-
 @dataclass
 class AccumulatorGrid:
     """Per-pixel observation tallies: window count, rain-window count and
@@ -65,13 +43,6 @@ class AccumulatorGrid:
     n_total: np.ndarray
     n_rain: np.ndarray
     sum_nsrr: np.ndarray
-
-    @classmethod
-    def zeros(cls, geometry: GridGeometry) -> "AccumulatorGrid":
-        shape = (geometry.nrows, geometry.ncols)
-        return cls(geometry, np.zeros(shape, dtype=np.int64),
-                   np.zeros(shape, dtype=np.int64),
-                   np.zeros(shape, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -157,11 +128,12 @@ def render_observations(observations, geometry: GridGeometry,
                         threads: int = 1):
     """Accumulate a time-sorted observation stream onto the grid.
 
-    Per pixel, observations falling within one deduplication window collapse
-    into a single logical observation that keeps the OR of the rain-certain
-    flags and the maximum rain rate among rain-certain contributors.  A
-    pixel's window closes once the time since its start exceeds
-    ``dedup_window_s``.
+    ``observations`` is a record array with the fields that
+    :func:`read_observations_csv` returns.  Per pixel, observations falling
+    within one deduplication window collapse into a single logical
+    observation that keeps the OR of the rain-certain flags and the maximum
+    rain rate among rain-certain contributors.  A pixel's window closes once
+    the time since its start exceeds ``dedup_window_s``.
 
     Every footprint's covered pixels are found in one vectorized pass; the
     hits are sorted by pixel and time, split into windows, and reduced per
@@ -174,11 +146,7 @@ def render_observations(observations, geometry: GridGeometry,
     """
     if dedup_window_s <= 0:
         raise ValueError("dedup window must be positive")
-    obs_list = list(observations)
-    fields = np.array([(o.time, o.lat, o.lon, o.nsrr, bool(o.rain_certain),
-                        o.footprint_diameter) for o in obs_list],
-                      dtype=np.float64).reshape(-1, 6)
-    t, lat, lon, nsrr, rain, diam = fields.T
+    t, lat, lon = observations.time, observations.lat, observations.lon
     late = np.flatnonzero(t[1:] < t[:-1])
     if late.size:
         i = late[0]
@@ -186,17 +154,19 @@ def render_observations(observations, geometry: GridGeometry,
                         f"(saw {t[i + 1]} after {t[i]})")
     # math.cos, not np.cos: the two may differ in the last bit, which can
     # move a pixel center across a footprint edge
-    coslat = np.array([math.cos(math.radians(o.lat)) for o in obs_list])
+    coslat = np.array([math.cos(math.radians(v)) for v in lat.tolist()])
 
-    obs_idx, px = _footprint_hits(lat, lon, diam, coslat, geometry)
-    skipped = int(np.sum(np.bincount(obs_idx, minlength=len(obs_list)) == 0))
+    obs_idx, px = _footprint_hits(lat, lon, observations.footprint_diameter,
+                                  coslat, geometry)
+    skipped = int(np.sum(np.bincount(obs_idx, minlength=t.size) == 0))
     order = np.argsort(px, kind="stable")  # by pixel, then time order
     px, obs_idx = px[order], obs_idx[order]
 
     starts = _window_starts(px, t[obs_idx], dedup_window_s)
-    rc = rain[obs_idx] != 0.0
+    rc = observations.rain_certain[obs_idx] != 0.0
     win_rc = np.logical_or.reduceat(rc, starts)
-    win_max = np.maximum.reduceat(np.where(rc, nsrr[obs_idx], 0.0), starts)
+    win_max = np.maximum.reduceat(
+        np.where(rc, observations.nsrr[obs_idx], 0.0), starts)
     win_px = px[starts]
     rain_px = win_px[win_rc]
     size = geometry.nrows * geometry.ncols
@@ -207,7 +177,7 @@ def render_observations(observations, geometry: GridGeometry,
         # bincount returns integers when the weights are empty
         np.bincount(rain_px, weights=win_max[win_rc], minlength=size)
         .astype(np.float64, copy=False).reshape(shape))
-    return acc, RenderReport(len(obs_list), skipped)
+    return acc, RenderReport(t.size, skipped)
 
 
 def initial_estimates(acc: AccumulatorGrid):
@@ -285,15 +255,33 @@ _OBS_COLUMNS = ["time_s", "lat", "lon", "nsrr_mm_h", "rain_certain",
                 "diameter_km"]
 
 
-def _observation(row) -> SwathObservation:
+_OBS_DTYPE = np.dtype([(name, np.float64) for name in (
+    "time", "lat", "lon", "nsrr", "rain_certain", "footprint_diameter")])
+
+
+def _observation(row):
     if row[4] not in ("0", "1"):
         raise ValueError(f"rain_certain must be 0 or 1, got {row[4]!r}")
-    return SwathObservation(float(row[0]), float(row[1]), float(row[2]),
-                            float(row[3]), row[4] == "1", float(row[5]))
+    time, lat, lon, nsrr, rain, diameter = (float(v) for v in row)
+    if not (math.isfinite(time) and math.isfinite(lon)):
+        raise ValueError(f"time and lon must be finite, got {time}, {lon}")
+    if not 0 <= nsrr < math.inf:
+        raise ValueError(f"nsrr must be finite and >= 0, got {nsrr}")
+    if not 3.0 <= diameter <= 6.0:
+        raise ValueError("footprint diameter must be within [3, 6] km, "
+                         f"got {diameter}")
+    if not -90.0 < lat < 90.0:
+        raise ValueError(f"latitude {lat} out of range")
+    return time, lat, lon, nsrr, rain, diameter
 
 
-def read_observations_csv(path):
-    return [o for _, o in read_rows(path, _OBS_COLUMNS, _observation)]
+def read_observations_csv(path) -> np.recarray:
+    """Radar footprints as a record array, in file order, with float fields
+    ``time`` (epoch s), ``lat`` and ``lon`` of the center (degrees),
+    ``nsrr`` (near-surface rain rate, mm/h), ``rain_certain`` (0 or 1) and
+    ``footprint_diameter`` (km)."""
+    rows = [o for _, o in read_rows(path, _OBS_COLUMNS, _observation)]
+    return np.array(rows, dtype=_OBS_DTYPE).view(np.recarray)
 
 
 # ---------------------------------------------------------------------------
@@ -327,29 +315,26 @@ def _valid_mean(grid: Grid) -> float:
 def build_climatology(config: Mapping) -> ClimatologyResult:
     """Run the full pipeline and write its outputs.
 
-    ``config`` supplies: ``observations`` (CSV path), the output geometry
-    (``ncols``, ``nrows``, ``xll``, ``yll``, ``cell``, ``nodata``),
-    ``reference_mt`` and ``elevation`` grid paths, window sizes
-    (``k_uniform``, ``k_gauss``, optional ``sigma_gauss``),
-    ``dedup_window_s``, and output paths ``out_mt``, ``out_p0``,
-    ``out_report``.  Any stage failure aborts with the stage name in the
-    error message.  Outputs are written only after every stage succeeded.
+    ``config`` is the typed build-clim config, every key present: the
+    ``observations`` CSV path, the output geometry (``ncols``, ``nrows``,
+    ``xll``, ``yll``, ``cell``, ``nodata``), ``reference_mt`` and
+    ``elevation`` grid paths, window sizes (``k_uniform``, ``k_gauss``,
+    ``sigma_gauss`` or None), ``dedup_window_s``, and output paths
+    ``out_mt``, ``out_p0``, ``out_report``.  Any stage failure aborts with
+    the stage name in the error message.  Outputs are written only after
+    every stage succeeded.
     """
-    geometry = GridGeometry(int(config["ncols"]), int(config["nrows"]),
-                            float(config["xll"]), float(config["yll"]),
-                            float(config["cell"]), float(config["nodata"]))
-    k_uniform = int(config.get("k_uniform", DEFAULT_K_UNIFORM))
-    k_gauss = int(config.get("k_gauss", DEFAULT_K_GAUSS))
-    sigma = config.get("sigma_gauss")
-    sigma = float(sigma) if sigma is not None else None
-    dedup = float(config.get("dedup_window_s", DEFAULT_DEDUP_WINDOW_S))
+    geometry = GridGeometry(*(config[key] for key in (
+        "ncols", "nrows", "xll", "yll", "cell", "nodata")))
+    k_uniform, k_gauss = config["k_uniform"], config["k_gauss"]
 
     with _stage("read"):
         observations = read_observations_csv(config["observations"])
         reference = read_grid(config["reference_mt"])
         elevation = read_grid(config["elevation"])
     with _stage("render"):
-        acc, render_report = render_observations(observations, geometry, dedup)
+        acc, render_report = render_observations(observations, geometry,
+                                                config["dedup_window_s"])
     with _stage("initial"):
         mt0, p00, _cond = initial_estimates(acc)
     with _stage("elevation"):
@@ -359,7 +344,8 @@ def build_climatology(config: Mapping) -> ClimatologyResult:
         ref_local = resample(reference, geometry)
         mt_adj = merge_reference(mt0, ref_local, weight, k_uniform)
     with _stage("finalize"):
-        mt_final, p0_final = finalize(mt_adj, p00, k_gauss, sigma)
+        mt_final, p0_final = finalize(mt_adj, p00, k_gauss,
+                                       config["sigma_gauss"])
 
     lines = [
         f"observations={render_report.n_observations}",

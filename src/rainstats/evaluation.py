@@ -16,36 +16,6 @@ HEAVY_RATE_MM_H = 95.0
 
 
 @dataclass(frozen=True)
-class ErrorSample:
-    """One (observed, predicted) rate pair at a site and probability."""
-
-    site_id: str
-    p: float
-    observed: float
-    predicted: float
-
-    def __post_init__(self):
-        if not 0 < self.p <= 100:
-            raise ValueError(f"probability must be in (0, 100], got {self.p}")
-        if not 0 < self.observed < math.inf:
-            raise ValueError("observed rate must be positive and finite for "
-                             f"relative error, got {self.observed}")
-        if not 0 <= self.predicted < math.inf:
-            raise ValueError(f"predicted rate must be >= 0 and finite, "
-                             f"got {self.predicted}")
-
-
-def relative_error(sample: ErrorSample) -> float:
-    """(predicted - observed) / observed."""
-    return (sample.predicted - sample.observed) / sample.observed
-
-
-def bias_error(sample: ErrorSample) -> float:
-    """predicted - observed, in mm/h."""
-    return sample.predicted - sample.observed
-
-
-@dataclass(frozen=True)
 class P311Summary:
     """Mean, population standard deviation and rms of an error sample."""
 
@@ -61,7 +31,7 @@ def p311_summary(errors) -> P311Summary:
     form would break the identity against reported one-decimal tables at
     small n.
     """
-    arr = np.asarray(list(errors), dtype=np.float64)
+    arr = np.asarray(errors, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty error list")
     mu = float(np.mean(arr))
@@ -69,9 +39,9 @@ def p311_summary(errors) -> P311Summary:
     return P311Summary(mu, sd, math.sqrt(mu * mu + sd * sd))
 
 
-def rec_curve(abs_errors, thresholds):
+def rec_curve(errors, thresholds):
     """Fraction of samples whose |error| is at or below each threshold."""
-    e = np.abs(np.asarray(list(abs_errors), dtype=np.float64))
+    e = np.abs(np.asarray(errors, dtype=np.float64))
     if e.size == 0:
         raise ValueError("cannot build a REC curve from no samples")
     ts = [float(t) for t in thresholds]
@@ -174,8 +144,27 @@ def station_comparison(climatology: Grid, stations):
 # error-samples CSV
 
 _SAMPLE_COLUMNS = ["site_id", "p_percent", "observed", "predicted"]
+_SAMPLE_DTYPE = np.dtype([("site_id", object), ("p", np.float64),
+                          ("observed", np.float64),
+                          ("predicted", np.float64)])
 
 
-def read_error_samples_csv(path):
-    return [s for _, s in read_rows(path, _SAMPLE_COLUMNS, lambda row: (
-        ErrorSample(row[0], float(row[1]), float(row[2]), float(row[3]))))]
+def _sample_row(row):
+    p, observed, predicted = (float(v) for v in row[1:])
+    if not 0 < p <= 100:
+        raise ValueError(f"probability must be in (0, 100], got {p}")
+    if not 0 < observed < math.inf:
+        raise ValueError("observed rate must be positive and finite for "
+                         f"relative error, got {observed}")
+    if not 0 <= predicted < math.inf:
+        raise ValueError(f"predicted rate must be >= 0 and finite, "
+                         f"got {predicted}")
+    return row[0], p, observed, predicted
+
+
+def read_error_samples_csv(path) -> np.recarray:
+    """(observed, predicted) rate pairs as a record array, in file order,
+    with fields ``site_id`` (str, an object field), ``p`` (percent),
+    ``observed`` and ``predicted`` (mm/h)."""
+    rows = [s for _, s in read_rows(path, _SAMPLE_COLUMNS, _sample_row)]
+    return np.array(rows, dtype=_SAMPLE_DTYPE).view(np.recarray)

@@ -14,9 +14,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from rainstats import cli
-from rainstats.climatology import (KM_PER_DEG, SwathObservation,
-                                   elevation_weight, merge_reference,
-                                   render_observations)
+from rainstats.climatology import (KM_PER_DEG, elevation_weight,
+                                   merge_reference, render_observations)
 from rainstats.evaluation import ConfusionMatrix, accuracy, mcc, p311_summary
 from rainstats.gauge import (MINUTES_PER_YEAR, MinuteSeries,
                              exceedance_stats, qc_filter, tips_to_rates)
@@ -28,7 +27,7 @@ from rainstats.rainmodel import (STANDARD_LADDER, ClimatePoint, ModelParams,
                                  write_params, write_sites_csv)
 from rainstats.raster import (Grid, GridGeometry, gaussian_filter,
                               uniform_filter, write_grid)
-from writers import tips, write_observations_csv, write_tips_csv
+from writers import observations, tips, write_observations_csv, write_tips_csv
 
 ND = -9999.0
 PARAMS = ModelParams(1.0, 20000.0, 26.0)
@@ -232,15 +231,14 @@ def test_criterion_6_rasterization_oracle():
     with criterion(6, "rasterization oracle"):
         g = GridGeometry(200, 200, 30.0, 9.0, 1.0 / 120.0, ND)
         rng = np.random.default_rng(106)
-        stream = []
-        for i in range(1000):
-            stream.append(SwathObservation(
-                time=120.0 * i,
-                lat=float(rng.uniform(8.95, 10.75)),
-                lon=float(rng.uniform(29.95, 31.75)),
-                nsrr=float(rng.uniform(0.1, 30)),
-                rain_certain=bool(rng.uniform() < 0.7),
-                footprint_diameter=float(rng.uniform(3.0, 6.0))))
+        stream = observations([(
+            120.0 * i,
+            float(rng.uniform(8.95, 10.75)),   # lat
+            float(rng.uniform(29.95, 31.75)),  # lon
+            float(rng.uniform(0.1, 30)),       # nsrr
+            bool(rng.uniform() < 0.7),         # rain_certain
+            float(rng.uniform(3.0, 6.0)))      # footprint_diameter
+            for i in range(1000)])
 
         # brute-force point-in-circle membership per pixel center
         lat_c = g.yll + (g.nrows - np.arange(g.nrows) - 0.5) * g.cell
@@ -403,11 +401,11 @@ def _setup_build_clim(d):
     t, stream = 0.0, []
     for _ in range(80):
         t += float(rng.uniform(0, 150))
-        stream.append(SwathObservation(
+        stream.append((
             t, float(rng.uniform(9.02, 9.11)),
             float(rng.uniform(30.02, 30.11)), float(rng.uniform(0, 15)),
             bool(rng.uniform() < 0.6), 4.5))
-    write_observations_csv(stream, d / "obs.csv")
+    write_observations_csv(observations(stream), d / "obs.csv")
     write_grid(Grid.full(g, 900.0), d / "ref.grd")
     write_grid(Grid(g, rng.uniform(0, 1500, 256)), d / "elev.grd")
     (d / "run.cfg").write_text(_cfg_text(

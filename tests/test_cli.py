@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from rainstats import cli, gauge
-from rainstats.climatology import SwathObservation
 from rainstats.rainmodel import (ClimatePoint, ModelParams, SiteStatistics,
                                  estimate_site_curve, rain_rate,
                                  read_params, write_params, write_sites_csv)
 from rainstats.raster import Grid, GridGeometry, write_grid
-from writers import tips, write_observations_csv, write_tips_csv
+from writers import observations, tips, write_observations_csv, write_tips_csv
 
 ND = -9999.0
 PARAMS = ModelParams(1.0, 20000.0, 26.0)
@@ -256,10 +255,10 @@ def _write_clim_config(tmp_path, cfg_name="c.cfg"):
     t, stream = 0.0, []
     for _ in range(80):
         t += float(rng.uniform(0, 150))
-        stream.append(SwathObservation(
+        stream.append((
             t, float(rng.uniform(9.02, 9.11)), float(rng.uniform(30.02, 30.11)),
             float(rng.uniform(0, 15)), bool(rng.uniform() < 0.6), 4.5))
-    write_observations_csv(stream, tmp_path / "obs.csv")
+    write_observations_csv(observations(stream), tmp_path / "obs.csv")
     write_grid(Grid.full(g, 900.0), tmp_path / "ref.grd")
     write_grid(Grid(g, rng.uniform(0, 1500, 256)), tmp_path / "elev.grd")
     write_config(tmp_path / cfg_name, observations="obs.csv",
@@ -356,7 +355,7 @@ def test_output_geometry_too_large_for_memory_exits_2(tmp_path):
     # 10^15 output cells under a 2 GiB address-space limit, so no
     # allocation for the output grid can succeed
     _write_clim_config(tmp_path)
-    write_observations_csv([], tmp_path / "obs.csv")
+    write_observations_csv(observations([]), tmp_path / "obs.csv")
     write_config(tmp_path / "c.cfg", observations="obs.csv",
                  reference_mt="ref.grd", elevation="elev.grd",
                  ncols=100_000_000, nrows=10_000_000, xll=30.0, yll=9.0,
@@ -516,8 +515,25 @@ def test_gauge_span_without_a_full_period_exits_1(tmp_path, monkeypatch,
                         lambda path: pytest.fail(f"read {path}"))
     assert run_cli("gauge", "--config", "g.cfg") == 1
     err = capsys.readouterr().err
-    assert "config error: span_start to span_end holds no full 12-month " \
-           "period" in err
+    assert "config error: g.cfg: span_start to span_end holds no full " \
+           "12-month period" in err
+    assert not os.path.exists(tmp_path / "stats.csv")
+
+
+@pytest.mark.parametrize("times, message", [
+    # 2005-01-02T00:10 listed before 00:05
+    ([1104624600.0, 1104624300.0], "tip times must be strictly increasing"),
+    # 2004-12-31T23:00, before span_start
+    ([1104534000.0], "tips fall outside the requested span"),
+])
+def test_gauge_bad_tips_name_the_tip_file(tmp_path, monkeypatch, capsys,
+                                          times, message):
+    monkeypatch.chdir(tmp_path)
+    _write_gauge_inputs(tmp_path)
+    write_tips_csv(tips(times), tmp_path / "tips_a.csv")
+    assert run_cli("gauge", "--config", "g.cfg") == 2
+    err = capsys.readouterr().err
+    assert f"data error: tips_a.csv: {message}\n" in err
     assert not os.path.exists(tmp_path / "stats.csv")
 
 
@@ -672,8 +688,7 @@ def test_eval_malformed_samples_exits_2(tmp_path, monkeypatch):
 
 def test_eval_per_probability_blocks_match_a_full_scan(tmp_path,
                                                        monkeypatch):
-    from rainstats.evaluation import (p311_summary, read_error_samples_csv,
-                                      relative_error)
+    from rainstats.evaluation import p311_summary, read_error_samples_csv
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(5)
     ps = rng.choice([0.001, 0.01, 0.1, 1.0, 5.0], 600)
@@ -689,11 +704,11 @@ def test_eval_per_probability_blocks_match_a_full_scan(tmp_path,
                  out_report="m.txt", out_rec="rec.csv")
     assert run_cli("eval", "--config", "e.cfg") == 0
 
-    samples = read_error_samples_csv(tmp_path / "samples.csv")
+    samples = read_error_samples_csv(tmp_path / "samples.csv").tolist()
     expected = []
-    for p in sorted({s.p for s in samples}):
-        summary = p311_summary([100.0 * relative_error(s) for s in samples
-                                if s.p == p])
+    for p in sorted({s[1] for s in samples}):
+        summary = p311_summary([100.0 * ((pred - obs) / obs)
+                                for _, sp, obs, pred in samples if sp == p])
         expected += [f"p.{p!r}.rel_error_pct.{name}="
                      f"{getattr(summary, name):.4f}"
                      for name in ("mean", "sd", "rms")]
@@ -788,6 +803,112 @@ def test_impact_requires_paired_zone_keys(tmp_path, monkeypatch):
                  pop="d", countries="e", zones="f",
                  out_impact="impact.csv")
     assert run_cli("impact", "--config", "i.cfg") == 1
+
+
+def _reference_eval(rows, countries, classify_p, threshold, thresholds):
+    """Eval's report and REC rows from ``(site_id, p, observed,
+    predicted)`` tuples of Python floats, one sample at a time, as eval
+    computed them before it took record arrays."""
+    from rainstats import evaluation as ev
+    rel_pct = [100.0 * ((pred - obs) / obs) for _, _, obs, pred in rows]
+    lines = [f"count={len(rows)}"]
+
+    def summary(prefix, values):
+        s = ev.p311_summary(values)
+        lines.extend(f"{prefix}.{name}={getattr(s, name):.4f}"
+                     for name in ("mean", "sd", "rms"))
+
+    def confusion(prefix, actuals, preds):
+        cm = ev.confusion(actuals, preds)
+        lines.extend(f"{prefix}.{name}={getattr(cm, name)}"
+                     for name in ("tn", "fp", "fn", "tp"))
+        lines.append(f"{prefix}.accuracy={ev.accuracy(cm):.4f}")
+        lines.append(f"{prefix}.mcc={ev.mcc(cm):.4f}")
+
+    summary("rel_error_pct", rel_pct)
+    summary("bias_error_mm_h", [pred - obs for _, _, obs, pred in rows])
+    by_p = {}
+    for row, e in zip(rows, rel_pct):
+        by_p.setdefault(row[1], []).append(e)
+    for p in sorted(by_p):
+        summary(f"p.{p!r}.rel_error_pct", by_p[p])
+    picked = [row for row in rows if row[1] == classify_p]
+    lines.append(f"classify.p={classify_p!r}")
+    lines.append(f"classify.threshold={threshold!r}")
+    actuals = [obs > threshold for _, _, obs, _ in picked]
+    preds = [pred > threshold for _, _, _, pred in picked]
+    confusion("classify.by_site", actuals, preds)
+    pairs = ev.by_country((countries[row[0]], a, q) for row, a, q
+                          in zip(picked, actuals, preds)).values()
+    confusion("classify.by_country", [a for a, _ in pairs],
+              [q for _, q in pairs])
+    fractions = ev.rec_curve([abs(e) for e in rel_pct], thresholds)
+    return lines, [[repr(t), repr(f)] for t, f in zip(thresholds, fractions)]
+
+
+def test_eval_report_matches_a_per_sample_reference(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(12)
+    for trial in range(5):
+        n = int(rng.integers(1, 300))
+        ps = rng.choice([0.001, 0.01, 0.1, 1.0, 5.0], n)
+        ps[0] = 0.01  # the classify rung always has a sample
+        obs = rng.uniform(1.0, 150.0, n)
+        pred = obs * np.where(rng.uniform(size=n) < 0.1, 0.0,
+                              rng.uniform(0.3, 1.9, n))
+        rows = [(f"s{i % 40}", p, o, q) for i, (p, o, q) in enumerate(zip(
+            ps.tolist(), obs.tolist(), pred.tolist()))]
+        countries = {f"s{i}": f"C{i % 7}" for i in range(40)}
+        with open(tmp_path / "samples.csv", "w", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(["site_id", "p_percent", "observed", "predicted"])
+            w.writerows([s, repr(p), repr(o), repr(q)] for s, p, o, q in rows)
+        with open(tmp_path / "sites.csv", "w", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(["site_id", "country"])
+            w.writerows(countries.items())
+        thresholds = (5.0, 10.0, 25.0, 50.0, 100.0)
+        write_config(tmp_path / "e.cfg", samples="samples.csv",
+                     sites="sites.csv", out_report="m.txt", out_rec="rec.csv",
+                     rec_thresholds=",".join(map(repr, thresholds)))
+        assert run_cli("eval", "--config", "e.cfg") == 0
+
+        lines, rec = _reference_eval(rows, countries, 0.01, 95.0, thresholds)
+        assert (tmp_path / "m.txt").read_text().splitlines() == lines, trial
+        with open(tmp_path / "rec.csv", newline="") as f:
+            assert list(csv.reader(f))[1:] == rec, trial
+
+
+_RANGE_CHECKS = {
+    "eval-classify_p": (
+        "eval", "e.cfg", "classify_p=0.01", "classify_p=200",
+        "classify_p must be in (0, 100]"),
+    "build-clim-even-k_uniform": (
+        "build-clim", "c.cfg", "k_uniform=9", "k_uniform=8",
+        "k_uniform must be odd and positive, got 8"),
+    "gauge-bad-span_start": (
+        "gauge", "g.cfg", "span_start=2005-01-01T00:00:00Z",
+        "span_start=2005-13-01",
+        "config key 'span_start': bad ISO8601 time '2005-13-01'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_RANGE_CHECKS.values()),
+                         ids=list(_RANGE_CHECKS))
+def test_range_check_errors_name_the_config_file(tmp_path, monkeypatch,
+                                                 capsys, case):
+    command, name, line, bad, message = case
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    write_config(tmp_path / "e.cfg", samples="samples.csv", classify_p=0.01,
+                 out_report="m.txt", out_rec="rec.csv")
+    _write_clim_config(tmp_path)
+    _write_gauge_inputs(tmp_path)
+    text = (tmp_path / name).read_text()
+    assert line in text
+    (tmp_path / name).write_text(text.replace(line, bad))
+    assert run_cli(command, "--config", name) == 1
+    assert f"config error: {name}: {message}\n" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

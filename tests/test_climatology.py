@@ -5,7 +5,6 @@ import pytest
 
 from rainstats.climatology import (HOURS_PER_YEAR, KM_PER_DEG,
                                    AccumulatorGrid, RenderReport,
-                                   SwathObservation,
                                    build_climatology, elevation_weight,
                                    finalize, initial_estimates,
                                    merge_reference, read_observations_csv,
@@ -13,7 +12,7 @@ from rainstats.climatology import (HOURS_PER_YEAR, KM_PER_DEG,
 from rainstats.errors import AlignmentError, DataError
 from rainstats.raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                               uniform_filter, write_grid)
-from writers import write_observations_csv
+from writers import observations, write_observations_csv
 
 ND = -9999.0
 CELL = 1.0 / 120.0
@@ -24,7 +23,8 @@ def geom(ncols=60, nrows=60, xll=30.0, yll=9.0):
 
 
 def obs(time, lat, lon, nsrr=0.0, rain=False, diameter=4.5):
-    return SwathObservation(time, lat, lon, nsrr, rain, diameter)
+    """One row for :func:`writers.observations`."""
+    return time, lat, lon, nsrr, rain, diameter
 
 
 def brute_cover_mask(o, g):
@@ -45,9 +45,9 @@ def brute_cover_mask(o, g):
 
 def test_single_footprint_matches_brute_force_disk():
     g = geom()
-    o = obs(0.0, 9.25, 30.25, nsrr=10.0, rain=True)
-    acc, report = render_observations([o], g)
-    expected = brute_cover_mask(o, g)
+    stream = observations([obs(0.0, 9.25, 30.25, nsrr=10.0, rain=True)])
+    acc, report = render_observations(stream, g)
+    expected = brute_cover_mask(stream[0], g)
     assert expected.sum() > 5
     assert np.array_equal(acc.n_total == 1, expected)
     assert np.array_equal(acc.n_rain == 1, expected)
@@ -60,7 +60,8 @@ def test_dedup_window_keeps_maximum():
     g = geom()
     a = obs(100.0, 9.25, 30.25, nsrr=3.0, rain=True)
     b = obs(105.0, 9.25, 30.25, nsrr=8.0, rain=True)
-    acc, _ = render_observations([a, b], g, dedup_window_s=60.0)
+    acc, _ = render_observations(observations([a, b]), g,
+                                 dedup_window_s=60.0)
     covered = acc.n_total > 0
     assert np.all(acc.n_total[covered] == 1)
     assert np.all(acc.sum_nsrr[covered] == 8.0)
@@ -70,7 +71,8 @@ def test_separate_windows_accumulate():
     g = geom()
     a = obs(100.0, 9.25, 30.25, nsrr=3.0, rain=True)
     b = obs(700.0, 9.25, 30.25, nsrr=8.0, rain=True)
-    acc, _ = render_observations([a, b], g, dedup_window_s=60.0)
+    acc, _ = render_observations(observations([a, b]), g,
+                                 dedup_window_s=60.0)
     covered = acc.n_total > 0
     assert np.all(acc.n_total[covered] == 2)
     assert np.all(acc.sum_nsrr[covered] == 11.0)
@@ -81,7 +83,7 @@ def test_rain_flag_or_and_max_over_rain_certain_only():
     a = obs(100.0, 9.25, 30.25, nsrr=0.0, rain=False)
     b = obs(110.0, 9.25, 30.25, nsrr=4.0, rain=True)
     c = obs(120.0, 9.25, 30.25, nsrr=0.0, rain=False)
-    acc, _ = render_observations([a, b, c], g)
+    acc, _ = render_observations(observations([a, b, c]), g)
     covered = acc.n_total > 0
     assert np.all(acc.n_total[covered] == 1)
     assert np.all(acc.n_rain[covered] == 1)
@@ -92,14 +94,14 @@ def test_unsorted_stream_rejected():
     g = geom()
     stream = [obs(100.0, 9.25, 30.25), obs(50.0, 9.25, 30.25)]
     with pytest.raises(DataError, match="sorted"):
-        render_observations(stream, g)
+        render_observations(observations(stream), g)
 
 
 def test_footprint_outside_grid_is_skipped_and_counted():
     g = geom()
     stream = [obs(0.0, 20.0, 80.0, nsrr=5.0, rain=True),
               obs(10.0, 9.25, 30.25, nsrr=5.0, rain=True)]
-    acc, report = render_observations(stream, g)
+    acc, report = render_observations(observations(stream), g)
     assert report.n_skipped == 1
     assert acc.n_total.sum() > 0
 
@@ -116,6 +118,7 @@ def test_render_identical_across_worker_counts():
                           nsrr=float(rng.uniform(0, 20)),
                           rain=bool(rng.uniform() < 0.7),
                           diameter=float(rng.uniform(3.5, 5.5))))
+    stream = observations(stream)
     base, base_rep = render_observations(stream, g, threads=1)
     for threads in (2, 8):
         acc, rep = render_observations(stream, g, threads=threads)
@@ -136,7 +139,7 @@ def test_accumulator_invariants_on_random_stream():
                           rng.uniform(30.02, 30.23),
                           nsrr=float(rng.uniform(0, 30)),
                           rain=bool(rng.uniform() < 0.5)))
-    acc, _ = render_observations(stream, g)
+    acc, _ = render_observations(observations(stream), g)
     assert np.all(acc.n_rain <= acc.n_total)
     assert np.all(acc.sum_nsrr[acc.n_rain == 0] == 0.0)
     assert np.all(acc.n_total >= 0)
@@ -148,7 +151,8 @@ def test_accumulator_invariants_on_random_stream():
 
 def test_initial_estimates_ratio_and_units():
     g = geom(2, 2)
-    acc = AccumulatorGrid.zeros(g)
+    acc = AccumulatorGrid(g, np.zeros((2, 2), dtype=np.int64),
+                          np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2)))
     acc.n_total[0, 0] = 10
     acc.n_rain[0, 0] = 3
     acc.sum_nsrr[0, 0] = 9.0
@@ -184,8 +188,10 @@ def test_scaling_observations_scales_initial_mt_exactly():
         rain = bool(rng.uniform() < 0.6)
         base.append(obs(t, lat, lon, nsrr=nsrr, rain=rain))
         doubled.append(obs(t, lat, lon, nsrr=2.0 * nsrr, rain=rain))
-    mt1, _, _ = initial_estimates(render_observations(base, g)[0])
-    mt2, _, _ = initial_estimates(render_observations(doubled, g)[0])
+    mt1, _, _ = initial_estimates(
+        render_observations(observations(base), g)[0])
+    mt2, _, _ = initial_estimates(
+        render_observations(observations(doubled), g)[0])
     valid = mt1.valid_mask()
     assert np.array_equal(mt2.values[valid], 2.0 * mt1.values[valid])
 
@@ -315,11 +321,13 @@ def test_finalize_impulse_matches_gaussian_oracle():
 
 
 def test_observations_csv_round_trip(tmp_path):
-    stream = [obs(1.5, 9.1, 30.1, nsrr=2.5, rain=True),
-              obs(90.0, 9.2, 30.2)]
+    stream = observations([obs(1.5, 9.1, 30.1, nsrr=2.5, rain=True),
+                           obs(90.0, 9.2, 30.2)])
     path = tmp_path / "obs.csv"
     write_observations_csv(stream, path)
-    assert read_observations_csv(path) == stream
+    got = read_observations_csv(path)
+    assert got.dtype == stream.dtype
+    assert got.tolist() == stream.tolist()
 
 
 def test_observations_csv_rejects_bad_flag(tmp_path):
@@ -337,7 +345,7 @@ def test_observations_csv_rejects_bad_flag(tmp_path):
 def _write_pipeline_inputs(tmp_path, stream, g, ref_grid, elev_grid,
                            k_uniform=9, k_gauss=5):
     obs_path = tmp_path / "obs.csv"
-    write_observations_csv(stream, obs_path)
+    write_observations_csv(observations(stream), obs_path)
     ref_path = tmp_path / "ref.grd"
     write_grid(ref_grid, ref_path)
     elev_path = tmp_path / "elev.grd"
@@ -348,7 +356,7 @@ def _write_pipeline_inputs(tmp_path, stream, g, ref_grid, elev_grid,
         "elevation": str(elev_path),
         "ncols": g.ncols, "nrows": g.nrows, "xll": g.xll, "yll": g.yll,
         "cell": g.cell, "nodata": g.nodata,
-        "k_uniform": k_uniform, "k_gauss": k_gauss,
+        "k_uniform": k_uniform, "k_gauss": k_gauss, "sigma_gauss": None,
         "dedup_window_s": 60.0,
         "out_mt": str(tmp_path / "mt.grd"),
         "out_p0": str(tmp_path / "p0.grd"),
@@ -381,7 +389,7 @@ def test_pipeline_uniform_rain_matches_expectation(tmp_path):
                               diameter=3.0))
             stream.append(obs(2000.0, lat, lon, nsrr=0.0, rain=False,
                               diameter=3.0))
-    stream.sort(key=lambda o: o.time)
+    stream.sort(key=lambda o: o[0])
     ref = Grid.full(g, ND)  # forces the satellite passthrough branch
     elev = Grid.full(g, 40.0)
     cfg = _write_pipeline_inputs(tmp_path, stream, g, ref, elev)
@@ -499,12 +507,12 @@ def random_stream(rng, g, n, window_s):
     times = 1000.1 + np.cumsum(steps)
     margin = 0.05
     lat_hi = min(g.lat_max + margin, 89.0)
-    return [SwathObservation(
+    return observations([(
         float(times[i]), float(rng.uniform(g.yll - margin, lat_hi)),
         float(rng.uniform(g.xll - margin, g.lon_max + margin)),
         float(rng.choice([0.0, 5.0, rng.uniform(0, 40)])),
         bool(rng.uniform() < 0.6), float(rng.uniform(3.0, 6.0)))
-        for i in range(n)]
+        for i in range(n)])
 
 
 def test_render_matches_scan_reference_on_random_streams():
@@ -530,8 +538,8 @@ def test_window_closes_only_after_more_than_the_window():
     lat, lon = g.yll + 2 * CELL, g.xll + 2 * CELL
     # 0.3 - 0.1 rounds to 0.19999999999999998 <= 0.2, so 0.3 joins the window
     # opened at 0.1; 0.4 - 0.1 exceeds it and opens the next one
-    stream = [obs(t, lat, lon, nsrr=v, rain=True)
-              for t, v in ((0.1, 1.0), (0.3, 2.0), (0.4, 4.0), (0.6, 8.0))]
+    stream = observations([obs(t, lat, lon, nsrr=v, rain=True) for t, v in (
+        (0.1, 1.0), (0.3, 2.0), (0.4, 4.0), (0.6, 8.0))])
     acc, _ = render_observations(stream, g, dedup_window_s=0.2)
     assert acc.n_total.max() == 2
     assert acc.sum_nsrr.max() == 2.0 + 8.0
@@ -539,9 +547,11 @@ def test_window_closes_only_after_more_than_the_window():
 
 @pytest.mark.parametrize("field", ["time", "lon", "nsrr"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_observation_rejects_non_finite_fields(field, bad):
-    kwargs = dict(time=0.0, lat=9.1, lon=30.1, nsrr=1.0, rain_certain=True,
-                  footprint_diameter=4.5)
-    kwargs[field] = bad
-    with pytest.raises(ValueError, match=field):
-        SwathObservation(**kwargs)
+def test_observation_rejects_non_finite_fields(tmp_path, field, bad):
+    row = dict(time=0.0, lat=9.1, lon=30.1, nsrr=1.0, rain_certain=1.0,
+               footprint_diameter=4.5)
+    row[field] = bad
+    path = tmp_path / "obs.csv"
+    write_observations_csv(observations([tuple(row.values())]), path)
+    with pytest.raises(DataError, match=f"line 2: .*{field}"):
+        read_observations_csv(path)

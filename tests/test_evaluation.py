@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from rainstats import cli
 from rainstats.errors import DataError, EmptyDataError
-from rainstats.evaluation import (ConfusionMatrix, ErrorSample, accuracy,
-                                  bias_error, by_country, confusion, mcc,
-                                  p311_summary, read_error_samples_csv,
-                                  rec_curve, relative_error,
+from rainstats.evaluation import (ConfusionMatrix, accuracy, by_country,
+                                  confusion, mcc, p311_summary,
+                                  read_error_samples_csv, rec_curve,
                                   station_comparison)
 from rainstats.raster import Grid, GridGeometry
-from writers import write_error_samples_csv
+from writers import samples, write_error_samples_csv
 
 ND = -9999.0
 
@@ -19,37 +19,58 @@ ND = -9999.0
 # error figures
 
 
-def test_errors_zero_when_exact():
-    s = ErrorSample("a", 0.01, 100.0, 100.0)
-    assert relative_error(s) == 0.0
-    assert bias_error(s) == 0.0
+def _eval_report(tmp_path, rows):
+    """``{key: value}`` of the eval report on the sample ``rows``."""
+    write_error_samples_csv(samples(rows), tmp_path / "samples.csv")
+    (tmp_path / "e.cfg").write_text(
+        f"samples={tmp_path / 'samples.csv'}\n"
+        f"out_report={tmp_path / 'm.txt'}\n"
+        f"out_rec={tmp_path / 'rec.csv'}\n")
+    assert cli.main(["eval", "--config", str(tmp_path / "e.cfg")]) == 0
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    return dict(line.split("=", 1) for line in lines)
 
 
-def test_errors_direct_arithmetic():
-    s = ErrorSample("a", 0.01, 100.0, 130.0)
-    assert relative_error(s) == pytest.approx(0.30)
-    assert bias_error(s) == pytest.approx(30.0)
-    assert relative_error(ErrorSample("b", 0.1, 50.0, 25.0)) == -0.5
+def test_errors_zero_when_exact(tmp_path):
+    report = _eval_report(tmp_path, [("a", 0.01, 100.0, 100.0)])
+    assert report["rel_error_pct.mean"] == "0.0000"
+    assert report["bias_error_mm_h.mean"] == "0.0000"
 
 
-def test_error_sample_requires_positive_observed():
-    with pytest.raises(ValueError):
-        ErrorSample("a", 0.01, 0.0, 10.0)
-    with pytest.raises(ValueError):
-        ErrorSample("a", 0.01, 10.0, -1.0)
+def test_errors_direct_arithmetic(tmp_path):
+    report = _eval_report(tmp_path, [("a", 0.01, 100.0, 130.0)])
+    assert float(report["rel_error_pct.mean"]) == pytest.approx(30.0)
+    assert float(report["bias_error_mm_h.mean"]) == pytest.approx(30.0)
+    report = _eval_report(tmp_path, [("b", 0.1, 50.0, 25.0)])
+    assert report["p.0.1.rel_error_pct.mean"] == "-50.0000"
 
 
-def test_error_sample_requires_finite_rates_and_p_in_range():
-    for p, observed, predicted in [(0.01, math.nan, 10.0),
-                                   (0.01, math.inf, 10.0),
-                                   (0.01, 10.0, math.nan),
-                                   (0.01, 10.0, math.inf),
-                                   (0.0, 10.0, 10.0), (-1.0, 10.0, 10.0),
-                                   (150.0, 10.0, 10.0),
-                                   (math.inf, 10.0, 10.0)]:
-        with pytest.raises(ValueError):
-            ErrorSample("a", p, observed, predicted)
-    assert ErrorSample("a", 100.0, 10.0, 0.0).p == 100.0
+def _read_one_sample(tmp_path, p, observed, predicted):
+    path = tmp_path / "samples.csv"
+    write_error_samples_csv(samples([("a", p, observed, predicted)]), path)
+    return read_error_samples_csv(path)
+
+
+def test_error_sample_requires_positive_observed(tmp_path):
+    with pytest.raises(DataError, match="line 2: observed rate"):
+        _read_one_sample(tmp_path, 0.01, 0.0, 10.0)
+    with pytest.raises(DataError, match="line 2: predicted rate"):
+        _read_one_sample(tmp_path, 0.01, 10.0, -1.0)
+
+
+def test_error_sample_requires_finite_rates_and_p_in_range(tmp_path):
+    for p, observed, predicted, field in [
+            (0.01, math.nan, 10.0, "observed"),
+            (0.01, math.inf, 10.0, "observed"),
+            (0.01, 10.0, math.nan, "predicted"),
+            (0.01, 10.0, math.inf, "predicted"),
+            (0.0, 10.0, 10.0, "probability"),
+            (-1.0, 10.0, 10.0, "probability"),
+            (150.0, 10.0, 10.0, "probability"),
+            (math.inf, 10.0, 10.0, "probability")]:
+        with pytest.raises(DataError, match=f"line 2: {field}"):
+            _read_one_sample(tmp_path, p, observed, predicted)
+    assert _read_one_sample(tmp_path, 100.0, 10.0, 0.0).p.tolist() == [100.0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +313,12 @@ def test_station_comparison_out_of_bounds_raises():
 
 
 def test_error_samples_csv_round_trip(tmp_path):
-    samples = [ErrorSample("a", 0.01, 100.0, 130.0),
-               ErrorSample("b", 0.1, 55.0, 50.0)]
+    records = samples([("a", 0.01, 100.0, 130.0), ("b", 0.1, 55.0, 50.0)])
     path = tmp_path / "samples.csv"
-    write_error_samples_csv(samples, path)
-    assert read_error_samples_csv(path) == samples
+    write_error_samples_csv(records, path)
+    got = read_error_samples_csv(path)
+    assert got.dtype == records.dtype
+    assert got.tolist() == records.tolist()
 
 
 def test_error_samples_csv_rejects_bad_header(tmp_path):

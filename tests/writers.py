@@ -5,8 +5,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from rainstats.climatology import _OBS_COLUMNS
-from rainstats.evaluation import _SAMPLE_COLUMNS
+from rainstats.climatology import _OBS_COLUMNS, _OBS_DTYPE
+from rainstats.evaluation import _SAMPLE_COLUMNS, _SAMPLE_DTYPE
 from rainstats.gauge import _TIP_COLUMNS, _TIP_DTYPE
 from rainstats.tables import write_rows
 
@@ -19,11 +19,26 @@ def tips(times, depth=0.254):
                              dtype=_TIP_DTYPE)
 
 
-def write_observations_csv(observations, path) -> None:
+def observations(rows):
+    """Footprints from ``(time, lat, lon, nsrr, rain_certain,
+    footprint_diameter)`` tuples, as the record array
+    ``climatology.read_observations_csv`` returns."""
+    return np.array([tuple(r) for r in rows],
+                    dtype=_OBS_DTYPE).view(np.recarray)
+
+
+def samples(rows):
+    """Error samples from ``(site_id, p, observed, predicted)`` tuples, as
+    the record array ``evaluation.read_error_samples_csv`` returns."""
+    return np.array([tuple(r) for r in rows],
+                    dtype=_SAMPLE_DTYPE).view(np.recarray)
+
+
+def write_observations_csv(records, path) -> None:
+    """Write the footprints of a record array made by :func:`observations`."""
     write_rows(path, _OBS_COLUMNS, (
-        [repr(o.time), repr(o.lat), repr(o.lon), repr(o.nsrr),
-         int(o.rain_certain), repr(o.footprint_diameter)]
-        for o in observations))
+        [repr(t), repr(lat), repr(lon), repr(nsrr), int(rain), repr(d)]
+        for t, lat, lon, nsrr, rain, d in records.tolist()))
 
 
 def _format_tip_time(t: float) -> str:
@@ -41,7 +56,8 @@ def write_tips_csv(records, path) -> None:
         for t, d in zip(records.time.tolist(), records.depth.tolist())))
 
 
-def write_error_samples_csv(samples, path) -> None:
+def write_error_samples_csv(records, path) -> None:
+    """Write the samples of a record array made by :func:`samples`."""
     write_rows(path, _SAMPLE_COLUMNS, (
-        [s.site_id, repr(s.p), repr(s.observed), repr(s.predicted)]
-        for s in samples))
+        [site_id, repr(p), repr(observed), repr(predicted)]
+        for site_id, p, observed, predicted in records.tolist()))
