@@ -27,7 +27,8 @@ from . import climatology, evaluation, gauge, impact, rainmodel
 from .errors import ConfigError, DataError, SolverError
 from .raster import Grid, GridGeometry, read_grid, sample_bilinear
 from .rainmodel import ClimatePoint, SiteStatistics
-from .tables import Field, load_config, read_keyed, write_rows, write_text
+from .tables import (Field, _finite, load_config, read_keyed, write_rows,
+                     write_text)
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +164,17 @@ def _cmd_fit(args, cfg: dict) -> None:
     training = []
     for s in sites:
         if s.site_id not in climate:
-            raise DataError(f"no climate record for site {s.site_id}")
+            raise DataError(f"{cfg['climate']}: no climate record for site "
+                            f"{s.site_id}")
         training.append((s, climate[s.site_id]))
 
     result = rainmodel.fit_params(training)
 
-    residual_rows = []
-    for s, c in training:
-        retained = [(p, r) for p, r in s.points if r > 0]
-        if not retained:
-            continue
-        curve = rainmodel.estimate_site_curve(c, result.params,
-                                              [p for p, _ in retained])
-        for (p, r), (_, pred) in zip(retained, curve):
-            residual_rows.append([s.site_id, repr(p), repr(r), repr(pred),
-                                  repr((pred - r) / r)])
+    ids, ps, rs, mts, p0s = rainmodel._training_arrays(training)
+    predicted = rainmodel._rain_rate_array(ps, mts, p0s, result.params)
+    residual_rows = [[sid, repr(p), repr(r), repr(pred), repr((pred - r) / r)]
+                     for sid, p, r, pred in zip(ids, ps.tolist(), rs.tolist(),
+                                                predicted.tolist())]
 
     with _staged_outputs(args, inputs, outputs) as tmp:
         rainmodel.write_params(result.params, tmp["out_params"])
@@ -206,8 +203,8 @@ _PREDICT_SCHEMA = {
 
 
 def _located(row):
-    """The fields after a site row's id, with lat and lon as floats."""
-    return (float(row[1]), float(row[2]), *row[3:])
+    """The fields after a site row's id, with lat and lon finite floats."""
+    return (_finite(row[1]), _finite(row[2]), *row[3:])
 
 
 def _cmd_predict(args, cfg: dict) -> None:
@@ -432,7 +429,8 @@ def _cmd_eval(args, cfg: dict) -> None:
             records = []
             for site_id, a, p in zip(classify.site_id, actuals, preds):
                 if site_id not in countries:
-                    raise DataError(f"no country for site {site_id}")
+                    raise DataError(f"{cfg['sites']}: no country for site "
+                                    f"{site_id}")
                 records.append((countries[site_id], a, p))
             pairs = evaluation.by_country(records).values()
             _confusion_block("classify.by_country", [a for a, _ in pairs],

@@ -12,12 +12,17 @@ from .rainmodel import ModelParams, _rain_rate_array
 from .raster import Grid, require_aligned
 
 
-def _require_category(grid: Grid, what: str) -> None:
-    vals = grid.values[grid.valid_mask()]
-    if vals.size and not np.all(vals == np.floor(vals)):
+def _categories(grid: Grid, what: str):
+    """``(codes, index, valid)`` of a grid of non-negative integer codes:
+    its distinct codes as ascending Python ints, the position in ``codes``
+    of each valid cell's code in row-major order, and the valid mask."""
+    valid = grid.valid_mask()
+    uniq, index = np.unique(grid.values[valid], return_inverse=True)
+    if np.any(uniq != np.floor(uniq)):
         raise ValueError(f"{what} grid holds non-integer codes")
-    if vals.size and np.any(vals < 0):
+    if np.any(uniq < 0):
         raise ValueError(f"{what} grid holds negative codes")
+    return [int(c) for c in uniq.tolist()], index, valid
 
 
 def rate_map(mt: Grid, p0: Grid, params: ModelParams, p: float) -> Grid:
@@ -65,25 +70,17 @@ class PopulationTally:
 def zonal_population(pop: Grid, mask: Grid, countries: Grid) -> PopulationTally:
     """Sum population over mask-true pixels, per country code."""
     require_aligned(pop, mask, countries)
-    _require_category(countries, "country")
+    codes, index, cvalid = _categories(countries, "country")
     mvals = mask.values[mask.valid_mask()]
     if mvals.size and not np.all((mvals == 0) | (mvals == 1)):
         raise ValueError("mask grid must hold only 0/1 values")
 
     selected = mask.valid_mask() & (mask.values == 1.0)
     popvals = np.where(pop.valid_mask(), pop.values, 0.0)
-    cvalid = countries.valid_mask()
-
-    by_code = {}
-    codes = np.unique(countries.values[cvalid]).astype(np.int64)
-    hit = selected & cvalid
-    if hit.any():
-        idx = countries.values[hit].astype(np.int64)
-        sums = np.bincount(idx, weights=popvals[hit])
-    else:
-        sums = np.zeros(0)
-    for code in codes:
-        by_code[int(code)] = float(sums[code]) if code < sums.size else 0.0
+    # each code's pixels add in row-major order, as a per-code scan would
+    by_code = dict(zip(codes, np.bincount(
+        index[selected[cvalid]], weights=popvals[selected & cvalid],
+        minlength=len(codes)).tolist()))
 
     unassigned = float(np.sum(popvals[selected & ~cvalid]))
     total = float(sum(by_code.values()) + unassigned)
@@ -104,24 +101,19 @@ def zone_coverage(zones: Grid, pop: Grid):
     columns sums to 100 over the zones present.
     """
     require_aligned(zones, pop)
-    _require_category(zones, "zone")
-    zvalid = zones.valid_mask()
-    if not zvalid.any():
+    codes, index, zvalid = _categories(zones, "zone")
+    if not codes:
         raise EmptyDataError("zone grid has no valid pixels")
-    popvals = np.where(pop.valid_mask(), pop.values, 0.0)
-
-    n_land = int(np.count_nonzero(zvalid))
-    populated = zvalid & (popvals > 0)
-    n_populated = int(np.count_nonzero(populated))
-    total_pop = float(np.sum(popvals[zvalid]))
-
-    out = {}
-    for code in np.unique(zones.values[zvalid]).astype(np.int64):
-        in_zone = zvalid & (zones.values == code)
-        land_pct = 100.0 * np.count_nonzero(in_zone) / n_land
-        populated_pct = (100.0 * np.count_nonzero(in_zone & populated)
-                         / n_populated) if n_populated else 0.0
-        pop_pct = (100.0 * float(np.sum(popvals[in_zone])) / total_pop
-                   if total_pop > 0 else 0.0)
-        out[int(code)] = ZoneShare(land_pct, populated_pct, pop_pct)
-    return out
+    popvals = np.where(pop.valid_mask(), pop.values, 0.0)[zvalid]
+    land = np.bincount(index, minlength=len(codes)).tolist()
+    populated = np.bincount(index[popvals > 0], minlength=len(codes)).tolist()
+    n_populated, total_pop = sum(populated), float(np.sum(popvals))
+    # np.sum over each zone's values in row-major order, as a per-zone scan
+    # takes them; a weighted bincount would add in sequence, not pairwise
+    zone_pops = np.split(popvals[np.argsort(index, kind="stable")],
+                         np.cumsum(land)[:-1])
+    return {code: ZoneShare(100.0 * n / index.size,
+                            100.0 * k / n_populated if n_populated else 0.0,
+                            100.0 * float(np.sum(zp)) / total_pop
+                            if total_pop > 0 else 0.0)
+            for code, n, k, zp in zip(codes, land, populated, zone_pops)}

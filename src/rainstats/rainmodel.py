@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SolverError
-from .tables import (parse_pairs, read_keyed, read_rows, read_text,
-                     write_rows, write_text)
+from .tables import (_finite, parse_pairs, read_keyed, read_rows,
+                     read_text, write_rows, write_text)
 
 #: Standard exceedance-probability ladder (percent), ascending.
 STANDARD_LADDER = (0.001, 0.002, 0.003, 0.005, 0.01, 0.02, 0.03, 0.05,
@@ -193,23 +193,18 @@ class FitResult:
 
 
 def _training_arrays(training):
-    ps, rs, mts, p0s = [], [], [], []
-    usable = False
-    for site, climate in training:
-        for p, r in site.points:
-            if r > 0:
-                ps.append(p)
-                rs.append(r)
-                mts.append(climate.mt)
-                p0s.append(climate.p0)
-                if p < climate.p0:
-                    usable = True
-    if not ps:
+    """``(site ids, p, R, mt, p0)``, a list then float arrays, over every
+    (site, rung) pair with observed R > 0, in site then rung order."""
+    rows = [(site.site_id, p, r, climate.mt, climate.p0)
+            for site, climate in training for p, r in site.points if r > 0]
+    if not rows:
         raise ValueError("training set has no points with observed R > 0")
-    if not usable:
+    ids, *columns = zip(*rows)
+    ps, rs, mts, p0s = (np.asarray(c, dtype=np.float64) for c in columns)
+    if not np.any(ps < p0s):
         raise ValueError("training set has no point with p < p0; "
                          "the model cannot predict any of it")
-    return (np.asarray(ps), np.asarray(rs), np.asarray(mts), np.asarray(p0s))
+    return list(ids), ps, rs, mts, p0s
 
 
 def curve_objective(training, params: ModelParams) -> float:
@@ -222,7 +217,7 @@ def curve_objective(training, params: ModelParams) -> float:
 
 
 def _mean_sq_rel_error(arrays, params: ModelParams) -> float:
-    ps, rs, mts, p0s = arrays
+    _, ps, rs, mts, p0s = arrays
     eps = (_rain_rate_array(ps, mts, p0s, params) - rs) / rs
     return float(np.mean(eps * eps))
 
@@ -278,7 +273,7 @@ def fit_params(training, *, threads: int = 1, n_descents: int = 4) -> FitResult:
     if not candidates:
         raise SolverError("no fit start converged to a finite objective")
     fun, x, y, z = min(candidates)
-    return FitResult(ModelParams(x, y, z), fun, int(arrays[0].size))
+    return FitResult(ModelParams(x, y, z), fun, int(arrays[1].size))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +353,8 @@ def read_sites_csv(path):
     meta = {}
     points = {}
     rows = read_rows(path, _SITE_COLUMNS, lambda r: (
-        r[0], (float(r[1]), float(r[2]), r[3], float(r[4])),
-        (float(r[5]), float(r[6]))))
+        r[0], (_finite(r[1]), _finite(r[2]), r[3], _finite(r[4])),
+        (_finite(r[5]), _finite(r[6]))))
     for lineno, (site_id, rec, point) in rows:
         if meta.setdefault(site_id, rec) != rec:
             raise DataError(f"{path} line {lineno}: inconsistent "

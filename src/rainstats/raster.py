@@ -230,8 +230,9 @@ def _bilinear_many(grid: Grid, lats: np.ndarray, lons: np.ndarray):
     gx = (lons - g.xll) / g.cell - 0.5
     gy = (g.lat_max - lats) / g.cell - 0.5
 
-    j0 = np.clip(np.floor(gx), 0, max(g.ncols - 2, 0)).astype(np.intp)
-    i0 = np.clip(np.floor(gy), 0, max(g.nrows - 2, 0)).astype(np.intp)
+    # fmin/fmax clip as np.clip does, but take NaN (outside) to an index
+    j0 = np.fmax(np.fmin(np.floor(gx), g.ncols - 2), 0).astype(np.intp)
+    i0 = np.fmax(np.fmin(np.floor(gy), g.nrows - 2), 0).astype(np.intp)
     j1 = np.minimum(j0 + 1, g.ncols - 1)
     i1 = np.minimum(i0 + 1, g.nrows - 1)
     tx = np.clip(gx - j0, 0.0, 1.0)

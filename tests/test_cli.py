@@ -90,6 +90,80 @@ def test_fit_missing_input_exits_2_without_outputs(tmp_path, monkeypatch):
         assert not os.path.exists(tmp_path / name)
 
 
+def _write_training(tmp_path, training):
+    write_sites_csv([s for s, _ in training], tmp_path / "train_sites.csv")
+    with open(tmp_path / "train_climate.csv", "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["site_id", "mt_mm", "p0_percent"])
+        for s, c in training:
+            w.writerow([s.site_id, repr(c.mt), repr(c.p0)])
+
+
+def _reference_residual_rows(training, params):
+    """Fit's residual rows one site at a time: the rungs with R > 0, put
+    through :func:`estimate_site_curve` at the fitted params."""
+    rows = []
+    for s, c in training:
+        retained = [(p, r) for p, r in s.points if r > 0]
+        if not retained:
+            continue
+        curve = estimate_site_curve(c, params, [p for p, _ in retained])
+        for (p, r), (_, pred) in zip(retained, curve):
+            rows.append([s.site_id, repr(p), repr(r), repr(pred),
+                         repr((pred - r) / r)])
+    return rows
+
+
+def test_fit_residuals_match_a_per_site_reference(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "fit.cfg", sites="train_sites.csv",
+                 climate="train_climate.csv", out_params="params.txt",
+                 out_residuals="residuals.csv", out_report="fit_report.txt")
+    rng = np.random.default_rng(64)
+    for trial in range(3):
+        # p0 = 5 keeps a usable site; p0 < 0.001 zeroes every rung and
+        # p0 < 5 the rungs at or above it
+        p0s = [5.0, 0.0005] + list(10.0 ** rng.uniform(-3.5, 1.0, 8))
+        training = []
+        for i, p0 in enumerate(p0s):
+            climate = ClimatePoint(float(rng.uniform(200, 4000)), float(p0))
+            scale = float(rng.uniform(0.7, 1.3))
+            points = tuple((p, scale * r)
+                           for p, r in estimate_site_curve(climate, PARAMS))
+            training.append((SiteStatistics(f"t{i}", 1.0, 2.0, "NA", 5.0,
+                                            points), climate))
+        _write_training(tmp_path, training)
+        assert run_cli("fit", "--config", "fit.cfg") == 0
+
+        with open(tmp_path / "residuals.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        params = read_params(tmp_path / "params.txt")
+        assert rows == _reference_residual_rows(training, params)
+        assert all(sid != "t1" for sid, *_ in rows)
+
+
+@pytest.mark.parametrize("column,value", [
+    ("rate_mm_h", "nan"), ("rate_mm_h", "inf"), ("p_percent", "nan"),
+    ("years", "inf"), ("years", "nan"), ("lat", "nan"), ("lon", "nan")])
+def test_fit_non_finite_site_number_exits_2(tmp_path, monkeypatch, capsys,
+                                            column, value):
+    monkeypatch.chdir(tmp_path)
+    _write_fit_inputs(tmp_path, n_sites=2)
+    with open(tmp_path / "train_sites.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    rows[1][rows[0].index(column)] = value
+    with open(tmp_path / "train_sites.csv", "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    write_config(tmp_path / "fit.cfg", sites="train_sites.csv",
+                 climate="train_climate.csv", out_params="params.txt",
+                 out_residuals="residuals.csv", out_report="fit_report.txt")
+    assert run_cli("fit", "--config", "fit.cfg") == 2
+    err = capsys.readouterr().err
+    assert "train_sites.csv line 2: not a finite number" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not os.path.exists(tmp_path / "params.txt")
+
+
 def test_unknown_config_key_exits_1(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path / "fit.cfg", sites="a.csv", climate="b.csv",
@@ -490,6 +564,34 @@ def test_gauge_duplicate_site_exits_2(tmp_path, monkeypatch, capsys):
     assert not os.path.exists(tmp_path / "stats.csv")
 
 
+@pytest.mark.parametrize("command,column,value", [
+    ("predict", 1, "nan"), ("predict", 2, "inf"),
+    ("gauge", 1, "nan"), ("gauge", 2, "-inf")])
+def test_non_finite_coordinates_exit_2(tmp_path, monkeypatch, capsys,
+                                       command, column, value):
+    monkeypatch.chdir(tmp_path)
+    if command == "predict":
+        _write_predict_inputs(tmp_path)
+        write_config(tmp_path / "c.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                     params="params.txt", locations="locs.csv",
+                     out_sites="stats.csv")
+        name = "locs.csv"
+    else:
+        _write_gauge_inputs(tmp_path)
+        os.replace(tmp_path / "g.cfg", tmp_path / "c.cfg")
+        name = "gsites.csv"
+    with open(tmp_path / name, newline="") as f:
+        rows = list(csv.reader(f))
+    rows[1][column] = value
+    with open(tmp_path / name, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    assert run_cli(command, "--config", "c.cfg") == 2
+    err = capsys.readouterr().err
+    assert f"{name} line 2: not a finite number" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "stats.csv")
+
+
 def test_gauge_infinite_bucket_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write_gauge_inputs(tmp_path, bucket_mm="inf")
@@ -676,6 +778,40 @@ def test_impact_solver_failure_exits_3(tmp_path, monkeypatch):
     assert not os.path.exists(tmp_path / "impact.csv")
 
 
+def test_impact_codes_beyond_int32_exit_0(tmp_path):
+    # under a 2 GiB address-space limit, so that a table sized by a code's
+    # value (16 GiB for 2147483647) fails at once
+    _write_impact_inputs(tmp_path)
+    g = GridGeometry(4, 4, 0.0, 0.0, 1.0, ND)
+    west_east = np.array([[2147483647.0] * 2 + [1e20] * 2] * 4)
+    write_grid(Grid(g, west_east), tmp_path / "countries.grd")
+    write_grid(Grid(g, west_east[:, ::-1]), tmp_path / "zones.grd")
+    write_config(tmp_path / "i.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                 params="params.txt", pop="pop.grd",
+                 countries="countries.grd", zones="zones.grd",
+                 out_impact="impact.csv", out_zones="zones.csv")
+    code = ("import resource, sys; "
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard)); "
+            "from rainstats import cli; "
+            "sys.exit(cli.main(['impact', '--config', 'i.cfg']))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src,
+                              "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    with open(tmp_path / "impact.csv", newline="") as f:
+        codes = [r[0] for r in list(csv.reader(f))[1:]]
+    assert codes == ["2147483647", "100000000000000000000", "unassigned",
+                     "total"]
+    with open(tmp_path / "zones.csv", newline="") as f:
+        zrows = list(csv.reader(f))[1:]
+    assert [(r[0], r[1]) for r in zrows] == [
+        ("2147483647", "50.0000"), ("100000000000000000000", "50.0000")]
+
+
 def test_eval_malformed_samples_exits_2(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "samples.csv").write_text(
@@ -782,6 +918,28 @@ def test_eval_repeated_site_country_exits_2(tmp_path, monkeypatch, capsys):
     assert "countries.csv line 22: duplicate site c00" in err
     assert not os.path.exists(tmp_path / "m.txt")
     assert not os.path.exists(tmp_path / "rec.csv")
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_join_errors_name_the_file(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    if command == "fit":
+        _write_fit_inputs(tmp_path)
+        write_config(tmp_path / "c.cfg", sites="train_sites.csv",
+                     climate="train_climate.csv", out_params="params.txt",
+                     out_residuals="residuals.csv", out_report="report.txt")
+        name, message = "train_climate.csv", "no climate record for site s4"
+    else:
+        _write_eval_samples(tmp_path)
+        write_config(tmp_path / "c.cfg", samples="samples.csv",
+                     sites="countries.csv", out_report="report.txt",
+                     out_rec="rec.csv")
+        name, message = "countries.csv", "no country for site c19"
+    lines = (tmp_path / name).read_text().splitlines(True)
+    (tmp_path / name).write_text("".join(lines[:-1]))
+    assert run_cli(command, "--config", "c.cfg") == 2
+    assert f"data error: {name}: {message}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "report.txt")
 
 
 def test_impact_infinite_threshold_exits_1(tmp_path, monkeypatch, capsys):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rainstats.errors import AlignmentError, EmptyDataError
-from rainstats.impact import (heavy_mask, rate_map, zonal_population,
-                              zone_coverage)
+from rainstats.impact import (PopulationTally, ZoneShare, heavy_mask,
+                              rate_map, zonal_population, zone_coverage)
 from rainstats.rainmodel import ClimatePoint, ModelParams, rain_rate
 from rainstats.raster import Grid, GridGeometry
 
@@ -227,3 +227,90 @@ def test_zone_coverage_no_valid_pixels_raises():
     pop = Grid.full(geom(2, 2), 1.0)
     with pytest.raises(EmptyDataError):
         zone_coverage(zones, pop)
+
+
+# ---------------------------------------------------------------------------
+# tallies against per-code scans
+
+
+def _scan_zonal_population(pop, mask, countries):
+    """The tally one code at a time: a bincount over the codes' values."""
+    selected = mask.valid_mask() & (mask.values == 1.0)
+    popvals = np.where(pop.valid_mask(), pop.values, 0.0)
+    cvalid = countries.valid_mask()
+    codes = np.unique(countries.values[cvalid]).astype(np.int64)
+    hit = selected & cvalid
+    sums = (np.bincount(countries.values[hit].astype(np.int64),
+                        weights=popvals[hit]) if hit.any() else np.zeros(0))
+    by_code = {int(c): float(sums[c]) if c < sums.size else 0.0
+               for c in codes}
+    unassigned = float(np.sum(popvals[selected & ~cvalid]))
+    return PopulationTally(by_code, unassigned,
+                           float(sum(by_code.values()) + unassigned))
+
+
+def _scan_zone_coverage(zones, pop):
+    """The shares one zone at a time, each a full-grid pass."""
+    zvalid = zones.valid_mask()
+    popvals = np.where(pop.valid_mask(), pop.values, 0.0)
+    n_land = int(np.count_nonzero(zvalid))
+    populated = zvalid & (popvals > 0)
+    n_populated = int(np.count_nonzero(populated))
+    total_pop = float(np.sum(popvals[zvalid]))
+    out = {}
+    for code in np.unique(zones.values[zvalid]).astype(np.int64):
+        in_zone = zvalid & (zones.values == code)
+        out[int(code)] = ZoneShare(
+            100.0 * np.count_nonzero(in_zone) / n_land,
+            (100.0 * np.count_nonzero(in_zone & populated) / n_populated)
+            if n_populated else 0.0,
+            100.0 * float(np.sum(popvals[in_zone])) / total_pop
+            if total_pop > 0 else 0.0)
+    return out
+
+
+def _random_category_inputs(rng):
+    """Codes (up to 4096, some nodata), a 0/1 mask with nodata, and a
+    fractional population from 1e-3 to 1e6 with zeros and nodata."""
+    shape = tuple(rng.integers(1, 60, 2))
+    g = geom(shape[1], shape[0])
+    n_codes = int(rng.choice([1, 3, 40, 500]))
+    codes = rng.choice(4097, n_codes, replace=False).astype(float)
+    code_vals = codes[rng.integers(0, n_codes, shape)]
+    code_vals[rng.uniform(size=shape) < rng.uniform(0, 0.3)] = ND
+    pop_vals = 10.0 ** rng.uniform(-3, 6, shape)
+    pop_vals[rng.uniform(size=shape) < 0.2] = 0.0
+    pop_vals[rng.uniform(size=shape) < 0.1] = ND
+    mask_vals = (rng.uniform(size=shape) < 0.5).astype(float)
+    mask_vals[rng.uniform(size=shape) < 0.05] = ND
+    return Grid(g, code_vals), Grid(g, mask_vals), Grid(g, pop_vals)
+
+
+def test_zonal_population_matches_the_per_code_scan():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        codes, mask, pop = _random_category_inputs(rng)
+        for m in (mask, Grid.full(mask.geometry, 1.0)):
+            assert (zonal_population(pop, m, codes)
+                    == _scan_zonal_population(pop, m, codes))
+
+
+def test_zone_coverage_matches_the_per_zone_scan():
+    rng = np.random.default_rng(38)
+    for _ in range(200):
+        zones, _, pop = _random_category_inputs(rng)
+        if not zones.valid_mask().any():
+            continue
+        assert zone_coverage(zones, pop) == _scan_zone_coverage(zones, pop)
+
+
+def test_category_codes_beyond_int64_keep_their_value():
+    # a code's value sizes no table and is never cast to a machine integer
+    big = [2147483647.0, 1e20]
+    countries = Grid(geom(2, 1), big)
+    pop = Grid(geom(2, 1), [3.0, 4.0])
+    tally = zonal_population(pop, Grid.full(geom(2, 1), 1.0), countries)
+    assert tally.by_code == {2147483647: 3.0, 10**20: 4.0}
+    shares = zone_coverage(countries, pop)
+    assert sorted(shares) == [2147483647, 10**20]
+    assert shares[10**20].land_pct == 50.0

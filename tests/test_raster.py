@@ -160,6 +160,14 @@ def test_sample_out_of_bounds_raises():
         sample_bilinear(grid, 2.5, 1.0)
 
 
+@pytest.mark.parametrize("lat,lon", [(np.nan, 1.0), (1.0, np.nan),
+                                     (np.inf, 1.0), (1.0, -np.inf)])
+def test_sample_at_non_finite_coordinates_raises(lat, lon):
+    grid = Grid.full(geom(2, 2, cell=1.0), 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        sample_bilinear(grid, lat, lon)
+
+
 # ---------------------------------------------------------------------------
 # resampling
 
