@@ -479,9 +479,10 @@ def _cmd_impact(args, cfg: dict) -> None:
 
     rates = impact.rate_map(mt, p0, params, cfg["p"])
     mask, nodata_pixels = impact.heavy_mask(rates, cfg["threshold"])
-    heavy = impact.zonal_population(pop, mask, countries)
+    categories = impact._categories(countries, "country")
+    heavy = impact.zonal_population(pop, mask, countries, categories)
     everywhere = Grid.full(mask.geometry, 1.0)
-    totals = impact.zonal_population(pop, everywhere, countries)
+    totals = impact.zonal_population(pop, everywhere, countries, categories)
 
     impact_rows = []
     for code in sorted(totals.by_code):

@@ -23,7 +23,7 @@ from .errors import DataError, SolverError
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      require_aligned, resample, uniform_filter, window_iqr,
                      write_grid)
-from .tables import read_rows, write_text
+from .tables import read_table, write_text
 
 EARTH_RADIUS_KM = 6371.0088
 KM_PER_DEG = EARTH_RADIUS_KM * math.pi / 180.0
@@ -109,17 +109,23 @@ def _window_starts(px: np.ndarray, t: np.ndarray, window_s: float):
     """
     run_start = np.flatnonzero(np.diff(px, prepend=-1))
     run_end = np.searchsorted(px, px, side="right")
-    # lo[i] ends as the hit that opens the next window if one opens at hit
-    # i: a binary search on the window test itself, evaluated exactly
-    lo, hi = np.arange(1, px.size + 1), run_end
+    # nxt[i] is the hit that opens the next window if one opens at hit i.
+    # It is i + 1 when that hit is in another pixel or already outside the
+    # window; the other hits take a binary search on the window test
+    # itself, evaluated exactly.
+    nxt = np.arange(1, px.size + 1)
+    (i,) = np.nonzero((px[1:] == px[:-1]) & (np.diff(t) <= window_s))
+    lo, hi = i + 2, run_end[i]
     while np.any(lo < hi):
         mid = (lo + hi) // 2
-        inside = (lo < hi) & (t[np.minimum(mid, px.size - 1)] - t <= window_s)
+        inside = (lo < hi) & (t[np.minimum(mid, px.size - 1)] - t[i]
+                              <= window_s)
         lo, hi = np.where(inside, mid + 1, lo), np.where(inside, hi, mid)
+    nxt[i] = lo
     starts = [run_start]
     while starts[-1].size:
-        nxt = lo[starts[-1]]
-        starts.append(nxt[nxt < run_end[starts[-1]]])
+        opened = nxt[starts[-1]]
+        starts.append(opened[opened < run_end[starts[-1]]])
     return np.sort(np.concatenate(starts))
 
 
@@ -257,6 +263,9 @@ _OBS_COLUMNS = ["time_s", "lat", "lon", "nsrr_mm_h", "rain_certain",
 
 _OBS_DTYPE = np.dtype([(name, np.float64) for name in (
     "time", "lat", "lon", "nsrr", "rain_certain", "footprint_diameter")])
+#: ``rain_certain`` is read as text: only ``0`` and ``1`` are accepted
+_OBS_TEXT = np.dtype([(name, object if name == "rain_certain" else np.float64)
+                      for name in _OBS_DTYPE.names])
 
 
 def _observation(row):
@@ -275,13 +284,28 @@ def _observation(row):
     return time, lat, lon, nsrr, rain, diameter
 
 
+def _observations(raw):
+    """:func:`_observation` over a whole column of each field."""
+    time, lat, lon, nsrr, rain, diameter = (raw[n] for n in raw.dtype.names)
+    certain = rain == "1"
+    if not np.all((certain | (rain == "0"))
+                  & np.isfinite(time) & np.isfinite(lon)
+                  & (nsrr >= 0) & (nsrr < math.inf)
+                  & (diameter >= 3.0) & (diameter <= 6.0)
+                  & (lat > -90.0) & (lat < 90.0)):
+        raise ValueError("observation out of range")
+    return np.rec.fromarrays(
+        [time, lat, lon, nsrr, certain.astype(np.float64), diameter],
+        dtype=_OBS_DTYPE)
+
+
 def read_observations_csv(path) -> np.recarray:
     """Radar footprints as a record array, in file order, with float fields
     ``time`` (epoch s), ``lat`` and ``lon`` of the center (degrees),
     ``nsrr`` (near-surface rain rate, mm/h), ``rain_certain`` (0 or 1) and
     ``footprint_diameter`` (km)."""
-    rows = [o for _, o in read_rows(path, _OBS_COLUMNS, _observation)]
-    return np.array(rows, dtype=_OBS_DTYPE).view(np.recarray)
+    return read_table(path, _OBS_COLUMNS, _OBS_TEXT, _observations,
+                      _observation, _OBS_DTYPE)
 
 
 # ---------------------------------------------------------------------------

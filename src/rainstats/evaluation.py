@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyDataError
 from .raster import Grid, _bilinear_many
-from .tables import read_rows
+from .tables import read_table
 
 #: Rain rate at 0.01% exceedance above which a location counts as heavy.
 HEAVY_RATE_MM_H = 95.0
@@ -162,9 +162,19 @@ def _sample_row(row):
     return row[0], p, observed, predicted
 
 
+def _samples(raw):
+    """:func:`_sample_row` over a whole column of each field."""
+    p, observed, predicted = raw["p"], raw["observed"], raw["predicted"]
+    if not np.all((p > 0) & (p <= 100)
+                  & (observed > 0) & (observed < math.inf)
+                  & (predicted >= 0) & (predicted < math.inf)):
+        raise ValueError("sample out of range")
+    return raw
+
+
 def read_error_samples_csv(path) -> np.recarray:
     """(observed, predicted) rate pairs as a record array, in file order,
     with fields ``site_id`` (str, an object field), ``p`` (percent),
     ``observed`` and ``predicted`` (mm/h)."""
-    rows = [s for _, s in read_rows(path, _SAMPLE_COLUMNS, _sample_row)]
-    return np.array(rows, dtype=_SAMPLE_DTYPE).view(np.recarray)
+    return read_table(path, _SAMPLE_COLUMNS, _SAMPLE_DTYPE, _samples,
+                      _sample_row, _SAMPLE_DTYPE)

@@ -26,7 +26,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DataError
 from .rainmodel import STANDARD_LADDER
-from .tables import read_rows
+from .tables import read_table
 
 #: Physically implausible 1-min rate (2 inches per minute), mm/h.
 QC_MAX_RATE_MM_H = 3048.0
@@ -200,8 +200,8 @@ def tips_to_rates(tips, bucket_mm: float, span) -> MinuteSeries:
                          kept.size - 1)] = total
             depths[lo_e - m0:hi_e - m0 + 1] += kept
 
-    rates = depths * 60.0
-    return MinuteSeries(m0, rates, np.ones(n, dtype=bool))
+    depths *= 60.0  # to mm/h in place: one series-sized array less at peak
+    return MinuteSeries(m0, depths, np.ones(n, dtype=bool))
 
 
 def qc_filter(series: MinuteSeries) -> MinuteSeries:
@@ -286,6 +286,7 @@ def exceedance_stats(series: MinuteSeries, ladder=STANDARD_LADDER,
 
 _TIP_COLUMNS = ["time_iso8601_utc", "depth_mm"]
 _TIP_DTYPE = np.dtype([("time", np.float64), ("depth", np.float64)])
+_TIP_TEXT = np.dtype([("time", object), ("depth", np.float64)])
 
 
 def parse_utc_time(text: str) -> float:
@@ -305,8 +306,17 @@ def _tip_row(row):
     return parse_utc_time(row[0]), depth
 
 
+def _tips(raw):
+    """:func:`_tip_row` over a whole column of each field."""
+    depth = raw["depth"]
+    if not np.all((depth > 0) & (depth < math.inf)):
+        raise ValueError("tip depth must be positive and finite")
+    times = [parse_utc_time(text) for text in raw["time"].tolist()]
+    return np.rec.fromarrays([times, depth], dtype=_TIP_DTYPE)
+
+
 def read_tips_csv(path) -> np.recarray:
     """Tips as a record array with float fields ``time`` (epoch s) and
     ``depth`` (mm), in file order."""
-    tips = [tip for _, tip in read_rows(path, _TIP_COLUMNS, _tip_row)]
-    return np.array(tips, dtype=_TIP_DTYPE).view(np.recarray)
+    return read_table(path, _TIP_COLUMNS, _TIP_TEXT, _tips, _tip_row,
+                      _TIP_DTYPE)

@@ -67,10 +67,17 @@ class PopulationTally:
     total: float
 
 
-def zonal_population(pop: Grid, mask: Grid, countries: Grid) -> PopulationTally:
-    """Sum population over mask-true pixels, per country code."""
+def zonal_population(pop: Grid, mask: Grid, countries: Grid,
+                     categories=None) -> PopulationTally:
+    """Sum population over mask-true pixels, per country code.
+
+    ``categories`` is ``_categories(countries, "country")`` when the caller
+    has it already, so that tallies under several masks sort the codes
+    once."""
     require_aligned(pop, mask, countries)
-    codes, index, cvalid = _categories(countries, "country")
+    if categories is None:
+        categories = _categories(countries, "country")
+    codes, index, cvalid = categories
     mvals = mask.values[mask.valid_mask()]
     if mvals.size and not np.all((mvals == 0) | (mvals == 1)):
         raise ValueError("mask grid must hold only 0/1 values")

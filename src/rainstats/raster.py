@@ -355,52 +355,91 @@ def window_iqr(grid: Grid, k: int) -> Grid:
     (n-1) * {0.25, 0.75}, bit for bit as ``np.nanquantile``.  Cells with
     fewer than 4 valid window members become nodata.
 
-    The valid values of each output row's band of k rows are sorted once,
-    and a window's order statistics are found by counting, in sorted order,
-    the band members whose column falls inside it.
+    The valid values of each output row's band of k rows are kept sorted as
+    the band slides down, and the sorted band is cut into chunks of about
+    sqrt(band size) values.  Counts of each chunk's members per column,
+    summed over each window's columns and then over chunks, give the chunk
+    that holds each order statistic; a running count of the window's
+    members inside that chunk gives the value.
     """
     k = _check_window(k)
     g = grid.geometry
     r = k // 2
+    ncols = g.ncols
     valid = grid.valid_mask()
-    out = np.full((g.nrows, g.ncols), g.nodata)
-    # blocks of w output columns keep the count table, w * k * (w + 2r)
-    # entries, near 4e6
-    width = max(1, int(math.sqrt(r * r + 4e6 / k)) - r)
+    out = np.full((g.nrows, ncols), g.nodata)
+    left = np.arange(ncols, dtype=np.int32) - r
+    hi = np.minimum(left + k, ncols)
+    lo = np.maximum(left, 0)
+    # the band's valid values, ascending, and the flat index of their cells
+    s, cell = np.empty(0), np.empty(0, np.int64)
+    top = 0  # rows above top are in the band
     for i in range(g.nrows):
-        for c0 in range(0, g.ncols, width):
-            band = (slice(max(0, i - r), i + r + 1),
-                    slice(max(0, c0 - r), c0 + width + r))
-            bi, bj = np.nonzero(valid[band])
-            if bi.size < 4:
-                continue
-            v = grid.values[band][bi, bj]
-            order = np.argsort(v, kind="stable")
-            s, col = v[order], (bj[order] + band[1].start).astype(np.int32)
+        keep = cell >= (i - r) * ncols
+        s, cell = s[keep], cell[keep]
+        for row in range(top, min(g.nrows, i + r + 1)):
+            (c,) = np.nonzero(valid[row])
+            c = c[np.argsort(grid.values[row, c], kind="stable")]
+            at = np.searchsorted(s, grid.values[row, c])
+            s = np.insert(s, at, grid.values[row, c])
+            cell = np.insert(cell, at, row * ncols + c)
+        top = i + r + 1
+        if s.size < 4:
+            continue
+
+        size = math.isqrt(s.size)
+        n_chunks = -(-s.size // size)
+        col = cell % ncols
+        counts = np.bincount(col * n_chunks + np.arange(s.size) // size,
+                             minlength=ncols * n_chunks)
+        prefix = np.zeros((ncols + 1, n_chunks), np.int32)
+        np.cumsum(counts.reshape(ncols, n_chunks), axis=0, dtype=np.int32,
+                  out=prefix[1:])
+        # upto[j, c]: members of window j in chunks 0 ... c
+        upto = np.cumsum(prefix[hi] - prefix[lo], axis=1, dtype=np.int32)
+        ok = np.flatnonzero(upto[:, -1] >= 4)
+        if not ok.size:
+            continue
+        # rows of upto are nondecreasing: offsetting row j by
+        # j * (s.size + 1) sorts the flattened table for one search
+        base = np.arange(ncols, dtype=np.int64) * (s.size + 1)
+        flat = (upto + base[:, None]).ravel()
+        # each chunk's columns, the last one padded with a column that no
+        # window holds
+        chunk_cols = np.full(n_chunks * size, -ncols - k, np.int32)
+        chunk_cols[:s.size] = col
+        chunk_cols = chunk_cols.reshape(n_chunks, size)
+
+        def find(w, m):
+            """Start of the chunk holding window w's m-th member (from 1),
+            the running count of the window's members in it, and m's rank
+            among them."""
+            c = np.searchsorted(flat, base[w] + m) - w * n_chunks
+            before = np.where(c > 0, upto[w, c - 1], 0)
             # window j holds columns j - r ... j + r: one unsigned compare
-            left = np.arange(c0, min(c0 + width, g.ncols), dtype=np.int32) - r
-            cum = np.cumsum((col - left[:, None]).view(np.uint32) <= 2 * r,
-                            axis=1, dtype=np.int32)
-            n = cum[:, -1]
-            ok = n >= 4
-            if not ok.any():
-                continue
-            cum, n = cum[ok], n[ok]
-            # rows of cum are nondecreasing: offsetting row w by
-            # w * (s.size + 1) sorts the flattened table for one search
-            base = np.arange(n.size, dtype=np.int32) * np.int32(s.size + 1)
-            flat = (cum + base[:, None]).ravel()
-            row0 = np.arange(n.size) * s.size
-            q = []
-            for frac in (0.25, 0.75):
-                pos = (n - 1) * frac
-                lo = np.floor(pos)
-                rank = lo.astype(np.int32)
-                a, b = (s[np.searchsorted(flat, base + rank + j) - row0]
-                        for j in (1, 2))
-                t = pos - lo
-                # numpy's own interpolation steps, for bit-equal results
-                q.append(np.where(t >= 0.5, b - (b - a) * (1 - t),
-                                  a + (b - a) * t))
-            out[i, c0:c0 + width][ok] = q[1] - q[0]
+            run = np.cumsum((chunk_cols[c] - left[w, None]).view(np.uint32)
+                            <= 2 * r, axis=1, dtype=np.int32)
+            return c * size, run, (m - before)[:, None]
+
+        n = upto[ok, -1]
+        q = []
+        for frac in (0.25, 0.75):
+            pos = (n - 1) * frac
+            below = np.floor(pos)
+            m = below.astype(np.int64) + 1
+            start, run, rank = find(ok, m)
+            at_a = start + np.count_nonzero(run < rank, axis=1)
+            # member m + 1 is in the same chunk unless m ends its run
+            later = np.count_nonzero(run <= rank, axis=1)
+            at_b = start + later
+            far = np.flatnonzero(later == size)
+            if far.size:
+                start, run, rank = find(ok[far], m[far] + 1)
+                at_b[far] = start + np.count_nonzero(run < rank, axis=1)
+            a, b = s[at_a], s[at_b]
+            t = pos - below
+            # numpy's own interpolation steps, for bit-equal results
+            q.append(np.where(t >= 0.5, b - (b - a) * (1 - t),
+                              a + (b - a) * t))
+        out[i, ok] = q[1] - q[0]
     return Grid(g, out)

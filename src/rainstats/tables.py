@@ -1,18 +1,25 @@
 """The files every subcommand reads and writes, all of them UTF-8.
 
 CSV tables are read by :func:`read_rows`, or by :func:`read_keyed` when they
-hold one row per site; grids and params by :func:`read_text`; configs by
-:func:`load_config`.  Configs and params are :func:`parse_pairs` files.
-Every read error names the file.  CSV tables are written by
-:func:`write_rows` and text files (reports, manifests, grids, params) by
-:func:`write_text`, with ``\n`` line ends on every platform.
+hold one row per site.  The long record tables (tips, swath observations,
+error samples) are parsed whole by :func:`read_table`, which falls back on
+:func:`read_rows` for anything it cannot take whole, so both accept the
+same files and raise the same errors.  Grids and params are read by
+:func:`read_text` and configs by :func:`load_config`; configs and params
+are :func:`parse_pairs` files.  Every read error names the file.  CSV
+tables are written by :func:`write_rows` and text files (reports,
+manifests, grids, params) by :func:`write_text`, with ``\n`` line ends on
+every platform.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
@@ -82,6 +89,42 @@ def read_rows(path, columns, convert):
             raise DataError(f"{path} line {reader.line_num}: {e}") from None
         except UnicodeDecodeError:
             raise DataError(f"{path}: not UTF-8") from None
+
+
+def read_table(path, columns, raw, finish, convert, dtype) -> np.recarray:
+    """The CSV table at ``path`` as a record array of ``dtype``, in file
+    order, parsed whole instead of row by row.
+
+    ``np.loadtxt`` parses the lines after an exact ``columns`` header into
+    the structured dtype ``raw``, one field per column, text as ``object``
+    fields (a fixed-width ``U`` field would truncate silently).
+    ``finish(raw)`` checks the fields as arrays and returns the table; it
+    raises ``ValueError`` for any value a row would be refused for.  Both
+    parsers give a number the same double (``PyOS_string_to_double``).
+
+    Whatever is not parsed whole this way (any other header, a ``"``, which
+    csv reads as a quote, a line over csv's field size limit, a body
+    loadtxt refuses, or a ``ValueError`` from ``finish``) is read again by
+    :func:`read_rows` with ``convert``, whose rows make the table.  So the
+    errors are :func:`read_rows`' own, naming file and line, and what only
+    csv and ``float`` accept (quoted fields, ``1_0``) is read as before.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            header, _, body = f.read().partition("\n")
+        lines = body.split("\n")
+        if (header == ",".join(columns) and '"' not in body
+                and max(map(len, lines)) <= csv.field_size_limit()):
+            with warnings.catch_warnings():
+                # loadtxt warns about a body without rows
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(lines, dtype=raw, delimiter=",",
+                                   comments=None, quotechar=None, ndmin=1)
+            return finish(table).view(np.recarray)
+    except ValueError:  # UnicodeDecodeError among them
+        pass
+    rows = [value for _, value in read_rows(path, columns, convert)]
+    return np.array(rows, dtype=dtype).view(np.recarray)
 
 
 def read_keyed(path, columns, convert) -> dict:

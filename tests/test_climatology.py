@@ -5,9 +5,10 @@ import pytest
 
 from rainstats.climatology import (HOURS_PER_YEAR, KM_PER_DEG,
                                    AccumulatorGrid, RenderReport,
-                                   build_climatology, elevation_weight,
-                                   finalize, initial_estimates,
-                                   merge_reference, read_observations_csv,
+                                   _window_starts, build_climatology,
+                                   elevation_weight, finalize,
+                                   initial_estimates, merge_reference,
+                                   read_observations_csv,
                                    render_observations)
 from rainstats.errors import AlignmentError, DataError
 from rainstats.raster import (Grid, GridGeometry, gaussian_filter, read_grid,
@@ -531,6 +532,39 @@ def test_render_matches_scan_reference_on_random_streams():
         assert np.array_equal(acc.sum_nsrr, sum_nsrr), trial
         assert acc.sum_nsrr.dtype == np.float64
         assert report == RenderReport(len(stream), skipped), trial
+
+
+def binary_search_window_starts(px, t, window_s):
+    """The previous ``_window_starts``, kept as the reference: a binary
+    search for the next window's opening hit from every hit."""
+    run_start = np.flatnonzero(np.diff(px, prepend=-1))
+    run_end = np.searchsorted(px, px, side="right")
+    lo, hi = np.arange(1, px.size + 1), run_end
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        inside = (lo < hi) & (t[np.minimum(mid, px.size - 1)] - t <= window_s)
+        lo, hi = np.where(inside, mid + 1, lo), np.where(inside, hi, mid)
+    starts = [run_start]
+    while starts[-1].size:
+        nxt = lo[starts[-1]]
+        starts.append(nxt[nxt < run_end[starts[-1]]])
+    return np.sort(np.concatenate(starts))
+
+
+@pytest.mark.parametrize("window_s", [60.0, 600.0, 6000.0])
+def test_window_starts_match_the_binary_search_on_random_hits(window_s):
+    rng = np.random.default_rng(int(window_s))
+    for trial in range(40):
+        n = int(rng.integers(0, 3000))
+        px = np.sort(rng.integers(0, int(rng.integers(1, 200)), n))
+        # hit times in time order within each pixel, some of them tied,
+        # with gaps around the window's own length
+        gaps = rng.choice([0.0, 1.0, window_s, window_s + 1e-9,
+                           window_s * 0.5, window_s * 3.0], n)
+        t = 1.1e9 + np.cumsum(gaps * rng.uniform(0.5, 1.5, n) ** (trial % 2))
+        got = _window_starts(px, t, window_s)
+        assert np.array_equal(got, binary_search_window_starts(px, t,
+                                                               window_s))
 
 
 def test_window_closes_only_after_more_than_the_window():

@@ -433,6 +433,22 @@ def test_window_iqr_matches_reference_with_three_and_four_valid_cells():
     assert out[4, 4] != ND
 
 
+def test_window_iqr_matches_reference_on_bands_of_many_chunks():
+    # bands of up to 41 x 60 values span dozens of sorted chunks; window
+    # counts of cells x k^2 stay under 6e6 to keep the reference small
+    rng = np.random.default_rng(43)
+    for trial in range(18):
+        k = (21, 41, 81)[trial % 3]
+        side = 60 if k < 81 else 30
+        nrows, ncols = (int(n) for n in rng.integers(side // 2, side + 1, 2))
+        grid = random_grid(rng, nrows, ncols,
+                           nodata_frac=(0.0, 0.3, 0.95)[trial // 3 % 3],
+                           ties=trial >= 9)
+        out = window_iqr(grid, k)
+        assert np.array_equal(out.values, nanquantile_window_iqr(grid, k)), \
+            (trial, nrows, ncols, k)
+
+
 def test_filters_match_explicit_loop_on_random_grids():
     rng = np.random.default_rng(42)
     cases = [(int(rng.integers(1, 12)), int(rng.integers(1, 12)),

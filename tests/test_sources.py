@@ -9,9 +9,10 @@ import rainstats
 SRC = Path(rainstats.__file__).parent
 
 
-def _open_calls(path):
-    """``(function name, call text)`` for each call of ``open`` in ``path``;
-    the function is the innermost one around the call, or None."""
+def _calls(path, names):
+    """``(function name, call text)`` for each call in ``path`` of one of
+    ``names``, bare or as an attribute; the function is the innermost one
+    around the call, or None."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     owner = {}
     for func in ast.walk(tree):
@@ -19,8 +20,13 @@ def _open_calls(path):
             owner.update((id(node), func.name) for node in ast.walk(func))
     return [(owner.get(id(node)), ast.unparse(node))
             for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and "open" in (getattr(node.func, "id", None),
-                           getattr(node.func, "attr", None))]
+            and names & {getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None)}]
+
+
+def _open_calls(path):
+    """:func:`_calls` of ``open`` in ``path``."""
+    return _calls(path, {"open"})
 
 
 def test_only_tables_opens_files():
@@ -30,6 +36,20 @@ def test_only_tables_opens_files():
              if path.stem != "tables" for call in _open_calls(path)]
     assert calls == [("cli", "_sha256", "open(path, 'rb')")]
     assert _open_calls(SRC / "tables.py")
+
+
+#: numpy's functions that read a file given its name
+NUMPY_FILE_READERS = {"loadtxt", "genfromtxt", "fromfile", "load"}
+
+
+def test_only_tables_calls_numpy_file_readers():
+    # they open files too, and would bypass the fallback that gives every
+    # malformed table its file-and-line error
+    calls = [(path.stem, *call) for path in sorted(SRC.glob("*.py"))
+             if path.stem != "tables"
+             for call in _calls(path, NUMPY_FILE_READERS)]
+    assert calls == []
+    assert _calls(SRC / "tables.py", NUMPY_FILE_READERS)
 
 
 #: Public definitions kept without a caller in the package, with the reason.
