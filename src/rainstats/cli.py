@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import climatology, evaluation, gauge, impact, rainmodel
-from .errors import ConfigError, DataError, SolverError
+from .errors import DATA_ERRORS, ConfigError, DataError, SolverError
 from .raster import Grid, GridGeometry, read_grid, sample_bilinear
 from .rainmodel import ClimatePoint, SiteStatistics
 from .tables import (Field, _finite, load_config, read_keyed, write_rows,
@@ -305,6 +305,30 @@ def _parse_span_time(text: str, key: str) -> float:
                          f"{text!r}") from None
 
 
+def _gauge_site(cfg: dict, span, tips_path):
+    """``(points, years)`` of one gauge record, or ``([], 0.0)`` when no
+    12-month period or no rung qualifies.  The record's tips and minute
+    series live only in this call, so a run holds one record at a time."""
+    tips = gauge.read_tips_csv(tips_path)
+    bucket = cfg["bucket_mm"]
+    if bucket is None:
+        depths = sorted(set(tips.depth.tolist()))
+        if len(depths) > 1:
+            raise DataError(f"{tips_path}: mixed bucket depths "
+                            f"{depths}; set bucket_mm")
+        bucket = depths[0] if depths else 0.254
+    try:
+        series = gauge.tips_to_rates(tips, bucket, span)
+    except ValueError as e:
+        raise DataError(f"{tips_path}: {e}") from None
+    series = gauge.qc_filter(series)
+    selected = gauge.select_periods(series)
+    if selected is None:
+        return [], 0.0
+    return (gauge.exceedance_stats(selected, cfg["ladder"], cfg["min_count"]),
+            selected.n_minutes / gauge.MINUTES_PER_YEAR)
+
+
 def _cmd_gauge(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _GAUGE_SCHEMA)
     _validate_ladder(cfg["ladder"])
@@ -326,36 +350,13 @@ def _cmd_gauge(args, cfg: dict) -> None:
     _check_paths(args, inputs, outputs)
 
     out_sites = []
-    skipped = 0
     for site_id, (lat, lon, country, tips_path) in site_rows.items():
-        if site_id in excluded:
-            skipped += 1
-            continue
-        tips = gauge.read_tips_csv(tips_path)
-        bucket = cfg["bucket_mm"]
-        if bucket is None:
-            depths = sorted(set(tips.depth.tolist()))
-            if len(depths) > 1:
-                raise DataError(f"{tips_path}: mixed bucket depths "
-                                f"{depths}; set bucket_mm")
-            bucket = depths[0] if depths else 0.254
-        try:
-            series = gauge.tips_to_rates(tips, bucket, span)
-        except ValueError as e:
-            raise DataError(f"{tips_path}: {e}") from None
-        series = gauge.qc_filter(series)
-        selected = gauge.select_periods(series)
-        if selected is None:
-            skipped += 1
-            continue
-        points = gauge.exceedance_stats(selected, cfg["ladder"],
-                                        cfg["min_count"])
-        if not points:
-            skipped += 1
-            continue
-        years = selected.n_minutes / gauge.MINUTES_PER_YEAR
-        out_sites.append(SiteStatistics(site_id, lat, lon, country, years,
-                                        tuple(points)))
+        if site_id not in excluded:
+            points, years = _gauge_site(cfg, span, tips_path)
+            if points:
+                out_sites.append(SiteStatistics(site_id, lat, lon, country,
+                                                years, tuple(points)))
+    skipped = len(site_rows) - len(out_sites)
 
     with _staged_outputs(args, inputs, outputs,
                          {"skipped_sites": skipped}) as tmp:
@@ -392,13 +393,28 @@ def _cmd_eval(args, cfg: dict) -> None:
     samples = evaluation.read_error_samples_csv(cfg["samples"])
     if not len(samples):
         raise DataError(f"{cfg['samples']}: no samples")
+    # bias is finite, as both rates are finite and >= 0
     bias = samples.predicted - samples.observed
-    rel_pct = 100.0 * (bias / samples.observed)
+    with np.errstate(over="ignore"):
+        rel_pct = 100.0 * (bias / samples.observed)
+
+    def _bad_sample(i, what):
+        return DataError(f"{cfg['samples']}: site {samples.site_id[i]} at "
+                         f"p={float(samples.p[i])!r}: {what}")
+
+    bad = np.flatnonzero(~np.isfinite(rel_pct))
+    if bad.size:
+        raise _bad_sample(bad[0], "relative error is not finite")
 
     lines = [f"count={len(samples)}"]
 
-    def _summary_block(prefix, values):
-        s = evaluation.p311_summary(values)
+    def _summary_block(prefix, values, rows):
+        try:
+            s = evaluation.p311_summary(values[rows])
+        except OverflowError:
+            worst = rows[np.argmax(np.abs(values[rows]))]
+            raise _bad_sample(worst, f"error overflows the {prefix} "
+                                     "summary") from None
         lines.append(f"{prefix}.mean={s.mean:.4f}")
         lines.append(f"{prefix}.sd={s.sd:.4f}")
         lines.append(f"{prefix}.rms={s.rms:.4f}")
@@ -410,10 +426,12 @@ def _cmd_eval(args, cfg: dict) -> None:
         lines.append(f"{prefix}.accuracy={evaluation.accuracy(cm):.4f}")
         lines.append(f"{prefix}.mcc={evaluation.mcc(cm):.4f}")
 
-    _summary_block("rel_error_pct", rel_pct)
-    _summary_block("bias_error_mm_h", bias)
+    every = np.arange(len(samples))
+    _summary_block("rel_error_pct", rel_pct, every)
+    _summary_block("bias_error_mm_h", bias, every)
     for p in np.unique(samples.p).tolist():
-        _summary_block(f"p.{p!r}.rel_error_pct", rel_pct[samples.p == p])
+        _summary_block(f"p.{p!r}.rel_error_pct", rel_pct,
+                       np.flatnonzero(samples.p == p))
 
     classify = samples[samples.p == cfg["classify_p"]]
     if len(classify):
@@ -573,7 +591,7 @@ def main(argv=None) -> int:
     except SolverError as e:
         print(f"rainstats: solver error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, MemoryError) as e:
+    except (*DATA_ERRORS, MemoryError) as e:
         print(f"rainstats: data error: {str(e) or 'out of memory'}",
               file=sys.stderr)
         return 2

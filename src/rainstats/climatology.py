@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, SolverError
+from .errors import DATA_ERRORS, DataError, SolverError
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      require_aligned, resample, uniform_filter, window_iqr,
                      write_grid)
@@ -68,15 +68,17 @@ def _footprint_hits(lat, lon, diam, coslat, g: GridGeometry):
     dlat = r_km / KM_PER_DEG
     dlon = r_km / (KM_PER_DEG * coslat)
     # bounding box rows (from north) and columns, clipped to the grid; an
-    # empty range marks a footprint that misses it
-    i0 = np.clip(np.floor((g.lat_max - (lat + dlat)) / g.cell - 0.5),
-                 0, g.nrows).astype(np.int64)
-    i1 = np.clip(np.ceil((g.lat_max - (lat - dlat)) / g.cell - 0.5),
-                 -1, g.nrows - 1).astype(np.int64)
-    j0 = np.clip(np.floor(((lon - dlon) - g.xll) / g.cell - 0.5),
-                 0, g.ncols).astype(np.int64)
-    j1 = np.clip(np.ceil(((lon + dlon) - g.xll) / g.cell - 0.5),
-                 -1, g.ncols - 1).astype(np.int64)
+    # empty range marks a footprint that misses it.  A bound too far off the
+    # grid to count in cells overflows to +-inf, which the clip takes in.
+    with np.errstate(over="ignore"):
+        i0 = np.clip(np.floor((g.lat_max - (lat + dlat)) / g.cell - 0.5),
+                     0, g.nrows).astype(np.int64)
+        i1 = np.clip(np.ceil((g.lat_max - (lat - dlat)) / g.cell - 0.5),
+                     -1, g.nrows - 1).astype(np.int64)
+        j0 = np.clip(np.floor(((lon - dlon) - g.xll) / g.cell - 0.5),
+                     0, g.ncols).astype(np.int64)
+        j1 = np.clip(np.ceil(((lon + dlon) - g.xll) / g.cell - 0.5),
+                     -1, g.ncols - 1).astype(np.int64)
     height = int(np.max(i1 - i0 + 1, initial=0))
     width = int(np.max(j1 - j0 + 1, initial=0))
 
@@ -197,11 +199,12 @@ def initial_estimates(acc: AccumulatorGrid):
     """
     g = acc.geometry
     seen = acc.n_total > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # np.where discards whatever the unobserved cells compute
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         p0 = np.where(seen, 100.0 * acc.n_rain / acc.n_total, g.nodata)
         cond = np.where(acc.n_rain > 0, acc.sum_nsrr / acc.n_rain, 0.0)
-    cond = np.where(seen, cond, g.nodata)
-    mt = np.where(seen, cond * HOURS_PER_YEAR * (p0 / 100.0), g.nodata)
+        cond = np.where(seen, cond, g.nodata)
+        mt = np.where(seen, cond * HOURS_PER_YEAR * (p0 / 100.0), g.nodata)
     return Grid(g, mt), Grid(g, p0), Grid(g, cond)
 
 
@@ -327,7 +330,7 @@ def _stage(name: str):
         yield
     except SolverError as e:
         raise SolverError(f"stage {name}: {e}") from e
-    except (ValueError, OSError) as e:
+    except DATA_ERRORS as e:
         raise DataError(f"stage {name}: {e}") from e
 
 

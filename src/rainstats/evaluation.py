@@ -29,14 +29,19 @@ def p311_summary(errors) -> P311Summary:
 
     The standard deviation is the population form (divide by n); the sample
     form would break the identity against reported one-decimal tables at
-    small n.
+    small n.  Raises ``OverflowError`` when the summary is not finite: an
+    error is not finite, or errors so large that their squares overflow.
     """
     arr = np.asarray(errors, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty error list")
-    mu = float(np.mean(arr))
-    sd = float(np.sqrt(np.mean((arr - mu) ** 2)))
-    return P311Summary(mu, sd, math.sqrt(mu * mu + sd * sd))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(np.mean(arr))
+        sd = float(np.sqrt(np.mean((arr - mu) ** 2)))
+    rms = math.sqrt(mu * mu + sd * sd)
+    if not math.isfinite(rms):
+        raise OverflowError("summary is not finite")
+    return P311Summary(mu, sd, rms)
 
 
 def rec_curve(errors, thresholds):

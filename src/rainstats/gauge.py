@@ -42,7 +42,10 @@ class MinuteSeries:
     """Per-minute rain rates (mm/h) with a validity flag per minute.
 
     ``start_minute`` is in epoch minutes; minute ``i`` covers the wall-clock
-    interval ``[start_minute + i, start_minute + i + 1)`` minutes.
+    interval ``[start_minute + i, start_minute + i + 1)`` minutes.  The
+    series that :func:`qc_filter` and :func:`select_periods` return share
+    memory with their input, so no function alters a series' arrays in
+    place.
     """
 
     start_minute: int
@@ -135,32 +138,13 @@ def span_minutes(span):
     return m0, int(math.ceil(float(span[1]) / 60.0)) - m0
 
 
-def tips_to_rates(tips, bucket_mm: float, span) -> MinuteSeries:
-    """Convert tips to a 1-min rain-rate series over :func:`span_minutes`.
-
-    ``tips`` is a record array whose ``time`` field holds epoch seconds, as
-    :func:`read_tips_csv` returns; each tip stands for ``bucket_mm``.
-    ``span`` is an (start_s, end_s) epoch interval; every tip must fall in
-    it.  Each event's cumulative curve gets a leading zero-depth knot one
-    inter-tip gap before the first tip (one minute for single-tip events),
-    standing in for the unobserved fill time of the first bucket.
-    """
-    if not 0 < bucket_mm < math.inf:
-        raise ValueError(f"bucket must be positive and finite, "
-                         f"got {bucket_mm}")
-    start_s, end_s = float(span[0]), float(span[1])
-    if end_s <= start_s:
-        raise ValueError("span end must be after span start")
-    m0, n = span_minutes(span)
+@np.errstate(over="raise", invalid="raise")
+def _minute_rates(times, bucket_mm: float, m0: int, n: int) -> np.ndarray:
+    """Rates (mm/h) of the ``n`` minutes from epoch minute ``m0`` from tip
+    times ``times``, as :func:`tips_to_rates` describes.  Arithmetic that
+    overflows raises ``FloatingPointError``."""
     depths = np.zeros(n, dtype=np.float64)
-
-    times = np.asarray(tips["time"], dtype=np.float64)
     if times.size:
-        if np.any(np.diff(times) <= 0):
-            raise DataError("tip times must be strictly increasing")
-        if times[0] < start_s or times[-1] > end_s:
-            raise ValueError("tips fall outside the requested span")
-
         x, y, k0, n_knots, n_tips = _event_knots(times, bucket_mm)
         c0, c1, c2, c3 = _natural_splines(x, y, k0, n_knots)
 
@@ -201,16 +185,50 @@ def tips_to_rates(tips, bucket_mm: float, span) -> MinuteSeries:
             depths[lo_e - m0:hi_e - m0 + 1] += kept
 
     depths *= 60.0  # to mm/h in place: one series-sized array less at peak
-    return MinuteSeries(m0, depths, np.ones(n, dtype=bool))
+    return depths
+
+
+def tips_to_rates(tips, bucket_mm: float, span) -> MinuteSeries:
+    """Convert tips to a 1-min rain-rate series over :func:`span_minutes`.
+
+    ``tips`` is a record array whose ``time`` field holds epoch seconds, as
+    :func:`read_tips_csv` returns; each tip stands for ``bucket_mm``.
+    ``span`` is an (start_s, end_s) epoch interval; every tip must fall in
+    it.  Each event's cumulative curve gets a leading zero-depth knot one
+    inter-tip gap before the first tip (one minute for single-tip events),
+    standing in for the unobserved fill time of the first bucket.  A bucket
+    so deep that the rates overflow raises ``ValueError``.
+    """
+    if not 0 < bucket_mm < math.inf:
+        raise ValueError(f"bucket must be positive and finite, "
+                         f"got {bucket_mm}")
+    start_s, end_s = float(span[0]), float(span[1])
+    if end_s <= start_s:
+        raise ValueError("span end must be after span start")
+    m0, n = span_minutes(span)
+
+    times = np.asarray(tips["time"], dtype=np.float64)
+    if times.size:
+        if np.any(np.diff(times) <= 0):
+            raise DataError("tip times must be strictly increasing")
+        if times[0] < start_s or times[-1] > end_s:
+            raise ValueError("tips fall outside the requested span")
+    try:
+        rates = _minute_rates(times, bucket_mm, m0, n)
+    except FloatingPointError:
+        raise ValueError(f"a bucket of {bucket_mm} mm overflows the rain "
+                         "rates") from None
+    return MinuteSeries(m0, rates, np.ones(n, dtype=bool))
 
 
 def qc_filter(series: MinuteSeries) -> MinuteSeries:
     """Mark physically implausible minutes (rate > 2 in/min) invalid.
 
-    Rates themselves are never altered, only the validity flags.
+    Rates themselves are never altered, only the validity flags: the result
+    shares ``rates`` with ``series`` and has new flags.
     """
     valid = series.valid & ~(series.rates > QC_MAX_RATE_MM_H)
-    return MinuteSeries(series.start_minute, series.rates.copy(), valid)
+    return MinuteSeries(series.start_minute, series.rates, valid)
 
 
 def period_edges(start_minute: int, n_minutes: int) -> list:
@@ -237,8 +255,9 @@ def select_periods(series: MinuteSeries):
     valid minutes.
 
     Ties break toward the earliest run.  Returns the corresponding
-    sub-series, or None when no period qualifies; raises ValueError when
-    no period fits in the record.
+    sub-series, whose ``rates`` and ``valid`` are views of the input's, or
+    None when no period qualifies; raises ValueError when no period fits in
+    the record.
     """
     edges = period_edges(series.start_minute, series.n_minutes)
     if len(edges) < 2:
@@ -253,8 +272,8 @@ def select_periods(series: MinuteSeries):
     if best_len == 0:
         return None
     a, b = edges[best_start], edges[best_start + best_len]
-    return MinuteSeries(series.start_minute + a, series.rates[a:b].copy(),
-                        series.valid[a:b].copy())
+    return MinuteSeries(series.start_minute + a, series.rates[a:b],
+                        series.valid[a:b])
 
 
 def exceedance_stats(series: MinuteSeries, ladder=STANDARD_LADDER,

@@ -142,12 +142,15 @@ def _rain_rate_array(p, mt, p0, params: ModelParams) -> np.ndarray:
 
     p0a = p0[active]
     b = mt[active] / (params.y * p0a)
-    L = np.log(p0a / p[active])
-    A = params.x * b
-    B = params.x - params.z * b * L
-    q = 0.5 * (np.abs(B) + np.sqrt(B * B + 4.0 * A * L))
-    # root = 2L/(B + sqrt(D)) = L/q when B > 0, else (sqrt(D) - B)/(2A) = q/A
-    rates = np.where(B > 0, L, q) / np.where(B > 0, q, A)
+    # a p so small that L overflows gives a rate of inf or NaN, which the
+    # cap check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = np.log(p0a / p[active])
+        A = params.x * b
+        B = params.x - params.z * b * L
+        q = 0.5 * (np.abs(B) + np.sqrt(B * B + 4.0 * A * L))
+        # root = 2L/(B + sqrt D) = L/q when B > 0, else (sqrt D - B)/(2A) = q/A
+        rates = np.where(B > 0, L, q) / np.where(B > 0, q, A)
     if not np.all(rates < RATE_CAP_MM_H):
         raise SolverError(
             f"rain rate reaches {RATE_CAP_MM_H} mm/h; "
@@ -258,8 +261,6 @@ def fit_params(training, *, threads: int = 1, n_descents: int = 4) -> FitResult:
 
     seeds = [np.log([x, y, z])
              for x in _SEED_X for y in _SEED_Y for z in _SEED_Z]
-    scored = sorted(((objective(s), i) for i, s in enumerate(seeds)))
-    starts = [seeds[i] for _, i in scored[:max(1, n_descents)]]
 
     def descend(theta0):
         opts = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000,
@@ -269,7 +270,12 @@ def fit_params(training, *, threads: int = 1, n_descents: int = 4) -> FitResult:
         x, y, z = np.exp(res.x)
         return float(res.fun), float(x), float(y), float(z)
 
-    candidates = [c for c in map(descend, starts) if np.isfinite(c[0])]
+    # an objective that overflows is inf, and the simplex's convergence test
+    # subtracts objectives; a descent that ends at inf is dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        scored = sorted(((objective(s), i) for i, s in enumerate(seeds)))
+        starts = [seeds[i] for _, i in scored[:max(1, n_descents)]]
+        candidates = [c for c in map(descend, starts) if np.isfinite(c[0])]
     if not candidates:
         raise SolverError("no fit start converged to a finite objective")
     fun, x, y, z = min(candidates)

@@ -271,8 +271,10 @@ def resample(grid: Grid, target: GridGeometry) -> Grid:
     at its center, as :func:`sample_bilinear` gives it.  Centers outside the
     source bounds, or whose 2x2 neighborhood touches nodata, become nodata.
     """
-    vals, inside = _bilinear_many(grid, target.row_center_lats()[:, None],
-                                  target.col_center_lons()[None, :])
+    # a center too far outside to count in source cells overflows to +-inf
+    with np.errstate(over="ignore"):
+        vals, inside = _bilinear_many(grid, target.row_center_lats()[:, None],
+                                      target.col_center_lons()[None, :])
     if not inside.any():
         raise ValueError("target geometry does not overlap the source grid")
     return Grid(target, np.where(np.isnan(vals), target.nodata, vals))
@@ -345,7 +347,9 @@ def gaussian_filter(grid: Grid, k: int, sigma: float | None = None) -> Grid:
         raise ValueError(f"sigma must be positive, got {sigma}")
     r = k // 2
     offsets = np.arange(k, dtype=np.float64) - r
-    return _window_filter(grid, np.exp(-0.5 * (offsets / sigma) ** 2))
+    with np.errstate(over="ignore"):  # a tiny sigma's off-centre weights are 0
+        line = np.exp(-0.5 * (offsets / sigma) ** 2)
+    return _window_filter(grid, line)
 
 
 def window_iqr(grid: Grid, k: int) -> Grid:

@@ -164,6 +164,28 @@ def test_fit_non_finite_site_number_exits_2(tmp_path, monkeypatch, capsys,
     assert not os.path.exists(tmp_path / "params.txt")
 
 
+def test_fit_on_a_denormal_rate_exits_3_without_warnings(tmp_path,
+                                                         monkeypatch, capsys):
+    # every relative error against 5e-324 overflows, so every descent ends
+    # at an infinite objective
+    monkeypatch.chdir(tmp_path)
+    _write_fit_inputs(tmp_path, n_sites=2)
+    with open(tmp_path / "train_sites.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    last_of_s0 = max(i for i, row in enumerate(rows) if row[0] == "s0")
+    rows[last_of_s0][rows[0].index("rate_mm_h")] = "5e-324"
+    with open(tmp_path / "train_sites.csv", "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    write_config(tmp_path / "fit.cfg", sites="train_sites.csv",
+                 climate="train_climate.csv", out_params="params.txt",
+                 out_residuals="residuals.csv", out_report="fit_report.txt")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("fit", "--config", "fit.cfg") == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "Warning" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_unknown_config_key_exits_1(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path / "fit.cfg", sites="a.csv", climate="b.csv",
@@ -451,6 +473,24 @@ def test_output_geometry_too_large_for_memory_exits_2(tmp_path):
     assert sorted(os.listdir(tmp_path)) == before
 
 
+@pytest.mark.parametrize("key,stage", [("ncols", "render"),
+                                       ("k_uniform", "elevation")])
+def test_build_clim_int_beyond_int64_exits_2(tmp_path, monkeypatch, capsys,
+                                             key, stage):
+    # numpy refuses the int before it sizes any array
+    monkeypatch.chdir(tmp_path)
+    _write_clim_config(tmp_path)
+    with open(tmp_path / "c.cfg") as f:
+        text = "".join(line for line in f
+                       if not line.startswith(f"{key}="))
+    (tmp_path / "c.cfg").write_text(text + f"{key}={10**20 + 1}\n")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("build-clim", "--config", "c.cfg") == 2
+    err = capsys.readouterr().err
+    assert f"data error: stage {stage}: " in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 # ---------------------------------------------------------------------------
 # gauge
 
@@ -598,6 +638,16 @@ def test_gauge_infinite_bucket_exits_1(tmp_path, monkeypatch, capsys):
     assert run_cli("gauge", "--config", "g.cfg") == 1
     err = capsys.readouterr().err
     assert "bucket_mm" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "stats.csv")
+
+
+def test_gauge_bucket_that_overflows_the_rates_exits_2(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_gauge_inputs(tmp_path, bucket_mm="1e308")
+    assert run_cli("gauge", "--config", "g.cfg") == 2
+    err = capsys.readouterr().err
+    assert "data error: tips_a.csv: a bucket of 1e+308 mm overflows" in err
     assert not os.path.exists(tmp_path / "stats.csv")
 
 
@@ -879,6 +929,25 @@ def test_eval_bad_rate_or_probability_exits_2(tmp_path, monkeypatch, capsys,
     assert "line 24" in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "m.txt")
     assert not os.path.exists(tmp_path / "rec.csv")
+
+
+@pytest.mark.parametrize("row,message", [
+    ("a,0.01,5e-324,1.0", "relative error is not finite"),
+    ("a,0.01,1e-200,1.0", "error overflows the rel_error_pct summary")])
+def test_eval_sample_beyond_double_range_exits_2(tmp_path, monkeypatch,
+                                                 capsys, row, message):
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    with open(tmp_path / "samples.csv", "a") as f:
+        f.write(row + "\n")
+    write_config(tmp_path / "e.cfg", samples="samples.csv",
+                 out_report="m.txt", out_rec="rec.csv")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("eval", "--config", "e.cfg") == 2
+    err = capsys.readouterr().err
+    assert f"data error: samples.csv: site a at p=0.01: {message}\n" in err
+    assert "Warning" not in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("thresholds", ["nan", "inf", "10,inf"])
@@ -1177,3 +1246,65 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# extreme config values
+
+
+def _working_config(tmp_path, command):
+    """Write the inputs of a run of ``command`` that exits 0 under
+    ``tmp_path``; return its config as a dict."""
+    if command in _RUNS:
+        write_inputs, _, cfg = _RUNS[command]
+        write_inputs(tmp_path)
+        return cfg
+    if command == "build-clim":
+        _write_clim_config(tmp_path)
+        return read_report(tmp_path / "c.cfg")
+    _write_gauge_inputs(tmp_path)
+    return read_report(tmp_path / "g.cfg")
+
+
+#: Values far from any default: an int beyond int64, and the smallest and
+#: largest doubles.  Ints between about 10^4 and 2^62 are left out: they
+#: would really allocate or loop (a k-wide Gaussian, a padded grid).
+_EXTREMES = {"int": (10**20 + 1,),
+             "float": (5e-324, 1e-200, 1e308, -1e308)}
+
+_SWEEP = [(command, key, value)
+          for command, (schema, _, _) in cli._COMMANDS.items()
+          for key, field in schema.items()
+          if field.kind in ("int", "float", "floats")
+          for value in _EXTREMES["int" if field.kind == "int" else "float"]]
+
+
+@pytest.mark.parametrize("command,key,value", _SWEEP,
+                         ids=[f"{c}-{k}={v!r}" for c, k, v in _SWEEP])
+def test_extreme_config_value_keeps_the_contract(tmp_path, monkeypatch,
+                                                 capsys, command, key, value):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "sweep.cfg",
+                 **{**_working_config(tmp_path, command), key: value})
+    before = sorted(os.listdir(tmp_path))
+    if isinstance(value, int):
+        # an int sizes arrays, so run it under a 2 GiB address-space limit
+        code = ("import resource, sys; "
+                "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard)); "
+                "from rainstats import cli; "
+                f"sys.exit(cli.main([{command!r}, '--config', 'sweep.cfg']))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src,
+                 "OPENBLAS_NUM_THREADS": "1"})
+        exit_code, err = out.returncode, out.stderr
+    else:
+        exit_code = run_cli(command, "--config", "sweep.cfg")
+        err = capsys.readouterr().err
+    assert exit_code in (0, 1, 2, 3), err
+    assert "Traceback" not in err and "Warning" not in err, err
+    if exit_code:
+        assert sorted(os.listdir(tmp_path)) == before

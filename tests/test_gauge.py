@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -207,6 +208,14 @@ def test_qc_leaves_clean_series_unchanged():
     assert QC_MAX_RATE_MM_H == 3048.0  # 2 in/min
 
 
+def test_qc_shares_rates_and_leaves_its_input_alone():
+    series = MinuteSeries(0, [3049.0, 10.0], [True, True])
+    out = qc_filter(series)
+    assert np.shares_memory(out.rates, series.rates)
+    assert not np.shares_memory(out.valid, series.valid)
+    assert series.valid.tolist() == [True, True]
+
+
 # ---------------------------------------------------------------------------
 # period selection
 
@@ -228,6 +237,14 @@ def test_select_periods_fully_valid_three_years():
     assert out is not None
     assert out.start_minute == series.start_minute
     assert out.n_minutes == series.n_minutes
+
+
+def test_select_periods_returns_views_of_its_input():
+    series = _series_over(ts(2001, 1, 15), ts(2003, 3, 1))
+    out = select_periods(series)
+    assert out.n_minutes < series.n_minutes
+    assert np.shares_memory(out.rates, series.rates)
+    assert np.shares_memory(out.valid, series.valid)
 
 
 def test_select_periods_bad_middle_year_picks_earliest_flank():
@@ -579,6 +596,35 @@ def test_stamps_without_offset_are_utc(tmp_path, kolkata_time):
     assert read_tips_csv(path).time.tolist() == [utc]
     with pytest.raises(ConfigError, match="span_end"):
         cli._parse_span_time("2005-13-01", "span_end")
+
+
+def test_gauge_run_holds_about_one_record_at_a_time(tmp_path, monkeypatch):
+    # three 2-year records: the run's traced peak stays under two records'
+    # rates and flags, so no step copies a record's minute series and no
+    # record's series outlives its site
+    monkeypatch.chdir(tmp_path)
+    start, end = ts(2005, 1, 1), ts(2007, 1, 1)
+    rows = ["site_id,lat,lon,country,tips_path"]
+    for i in range(3):
+        events = np.arange(start + 3600.0 * (i + 1), end - 86400.0,
+                           86400.0 * 2.5)
+        times = (events[:, None] + 60.0 * np.arange(20)).ravel()
+        write_tips_csv(tips(times), tmp_path / f"tips_{i}.csv")
+        rows.append(f"s{i},6.5,3.4,NGA,tips_{i}.csv")
+    (tmp_path / "sites.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "g.cfg").write_text(
+        "sites=sites.csv\nspan_start=2005-01-01T00:00:00Z\n"
+        "span_end=2007-01-01T00:00:00Z\nout_sites=stats.csv\n")
+    record = _minutes_between(start, end) * (8 + 1)  # float64 and bool
+
+    tracemalloc.start()
+    try:
+        assert cli.main(["gauge", "--config", "g.cfg"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "stats.csv").read_text().splitlines()) > 3
+    assert peak < 2 * record, peak / record
 
 
 def test_gauge_import_leaves_scipy_interpolate_unloaded():
