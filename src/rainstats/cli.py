@@ -264,6 +264,10 @@ _BUILD_CLIM_SCHEMA = {
 
 def _cmd_build_clim(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _BUILD_CLIM_SCHEMA)
+    for key in ("ncols", "nrows", "k_uniform", "k_gauss"):
+        # numpy sizes arrays with them, and refuses an int beyond int64
+        _config_check(cfg[key] <= np.iinfo(np.int64).max,
+                      f"{key} must fit in 64 bits, got {cfg[key]}")
     try:
         GridGeometry(cfg["ncols"], cfg["nrows"], cfg["xll"], cfg["yll"],
                      cfg["cell"], cfg["nodata"])

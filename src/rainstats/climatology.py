@@ -23,7 +23,7 @@ from .errors import DATA_ERRORS, DataError, SolverError
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      require_aligned, resample, uniform_filter, window_iqr,
                      write_grid)
-from .tables import read_table, write_text
+from .tables import Check, Table, read_table, write_text
 
 EARTH_RADIUS_KM = 6371.0088
 KM_PER_DEG = EARTH_RADIUS_KM * math.pi / 180.0
@@ -260,46 +260,26 @@ def finalize(mt: Grid, p0: Grid, k: int = DEFAULT_K_GAUSS,
 # ---------------------------------------------------------------------------
 # observation CSV
 
-_OBS_COLUMNS = ["time_s", "lat", "lon", "nsrr_mm_h", "rain_certain",
-                "diameter_km"]
-
-
-_OBS_DTYPE = np.dtype([(name, np.float64) for name in (
-    "time", "lat", "lon", "nsrr", "rain_certain", "footprint_diameter")])
-#: ``rain_certain`` is read as text: only ``0`` and ``1`` are accepted
-_OBS_TEXT = np.dtype([(name, object if name == "rain_certain" else np.float64)
-                      for name in _OBS_DTYPE.names])
-
-
-def _observation(row):
-    if row[4] not in ("0", "1"):
-        raise ValueError(f"rain_certain must be 0 or 1, got {row[4]!r}")
-    time, lat, lon, nsrr, rain, diameter = (float(v) for v in row)
-    if not (math.isfinite(time) and math.isfinite(lon)):
-        raise ValueError(f"time and lon must be finite, got {time}, {lon}")
-    if not 0 <= nsrr < math.inf:
-        raise ValueError(f"nsrr must be finite and >= 0, got {nsrr}")
-    if not 3.0 <= diameter <= 6.0:
-        raise ValueError("footprint diameter must be within [3, 6] km, "
-                         f"got {diameter}")
-    if not -90.0 < lat < 90.0:
-        raise ValueError(f"latitude {lat} out of range")
-    return time, lat, lon, nsrr, rain, diameter
-
-
-def _observations(raw):
-    """:func:`_observation` over a whole column of each field."""
-    time, lat, lon, nsrr, rain, diameter = (raw[n] for n in raw.dtype.names)
-    certain = rain == "1"
-    if not np.all((certain | (rain == "0"))
-                  & np.isfinite(time) & np.isfinite(lon)
-                  & (nsrr >= 0) & (nsrr < math.inf)
-                  & (diameter >= 3.0) & (diameter <= 6.0)
-                  & (lat > -90.0) & (lat < 90.0)):
-        raise ValueError("observation out of range")
-    return np.rec.fromarrays(
-        [time, lat, lon, nsrr, certain.astype(np.float64), diameter],
-        dtype=_OBS_DTYPE)
+_OBSERVATIONS = Table(
+    ["time_s", "lat", "lon", "nsrr_mm_h", "rain_certain", "diameter_km"],
+    [(name, np.float64) for name in (
+        "time", "lat", "lon", "nsrr", "rain_certain", "footprint_diameter")],
+    [Check(("rain_certain",), lambda text: (text == "0") | (text == "1"),
+           "rain_certain must be 0 or 1, got {rain_certain!r}"),
+     Check(("time", "lon"),
+           lambda time, lon: (abs(time) < math.inf) & (abs(lon) < math.inf),
+           "time and lon must be finite, got {time}, {lon}"),
+     Check(("nsrr",), lambda nsrr: (nsrr >= 0) & (nsrr < math.inf),
+           "nsrr must be finite and >= 0, got {nsrr}"),
+     Check(("footprint_diameter",), lambda d: (d >= 3.0) & (d <= 6.0),
+           "footprint diameter must be within [3, 6] km, "
+           "got {footprint_diameter}"),
+     Check(("lat",), lambda lat: (lat > -90.0) & (lat < 90.0),
+           "latitude {lat} out of range")],
+    # read as text, so that only 0 and 1 are accepted
+    parse={"rain_certain": float})
+_OBS_COLUMNS, _OBS_DTYPE = _OBSERVATIONS.columns, _OBSERVATIONS.dtype
+_observation = _OBSERVATIONS.row
 
 
 def read_observations_csv(path) -> np.recarray:
@@ -307,8 +287,7 @@ def read_observations_csv(path) -> np.recarray:
     ``time`` (epoch s), ``lat`` and ``lon`` of the center (degrees),
     ``nsrr`` (near-surface rain rate, mm/h), ``rain_certain`` (0 or 1) and
     ``footprint_diameter`` (km)."""
-    return read_table(path, _OBS_COLUMNS, _OBS_TEXT, _observations,
-                      _observation, _OBS_DTYPE)
+    return read_table(path, _OBSERVATIONS)
 
 
 # ---------------------------------------------------------------------------

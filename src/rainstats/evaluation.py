@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyDataError
 from .raster import Grid, _bilinear_many
-from .tables import read_table
+from .tables import Check, Table, read_table
 
 #: Rain rate at 0.01% exceedance above which a location counts as heavy.
 HEAVY_RATE_MM_H = 95.0
@@ -148,38 +148,23 @@ def station_comparison(climatology: Grid, stations):
 # ---------------------------------------------------------------------------
 # error-samples CSV
 
-_SAMPLE_COLUMNS = ["site_id", "p_percent", "observed", "predicted"]
-_SAMPLE_DTYPE = np.dtype([("site_id", object), ("p", np.float64),
-                          ("observed", np.float64),
-                          ("predicted", np.float64)])
-
-
-def _sample_row(row):
-    p, observed, predicted = (float(v) for v in row[1:])
-    if not 0 < p <= 100:
-        raise ValueError(f"probability must be in (0, 100], got {p}")
-    if not 0 < observed < math.inf:
-        raise ValueError("observed rate must be positive and finite for "
-                         f"relative error, got {observed}")
-    if not 0 <= predicted < math.inf:
-        raise ValueError(f"predicted rate must be >= 0 and finite, "
-                         f"got {predicted}")
-    return row[0], p, observed, predicted
-
-
-def _samples(raw):
-    """:func:`_sample_row` over a whole column of each field."""
-    p, observed, predicted = raw["p"], raw["observed"], raw["predicted"]
-    if not np.all((p > 0) & (p <= 100)
-                  & (observed > 0) & (observed < math.inf)
-                  & (predicted >= 0) & (predicted < math.inf)):
-        raise ValueError("sample out of range")
-    return raw
+_SAMPLES = Table(
+    ["site_id", "p_percent", "observed", "predicted"],
+    [("site_id", object), ("p", np.float64), ("observed", np.float64),
+     ("predicted", np.float64)],
+    [Check(("p",), lambda p: (p > 0) & (p <= 100),
+           "probability must be in (0, 100], got {p}"),
+     Check(("observed",), lambda rate: (rate > 0) & (rate < math.inf),
+           "observed rate must be positive and finite for relative error, "
+           "got {observed}"),
+     Check(("predicted",), lambda rate: (rate >= 0) & (rate < math.inf),
+           "predicted rate must be >= 0 and finite, got {predicted}")])
+_SAMPLE_COLUMNS, _SAMPLE_DTYPE = _SAMPLES.columns, _SAMPLES.dtype
+_sample_row = _SAMPLES.row
 
 
 def read_error_samples_csv(path) -> np.recarray:
     """(observed, predicted) rate pairs as a record array, in file order,
     with fields ``site_id`` (str, an object field), ``p`` (percent),
     ``observed`` and ``predicted`` (mm/h)."""
-    return read_table(path, _SAMPLE_COLUMNS, _SAMPLE_DTYPE, _samples,
-                      _sample_row, _SAMPLE_DTYPE)
+    return read_table(path, _SAMPLES)

@@ -26,7 +26,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DataError
 from .rainmodel import STANDARD_LADDER
-from .tables import read_table
+from .tables import Check, Table, read_table
 
 #: Physically implausible 1-min rate (2 inches per minute), mm/h.
 QC_MAX_RATE_MM_H = 3048.0
@@ -303,11 +303,6 @@ def exceedance_stats(series: MinuteSeries, ladder=STANDARD_LADDER,
 # ---------------------------------------------------------------------------
 # tip CSV
 
-_TIP_COLUMNS = ["time_iso8601_utc", "depth_mm"]
-_TIP_DTYPE = np.dtype([("time", np.float64), ("depth", np.float64)])
-_TIP_TEXT = np.dtype([("time", object), ("depth", np.float64)])
-
-
 def parse_utc_time(text: str) -> float:
     """Epoch seconds of an ISO 8601 stamp; a stamp without an offset is
     taken as UTC, never as the machine's local time."""
@@ -317,25 +312,16 @@ def parse_utc_time(text: str) -> float:
     return dt.timestamp()
 
 
-def _tip_row(row):
-    depth = float(row[1])
-    if not 0 < depth < math.inf:
-        raise ValueError(f"tip depth must be positive and finite, "
-                         f"got {depth}")
-    return parse_utc_time(row[0]), depth
-
-
-def _tips(raw):
-    """:func:`_tip_row` over a whole column of each field."""
-    depth = raw["depth"]
-    if not np.all((depth > 0) & (depth < math.inf)):
-        raise ValueError("tip depth must be positive and finite")
-    times = [parse_utc_time(text) for text in raw["time"].tolist()]
-    return np.rec.fromarrays([times, depth], dtype=_TIP_DTYPE)
+_TIPS = Table(
+    ["time_iso8601_utc", "depth_mm"],
+    [("time", np.float64), ("depth", np.float64)],
+    [Check(("depth",), lambda depth: (depth > 0) & (depth < math.inf),
+           "tip depth must be positive and finite, got {depth}")],
+    parse={"time": parse_utc_time})
+_TIP_COLUMNS, _TIP_DTYPE, _tip_row = _TIPS.columns, _TIPS.dtype, _TIPS.row
 
 
 def read_tips_csv(path) -> np.recarray:
     """Tips as a record array with float fields ``time`` (epoch s) and
     ``depth`` (mm), in file order."""
-    return read_table(path, _TIP_COLUMNS, _TIP_TEXT, _tips, _tip_row,
-                      _TIP_DTYPE)
+    return read_table(path, _TIPS)

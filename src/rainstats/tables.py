@@ -2,14 +2,17 @@
 
 CSV tables are read by :func:`read_rows`, or by :func:`read_keyed` when they
 hold one row per site.  The long record tables (tips, swath observations,
-error samples) are parsed whole by :func:`read_table`, which falls back on
-:func:`read_rows` for anything it cannot take whole, so both accept the
-same files and raise the same errors.  Grids and params are read by
-:func:`read_text` and configs by :func:`load_config`; configs and params
-are :func:`parse_pairs` files.  Every read error names the file.  CSV
-tables are written by :func:`write_rows` and text files (reports,
-manifests, grids, params) by :func:`write_text`, with ``\n`` line ends on
-every platform.
+error samples) are each described once, as a :class:`Table`: columns,
+record dtype, and the :class:`Check` conditions on a row, each with its
+message.  :func:`read_table` parses such a table whole and runs the checks
+over whole columns; for anything it cannot take whole it falls back on
+:func:`read_rows` with :meth:`Table.row`, which runs the same checks row
+by row, so both accept the same files and raise the same errors.  Grids
+and params are read by :func:`read_text` and configs by
+:func:`load_config`; configs and params are :func:`parse_pairs` files.
+Every read error names the file.  CSV tables are written by
+:func:`write_rows` and text files (reports, manifests, grids, params) by
+:func:`write_text`, with ``\n`` line ends on every platform.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -91,40 +95,117 @@ def read_rows(path, columns, convert):
             raise DataError(f"{path}: not UTF-8") from None
 
 
-def read_table(path, columns, raw, finish, convert, dtype) -> np.recarray:
-    """The CSV table at ``path`` as a record array of ``dtype``, in file
-    order, parsed whole instead of row by row.
+@dataclass(frozen=True)
+class Check:
+    """A condition that every row of a record table meets.  ``test`` takes
+    the fields named in ``reads``: scalars for one row, arrays for a whole
+    file, so it joins conditions with ``&`` and ``|``.  ``message`` is the
+    :meth:`str.format` template, over the row's fields, of the
+    ``ValueError`` a failing row raises."""
 
-    ``np.loadtxt`` parses the lines after an exact ``columns`` header into
-    the structured dtype ``raw``, one field per column, text as ``object``
-    fields (a fixed-width ``U`` field would truncate silently).
-    ``finish(raw)`` checks the fields as arrays and returns the table; it
-    raises ``ValueError`` for any value a row would be refused for.  Both
+    reads: tuple
+    test: Callable
+    message: str
+
+    def passes(self, fields):
+        """``test`` of its fields in ``fields``, a dict or an array."""
+        return self.test(*map(fields.__getitem__, self.reads))
+
+
+def _enforce(checks, fields: dict) -> None:
+    for check in checks:
+        if not check.passes(fields):
+            raise ValueError(check.message.format_map(fields))
+
+
+class Table:
+    """A record CSV: its header ``columns``, the record ``dtype`` it is read
+    into (one field per column), the ``checks`` on its rows, in order, and
+    ``parse``: for each field read as text, the function that makes it a
+    value of its ``dtype`` type once the checks have passed.
+
+    ``raw`` holds the fields as read from the file: text (``object``) for a
+    field with a parser or an ``object`` field, numbers for the rest.
+    """
+
+    def __init__(self, columns, dtype, checks, parse=None):
+        self.columns = list(columns)
+        self.dtype = np.dtype(dtype)
+        self.checks = checks
+        self.parse = parse or {}
+        self.raw = np.dtype([(name, object if name in self.parse
+                              else self.dtype[name])
+                             for name in self.dtype.names])
+        self._numbers = [n for n in self.raw.names if self.raw[n] != object]
+        text = [c for c in checks if not set(c.reads) & set(self._numbers)]
+        self._stages = (text, [c for c in checks if c not in text])
+
+    def row(self, row) -> tuple:
+        """One CSV row as a tuple of ``dtype``'s fields.  The checks that
+        read text alone run first, then every number is converted with
+        ``float`` in column order, then the other checks run.  A failed
+        conversion or check raises ``ValueError``."""
+        fields = dict(zip(self.dtype.names, row))
+        text, rest = self._stages
+        _enforce(text, fields)
+        for name in self._numbers:
+            fields[name] = float(fields[name])
+        _enforce(rest, fields)
+        for name, parse in self.parse.items():
+            fields[name] = parse(fields[name])
+        return tuple(fields.values())
+
+
+def _read_whole(path, table: Table) -> np.recarray:
+    """The table at ``path`` if ``np.loadtxt`` parses the lines after an
+    exact header and every row passes, else ``ValueError``."""
+    with open(path, encoding="utf-8") as f:
+        header, _, body = f.read().partition("\n")
+    if header != ",".join(table.columns) or '"' in body:
+        raise ValueError("not parsed whole")
+    lines = body.split("\n")
+    del body
+    if max(map(len, lines)) > csv.field_size_limit():
+        raise ValueError("not parsed whole")
+    with warnings.catch_warnings():
+        # loadtxt warns about a body without rows
+        warnings.simplefilter("ignore", UserWarning)
+        raw = np.loadtxt(lines, dtype=table.raw, delimiter=",",
+                         comments=None, quotechar=None, ndmin=1)
+    del lines
+    if not all(np.all(check.passes(raw)) for check in table.checks):
+        raise ValueError("a row fails a check")
+    return np.rec.fromarrays(
+        [np.fromiter(map(table.parse[n], raw[n].tolist()), table.dtype[n],
+                     raw.size) if n in table.parse else raw[n]
+         for n in raw.dtype.names], dtype=table.dtype)
+
+
+def read_table(path, table: Table) -> np.recarray:
+    """The record CSV at ``path`` as a record array of ``table.dtype``, in
+    file order, parsed whole instead of row by row.
+
+    ``np.loadtxt`` parses the lines after an exact header into ``table.raw``
+    (a fixed-width ``U`` field would truncate text silently), every check
+    runs over whole columns, and the parsers over the text fields.  Both
     parsers give a number the same double (``PyOS_string_to_double``).
+    The file's text is dropped once split into lines, and the lines once
+    parsed.
 
-    Whatever is not parsed whole this way (any other header, a ``"``, which
+    Whatever is not taken whole this way (any other header, a ``"``, which
     csv reads as a quote, a line over csv's field size limit, a body
-    loadtxt refuses, or a ``ValueError`` from ``finish``) is read again by
-    :func:`read_rows` with ``convert``, whose rows make the table.  So the
-    errors are :func:`read_rows`' own, naming file and line, and what only
-    csv and ``float`` accept (quoted fields, ``1_0``) is read as before.
+    loadtxt refuses, a row that fails a check or a parser) is read again
+    by :func:`read_rows` with :meth:`Table.row`, whose rows make the table.
+    So the errors are :func:`read_rows`' own, naming file and line, and
+    what only csv and ``float`` accept (quoted fields, ``1_0``) is read as
+    before.
     """
     try:
-        with open(path, encoding="utf-8") as f:
-            header, _, body = f.read().partition("\n")
-        lines = body.split("\n")
-        if (header == ",".join(columns) and '"' not in body
-                and max(map(len, lines)) <= csv.field_size_limit()):
-            with warnings.catch_warnings():
-                # loadtxt warns about a body without rows
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(lines, dtype=raw, delimiter=",",
-                                   comments=None, quotechar=None, ndmin=1)
-            return finish(table).view(np.recarray)
+        return _read_whole(path, table)
     except ValueError:  # UnicodeDecodeError among them
         pass
-    rows = [value for _, value in read_rows(path, columns, convert)]
-    return np.array(rows, dtype=dtype).view(np.recarray)
+    rows = [value for _, value in read_rows(path, table.columns, table.row)]
+    return np.array(rows, dtype=table.dtype).view(np.recarray)
 
 
 def read_keyed(path, columns, convert) -> dict:

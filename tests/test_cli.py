@@ -473,21 +473,23 @@ def test_output_geometry_too_large_for_memory_exits_2(tmp_path):
     assert sorted(os.listdir(tmp_path)) == before
 
 
-@pytest.mark.parametrize("key,stage", [("ncols", "render"),
-                                       ("k_uniform", "elevation")])
-def test_build_clim_int_beyond_int64_exits_2(tmp_path, monkeypatch, capsys,
-                                             key, stage):
-    # numpy refuses the int before it sizes any array
+@pytest.mark.parametrize("key", ["ncols", "nrows", "k_uniform", "k_gauss"])
+def test_build_clim_int_beyond_int64_is_a_config_error(tmp_path, monkeypatch,
+                                                       capsys, key):
+    # numpy would refuse the int when it sizes an array; with a tiny cell,
+    # nrows passes the latitude-extent check
     monkeypatch.chdir(tmp_path)
     _write_clim_config(tmp_path)
     with open(tmp_path / "c.cfg") as f:
         text = "".join(line for line in f
-                       if not line.startswith(f"{key}="))
-    (tmp_path / "c.cfg").write_text(text + f"{key}={10**20 + 1}\n")
+                       if not line.startswith((f"{key}=", "cell=")))
+    (tmp_path / "c.cfg").write_text(
+        text + f"{key}={10**20 + 1}\ncell=1e-300\n")
     before = sorted(os.listdir(tmp_path))
-    assert run_cli("build-clim", "--config", "c.cfg") == 2
+    assert run_cli("build-clim", "--config", "c.cfg") == 1
     err = capsys.readouterr().err
-    assert f"data error: stage {stage}: " in err and "Traceback" not in err
+    assert (f"config error: c.cfg: {key} must fit in 64 bits, "
+            f"got {10**20 + 1}") in err and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == before
 
 
