@@ -27,8 +27,8 @@ from . import climatology, evaluation, gauge, impact, rainmodel
 from .errors import DATA_ERRORS, ConfigError, DataError, SolverError
 from .raster import Grid, GridGeometry, read_grid, sample_bilinear
 from .rainmodel import ClimatePoint, SiteStatistics
-from .tables import (Field, _finite, load_config, read_keyed, write_rows,
-                     write_text)
+from .tables import (UNIQUE_SITE, Field, Table, finite, load_config,
+                     read_table, write_rows, write_text)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,14 @@ def _staged_outputs(args, inputs: dict, outputs: dict, notes=None):
                 os.remove(temp)
 
 
+#: The site-keyed CSVs: predict's locations, gauge's sites, eval's sites.
+_LOCATIONS = Table(["site_id", "lat", "lon", "country"],
+                   [*finite("lat", "lon"), UNIQUE_SITE])
+_GAUGE_SITES = Table(["site_id", "lat", "lon", "country", "tips_path"],
+                     [*finite("lat", "lon"), UNIQUE_SITE])
+_COUNTRIES = Table(["site_id", "country"], [UNIQUE_SITE])
+
+
 def _config_check(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
@@ -202,11 +210,6 @@ _PREDICT_SCHEMA = {
 }
 
 
-def _located(row):
-    """The fields after a site row's id, with lat and lon finite floats."""
-    return (_finite(row[1]), _finite(row[2]), *row[3:])
-
-
 def _cmd_predict(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _PREDICT_SCHEMA)
     _validate_ladder(cfg["ladder"])
@@ -214,12 +217,11 @@ def _cmd_predict(args, cfg: dict) -> None:
     mt = read_grid(cfg["mt_grid"])
     p0 = read_grid(cfg["p0_grid"])
     params = rainmodel.read_params(cfg["params"])
-    locations = read_keyed(cfg["locations"],
-                           ["site_id", "lat", "lon", "country"], _located)
+    locations = read_table(cfg["locations"], _LOCATIONS)
 
     out_sites = []
     skipped = 0
-    for site_id, (lat, lon, country) in locations.items():
+    for site_id, lat, lon, country in locations.tolist():
         mt_v = sample_bilinear(mt, lat, lon)
         p0_v = sample_bilinear(p0, lat, lon)
         if mt_v == mt.geometry.nodata or p0_v == p0.geometry.nodata:
@@ -265,9 +267,11 @@ _BUILD_CLIM_SCHEMA = {
 def _cmd_build_clim(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _BUILD_CLIM_SCHEMA)
     for key in ("ncols", "nrows", "k_uniform", "k_gauss"):
-        # numpy sizes arrays with them, and refuses an int beyond int64
+        # numpy refuses an int beyond int64; window_iqr's offsets are int32
         _config_check(cfg[key] <= np.iinfo(np.int64).max,
                       f"{key} must fit in 64 bits, got {cfg[key]}")
+        _config_check(cfg[key] < 2**31,
+                      f"{key} must be below 2**31, got {cfg[key]}")
     try:
         GridGeometry(cfg["ncols"], cfg["nrows"], cfg["xll"], cfg["yll"],
                      cfg["cell"], cfg["nodata"])
@@ -346,15 +350,13 @@ def _cmd_gauge(args, cfg: dict) -> None:
     _config_check(cfg["min_count"] >= 1, "min_count must be >= 1")
     excluded = set(cfg["exclude"])
 
-    site_rows = read_keyed(
-        cfg["sites"], ["site_id", "lat", "lon", "country", "tips_path"],
-        _located)
-    inputs.update((f"tips.{site_id}", row[-1])
-                  for site_id, row in site_rows.items())
+    site_rows = read_table(cfg["sites"], _GAUGE_SITES).tolist()
+    inputs.update((f"tips.{site_id}", tips_path)
+                  for site_id, *_, tips_path in site_rows)
     _check_paths(args, inputs, outputs)
 
     out_sites = []
-    for site_id, (lat, lon, country, tips_path) in site_rows.items():
+    for site_id, lat, lon, country, tips_path in site_rows:
         if site_id not in excluded:
             points, years = _gauge_site(cfg, span, tips_path)
             if points:
@@ -446,8 +448,7 @@ def _cmd_eval(args, cfg: dict) -> None:
         lines.append(f"classify.threshold={thr!r}")
         _confusion_block("classify.by_site", actuals, preds)
         if cfg["sites"] is not None:
-            countries = read_keyed(cfg["sites"], ["site_id", "country"],
-                                   lambda row: row[1])
+            countries = dict(read_table(cfg["sites"], _COUNTRIES).tolist())
             records = []
             for site_id, a, p in zip(classify.site_id, actuals, preds):
                 if site_id not in countries:

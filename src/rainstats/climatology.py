@@ -260,12 +260,14 @@ def finalize(mt: Grid, p0: Grid, k: int = DEFAULT_K_GAUSS,
 # ---------------------------------------------------------------------------
 # observation CSV
 
+_OBS_FIELDS = ["time", "lat", "lon", "nsrr", "rain_certain",
+               "footprint_diameter"]
 _OBSERVATIONS = Table(
     ["time_s", "lat", "lon", "nsrr_mm_h", "rain_certain", "diameter_km"],
-    [(name, np.float64) for name in (
-        "time", "lat", "lon", "nsrr", "rain_certain", "footprint_diameter")],
+    # rain_certain is checked as text, so that only 0 and 1 are accepted
     [Check(("rain_certain",), lambda text: (text == "0") | (text == "1"),
            "rain_certain must be 0 or 1, got {rain_certain!r}"),
+     *((name, float) for name in _OBS_FIELDS),
      Check(("time", "lon"),
            lambda time, lon: (abs(time) < math.inf) & (abs(lon) < math.inf),
            "time and lon must be finite, got {time}, {lon}"),
@@ -276,10 +278,7 @@ _OBSERVATIONS = Table(
            "got {footprint_diameter}"),
      Check(("lat",), lambda lat: (lat > -90.0) & (lat < 90.0),
            "latitude {lat} out of range")],
-    # read as text, so that only 0 and 1 are accepted
-    parse={"rain_certain": float})
-_OBS_COLUMNS, _OBS_DTYPE = _OBSERVATIONS.columns, _OBSERVATIONS.dtype
-_observation = _OBSERVATIONS.row
+    names=_OBS_FIELDS)
 
 
 def read_observations_csv(path) -> np.recarray:

@@ -150,17 +150,15 @@ def station_comparison(climatology: Grid, stations):
 
 _SAMPLES = Table(
     ["site_id", "p_percent", "observed", "predicted"],
-    [("site_id", object), ("p", np.float64), ("observed", np.float64),
-     ("predicted", np.float64)],
-    [Check(("p",), lambda p: (p > 0) & (p <= 100),
+    [("p", float), ("observed", float), ("predicted", float),
+     Check(("p",), lambda p: (p > 0) & (p <= 100),
            "probability must be in (0, 100], got {p}"),
      Check(("observed",), lambda rate: (rate > 0) & (rate < math.inf),
            "observed rate must be positive and finite for relative error, "
            "got {observed}"),
      Check(("predicted",), lambda rate: (rate >= 0) & (rate < math.inf),
-           "predicted rate must be >= 0 and finite, got {predicted}")])
-_SAMPLE_COLUMNS, _SAMPLE_DTYPE = _SAMPLES.columns, _SAMPLES.dtype
-_sample_row = _SAMPLES.row
+           "predicted rate must be >= 0 and finite, got {predicted}")],
+    names=["site_id", "p", "observed", "predicted"])
 
 
 def read_error_samples_csv(path) -> np.recarray:

@@ -314,11 +314,11 @@ def parse_utc_time(text: str) -> float:
 
 _TIPS = Table(
     ["time_iso8601_utc", "depth_mm"],
-    [("time", np.float64), ("depth", np.float64)],
-    [Check(("depth",), lambda depth: (depth > 0) & (depth < math.inf),
-           "tip depth must be positive and finite, got {depth}")],
-    parse={"time": parse_utc_time})
-_TIP_COLUMNS, _TIP_DTYPE, _tip_row = _TIPS.columns, _TIPS.dtype, _TIPS.row
+    [("depth", float),
+     Check(("depth",), lambda depth: (depth > 0) & (depth < math.inf),
+           "tip depth must be positive and finite, got {depth}"),
+     ("time", parse_utc_time)],
+    names=["time", "depth"])
 
 
 def read_tips_csv(path) -> np.recarray:

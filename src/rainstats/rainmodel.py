@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SolverError
-from .tables import (_finite, parse_pairs, read_keyed, read_rows,
-                     read_text, write_rows, write_text)
+from .tables import (UNIQUE_SITE, Check, Table, finite, first_rows,
+                     parse_pairs, read_table, read_text, write_rows,
+                     write_text)
 
 #: Standard exceedance-probability ladder (percent), ascending.
 STANDARD_LADDER = (0.001, 0.002, 0.003, 0.005, 0.01, 0.02, 0.03, 0.05,
@@ -51,6 +52,14 @@ class ModelParams:
                                  f"finite, got {v}")
 
 
+#: The conditions on a climate point, here and in the climate CSV.
+_CLIMATE_CHECKS = [
+    Check(("mt",), lambda mt: np.isfinite(mt) & (mt >= 0),
+          "mt must be >= 0, got {mt}"),
+    Check(("p0",), lambda p0: np.isfinite(p0) & (p0 >= 0) & (p0 <= 100),
+          "p0 must be in [0, 100], got {p0}")]
+
+
 @dataclass(frozen=True)
 class ClimatePoint:
     """Climate statistics at one location: mt in mm/yr, p0 in percent."""
@@ -59,10 +68,9 @@ class ClimatePoint:
     p0: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mt) and self.mt >= 0):
-            raise ValueError(f"mt must be >= 0, got {self.mt}")
-        if not (np.isfinite(self.p0) and 0 <= self.p0 <= 100):
-            raise ValueError(f"p0 must be in [0, 100], got {self.p0}")
+        for check in _CLIMATE_CHECKS:
+            if not check.test(*map(vars(self).get, check.reads)):
+                raise ValueError(check.message.format_map(vars(self)))
 
 
 @dataclass(frozen=True)
@@ -342,13 +350,19 @@ def _parse_params(text: str) -> ModelParams:
         raise DataError(str(e)) from None
 
 
-_SITE_COLUMNS = ["site_id", "lat", "lon", "country", "years", "p_percent",
-                 "rate_mm_h"]
+_SITES = Table(
+    ["site_id", "lat", "lon", "country", "years", "p_percent", "rate_mm_h"],
+    [*finite("lat", "lon", "years", "p", "rate"),
+     Check(("site_id", "lat", "lon", "country", "years"),
+           lambda ids, *meta: np.logical_and.reduce(
+               [m == m[first_rows(ids)] for m in meta]),
+           "inconsistent metadata for site {site_id}")],
+    names=["site_id", "lat", "lon", "country", "years", "p", "rate"])
 
 
 def write_sites_csv(sites, path) -> None:
     """One row per (site, rung): the standard site-statistics CSV."""
-    write_rows(path, _SITE_COLUMNS, (
+    write_rows(path, _SITES.columns, (
         [s.site_id, repr(s.lat), repr(s.lon), s.country,
          repr(s.duration_years), repr(p), repr(r)]
         for s in sites for p, r in s.points))
@@ -356,27 +370,27 @@ def write_sites_csv(sites, path) -> None:
 
 def read_sites_csv(path):
     """Read site statistics grouped by ``site_id`` in first-seen order."""
-    meta = {}
-    points = {}
-    rows = read_rows(path, _SITE_COLUMNS, lambda r: (
-        r[0], (_finite(r[1]), _finite(r[2]), r[3], _finite(r[4])),
-        (_finite(r[5]), _finite(r[6]))))
-    for lineno, (site_id, rec, point) in rows:
-        if meta.setdefault(site_id, rec) != rec:
-            raise DataError(f"{path} line {lineno}: inconsistent "
-                            f"metadata for site {site_id}")
-        points.setdefault(site_id, []).append(point)
+    rows = read_table(path, _SITES)
+    first = first_rows(rows.site_id)
+    heads = np.flatnonzero(first == np.arange(first.size))
+    order = np.argsort(first, kind="stable")  # by site, then file order
+    points = np.split(np.column_stack([rows.p, rows.rate])[order],
+                      np.searchsorted(first[order], heads[1:]))
     sites = []
-    for sid, (lat, lon, country, years) in meta.items():
-        try:
-            sites.append(SiteStatistics(sid, lat, lon, country, years,
-                                        tuple(points[sid])))
+    for (sid, *meta, _, _), pts in zip(rows[heads].tolist(), points):
+        try:  # meta: lat, lon, country, years
+            sites.append(SiteStatistics(sid, *meta, pts))
         except ValueError as e:
             raise DataError(f"{path}: site {sid}: {e}") from None
     return sites
 
 
+_CLIMATE = Table(["site_id", "mt_mm", "p0_percent"],
+                 [("mt", float), ("p0", float), *_CLIMATE_CHECKS, UNIQUE_SITE],
+                 names=["site_id", "mt", "p0"])
+
+
 def read_climate_csv(path):
     """Map site_id -> ClimatePoint from a ``site_id,mt_mm,p0_percent`` CSV."""
-    return read_keyed(path, ["site_id", "mt_mm", "p0_percent"],
-                      lambda r: ClimatePoint(float(r[1]), float(r[2])))
+    return {sid: ClimatePoint(mt, p0)
+            for sid, mt, p0 in read_table(path, _CLIMATE).tolist()}

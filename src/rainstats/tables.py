@@ -1,18 +1,14 @@
 """The files every subcommand reads and writes, all of them UTF-8.
 
-CSV tables are read by :func:`read_rows`, or by :func:`read_keyed` when they
-hold one row per site.  The long record tables (tips, swath observations,
-error samples) are each described once, as a :class:`Table`: columns,
-record dtype, and the :class:`Check` conditions on a row, each with its
-message.  :func:`read_table` parses such a table whole and runs the checks
-over whole columns; for anything it cannot take whole it falls back on
-:func:`read_rows` with :meth:`Table.row`, which runs the same checks row
-by row, so both accept the same files and raise the same errors.  Grids
-and params are read by :func:`read_text` and configs by
+Every CSV input is a :class:`Table`: its columns, its record fields and
+one ordered list of steps, each converting a field from text or checking
+whole columns (a :data:`Check`, such as :data:`UNIQUE_SITE` across rows).
+:func:`read_table` splits a CSV into columns and runs the steps over
+them.  Grids and params are read by :func:`read_text` and configs by
 :func:`load_config`; configs and params are :func:`parse_pairs` files.
 Every read error names the file.  CSV tables are written by
-:func:`write_rows` and text files (reports, manifests, grids, params) by
-:func:`write_text`, with ``\n`` line ends on every platform.
+:func:`write_rows` and text files by :func:`write_text`, with ``\n`` line
+ends on every platform.
 """
 
 from __future__ import annotations
@@ -20,8 +16,8 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -61,164 +57,155 @@ def parse_pairs(text: str) -> dict:
     return out
 
 
-def read_rows(path, columns, convert):
-    """Yield ``(line number, convert(row))`` for each non-empty CSV row.
+#: A condition on a table's rows: ``test`` of the columns named in ``reads``
+#: is True for each row that passes, and ``message`` is the
+#: :meth:`str.format` template, over the fields of the first row that fails,
+#: of the error it raises.
+Check = namedtuple("Check", ["reads", "test", "message"])
 
-    The first row must equal ``columns`` and every later non-empty row must
-    have that many fields.  A wrong header, a wrong field count, text the
-    csv module cannot parse (such as a field over its size limit) or a
-    ``ValueError`` from ``convert`` raises :class:`DataError` naming the
-    file and line, and bytes that are not UTF-8 one naming the file.
-    """
+
+class Table:
+    """A CSV table: its header ``columns``, the record fields ``names`` it
+    is read into (one per column; the columns by default) and its
+    ``steps``, in order.  A step is a :data:`Check` or a ``(field,
+    convert)`` pair, which makes the field's text a float with ``convert``
+    (``float`` or the field's own parser); other fields stay text."""
+
+    def __init__(self, columns, steps, names=None):
+        self.columns, self.steps = list(columns), steps
+        converted, read, numbers = set(), set(), set()
+        for step in steps:
+            if isinstance(step, Check):
+                read.update(step.reads)
+            else:
+                converted.add(step[0])
+                if step[1] is float and step[0] not in read:
+                    numbers.add(step[0])  # np.loadtxt parses as float does
+        self.dtype, self.split_dtype = (np.dtype([
+            (name, np.float64 if name in fields else object)
+            for name in names or self.columns])
+            for fields in (converted, numbers))
+
+
+_NOT_FINITE = "not a finite number"
+
+
+def finite(*names) -> list:
+    """Steps that convert each of ``names`` with ``float`` and refuse a
+    value that is not finite, one field after the other."""
+    return [step for name in names for step in (
+        (name, float), Check((name,), np.isfinite, _NOT_FINITE))]
+
+
+def first_rows(keys) -> np.ndarray:
+    """For each of ``keys``, the index of the first of them equal to it."""
+    keys = keys.tolist()
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, keys), np.intp, len(keys))
+
+
+#: A site-keyed table lists each ``site_id`` once.
+UNIQUE_SITE = Check(("site_id",),
+                    lambda ids: first_rows(ids) == np.arange(len(ids)),
+                    "duplicate site {site_id}")
+
+
+def _split_whole(path, table: Table):
+    """``(columns, line numbers, None)`` of the table at ``path`` as
+    ``np.loadtxt`` splits it, or None if csv could split it otherwise."""
+    with open(path, encoding="utf-8") as f:  # \r\n and \r read as \n
+        header, _, body = f.read().partition("\n")
+    # csv reads " as a quote; loadtxt takes \x1c-\x1f for spaces, float not
+    if header != ",".join(table.columns) or any(
+            c in body for c in '"\x1c\x1d\x1e\x1f'):
+        return None
+    lines = body.split("\n")
+    del body
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    if lengths.max() > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns about a body without rows
+            warnings.simplefilter("ignore", UserWarning)
+            split = np.loadtxt(lines, dtype=table.split_dtype, delimiter=",",
+                               comments=None, quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    return ({name: split[name] for name in split.dtype.names},
+            2 + np.flatnonzero(lengths), None)  # loadtxt skips empty lines
+
+
+def _split_csv(path, table: Table):
+    """``(columns, line numbers, fault)`` of the table at ``path`` as
+    ``csv.reader`` splits it, up to the first row it cannot parse or that
+    has a wrong field count; ``fault`` is that row's (line, message)."""
+    rows, lines, fault = [], [], None
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader, None)
-            if header != list(columns):
+            if header != table.columns:
                 raise DataError(f"{path}: expected header "
-                                f"{','.join(columns)}, got {header}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(columns):
-                    raise DataError(f"{path} line {reader.line_num}: "
-                                    f"expected {len(columns)} columns")
-                try:
-                    value = convert(row)
-                except ValueError as e:
-                    raise DataError(
-                        f"{path} line {reader.line_num}: {e}") from None
-                yield reader.line_num, value
+                                f"{','.join(table.columns)}, got {header}")
+            for row in filter(None, reader):  # blank lines are skipped
+                if len(row) != len(table.columns):
+                    fault = (reader.line_num,
+                             f"expected {len(table.columns)} columns")
+                    break
+                rows.append(row)
+                lines.append(reader.line_num)
         except csv.Error as e:
-            raise DataError(f"{path} line {reader.line_num}: {e}") from None
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not UTF-8") from None
-
-
-@dataclass(frozen=True)
-class Check:
-    """A condition that every row of a record table meets.  ``test`` takes
-    the fields named in ``reads``: scalars for one row, arrays for a whole
-    file, so it joins conditions with ``&`` and ``|``.  ``message`` is the
-    :meth:`str.format` template, over the row's fields, of the
-    ``ValueError`` a failing row raises."""
-
-    reads: tuple
-    test: Callable
-    message: str
-
-    def passes(self, fields):
-        """``test`` of its fields in ``fields``, a dict or an array."""
-        return self.test(*map(fields.__getitem__, self.reads))
-
-
-def _enforce(checks, fields: dict) -> None:
-    for check in checks:
-        if not check.passes(fields):
-            raise ValueError(check.message.format_map(fields))
-
-
-class Table:
-    """A record CSV: its header ``columns``, the record ``dtype`` it is read
-    into (one field per column), the ``checks`` on its rows, in order, and
-    ``parse``: for each field read as text, the function that makes it a
-    value of its ``dtype`` type once the checks have passed.
-
-    ``raw`` holds the fields as read from the file: text (``object``) for a
-    field with a parser or an ``object`` field, numbers for the rest.
-    """
-
-    def __init__(self, columns, dtype, checks, parse=None):
-        self.columns = list(columns)
-        self.dtype = np.dtype(dtype)
-        self.checks = checks
-        self.parse = parse or {}
-        self.raw = np.dtype([(name, object if name in self.parse
-                              else self.dtype[name])
-                             for name in self.dtype.names])
-        self._numbers = [n for n in self.raw.names if self.raw[n] != object]
-        text = [c for c in checks if not set(c.reads) & set(self._numbers)]
-        self._stages = (text, [c for c in checks if c not in text])
-
-    def row(self, row) -> tuple:
-        """One CSV row as a tuple of ``dtype``'s fields.  The checks that
-        read text alone run first, then every number is converted with
-        ``float`` in column order, then the other checks run.  A failed
-        conversion or check raises ``ValueError``."""
-        fields = dict(zip(self.dtype.names, row))
-        text, rest = self._stages
-        _enforce(text, fields)
-        for name in self._numbers:
-            fields[name] = float(fields[name])
-        _enforce(rest, fields)
-        for name, parse in self.parse.items():
-            fields[name] = parse(fields[name])
-        return tuple(fields.values())
-
-
-def _read_whole(path, table: Table) -> np.recarray:
-    """The table at ``path`` if ``np.loadtxt`` parses the lines after an
-    exact header and every row passes, else ``ValueError``."""
-    with open(path, encoding="utf-8") as f:
-        header, _, body = f.read().partition("\n")
-    if header != ",".join(table.columns) or '"' in body:
-        raise ValueError("not parsed whole")
-    lines = body.split("\n")
-    del body
-    if max(map(len, lines)) > csv.field_size_limit():
-        raise ValueError("not parsed whole")
-    with warnings.catch_warnings():
-        # loadtxt warns about a body without rows
-        warnings.simplefilter("ignore", UserWarning)
-        raw = np.loadtxt(lines, dtype=table.raw, delimiter=",",
-                         comments=None, quotechar=None, ndmin=1)
-    del lines
-    if not all(np.all(check.passes(raw)) for check in table.checks):
-        raise ValueError("a row fails a check")
-    return np.rec.fromarrays(
-        [np.fromiter(map(table.parse[n], raw[n].tolist()), table.dtype[n],
-                     raw.size) if n in table.parse else raw[n]
-         for n in raw.dtype.names], dtype=table.dtype)
+            fault = (reader.line_num, str(e))
+    texts = list(zip(*rows)) or [()] * len(table.columns)
+    return ({name: np.fromiter(text, object, len(lines))
+             for name, text in zip(table.dtype.names, texts)}, lines, fault)
 
 
 def read_table(path, table: Table) -> np.recarray:
-    """The record CSV at ``path`` as a record array of ``table.dtype``, in
-    file order, parsed whole instead of row by row.
+    """The CSV table at ``path`` as a record array of ``table.dtype``, in
+    file order.
 
-    ``np.loadtxt`` parses the lines after an exact header into ``table.raw``
-    (a fixed-width ``U`` field would truncate text silently), every check
-    runs over whole columns, and the parsers over the text fields.  Both
-    parsers give a number the same double (``PyOS_string_to_double``).
-    The file's text is dropped once split into lines, and the lines once
-    parsed.
-
-    Whatever is not taken whole this way (any other header, a ``"``, which
-    csv reads as a quote, a line over csv's field size limit, a body
-    loadtxt refuses, a row that fails a check or a parser) is read again
-    by :func:`read_rows` with :meth:`Table.row`, whose rows make the table.
-    So the errors are :func:`read_rows`' own, naming file and line, and
-    what only csv and ``float`` accept (quoted fields, ``1_0``) is read as
-    before.
+    ``np.loadtxt`` splits the body into columns if it can (an exact header,
+    no ``"``, no line over csv's field size limit), else ``csv.reader``.
+    Each step then runs over whole columns, and one that fails drops its
+    first failing row and the rows after it.  So the error names the line
+    of the earliest failing row and the message of its first failing step,
+    as if the steps ran row by row.  A wrong header fails the whole file,
+    and before it a byte that is not UTF-8.
     """
     try:
-        return _read_whole(path, table)
-    except ValueError:  # UnicodeDecodeError among them
-        pass
-    rows = [value for _, value in read_rows(path, table.columns, table.row)]
-    return np.array(rows, dtype=table.dtype).view(np.recarray)
-
-
-def read_keyed(path, columns, convert) -> dict:
-    """``{first field: convert(row)}`` for each row read by :func:`read_rows`,
-    in file order.  The first field is a site id, and a site listed twice
-    raises :class:`DataError` naming the file and the second line."""
-    out = {}
-    for lineno, (key, value) in read_rows(
-            path, columns, lambda row: (row[0], convert(row))):
-        if key in out:
-            raise DataError(f"{path} line {lineno}: duplicate site {key}")
-        out[key] = value
-    return out
+        columns, lines, fault = (_split_whole(path, table)
+                                 or _split_csv(path, table))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8") from None
+    n = len(lines)
+    for step in table.steps:
+        if isinstance(step, Check):
+            passed = step.test(*(columns[name][:n] for name in step.reads))
+            if np.all(passed):
+                continue
+            i = int(np.argmin(passed))
+            message = step.message.format_map(
+                {name: column.item(i) for name, column in columns.items()})
+        elif columns[step[0]].dtype == object:  # else parsed by loadtxt
+            name, convert = step
+            values, message = [], None
+            try:
+                for text in columns[name][:n]:
+                    values.append(convert(text))
+            except ValueError as e:
+                i, message = len(values), str(e)
+            columns[name] = np.array(values, np.float64)
+            if message is None:
+                continue
+        else:
+            continue
+        n, fault = i, (lines[i], message)  # drop row i and the rows after it
+    if fault:
+        raise DataError(f"{path} line {fault[0]}: {fault[1]}")
+    return np.rec.fromarrays([columns[name][:n] for name in table.dtype.names],
+                             dtype=table.dtype)
 
 
 @dataclass(frozen=True)
@@ -235,7 +222,7 @@ class Field:
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError("not a finite number")
+        raise ValueError(_NOT_FINITE)
     return value
 
 

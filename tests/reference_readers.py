@@ -1,13 +1,78 @@
-"""The record CSVs' row converters as they were written by hand, one per
-table, before the tables were described in ``rainstats``: the reference
-that ``test_table_parity`` holds the described readers to.  Keep them as
-they are; they are the record of each table's accepted rows and messages.
+"""The CSV readers as they were written by hand, before the tables were
+described in ``rainstats``: the row-by-row reader :func:`read_rows`, the
+record CSVs' row converters and the readers of the five site-keyed CSVs.
+They are the reference that ``test_tables`` and ``test_table_parity`` hold
+the described readers to.  Keep them as they are; they are the record of
+each table's accepted rows and messages.
 """
 
+import csv
 import math
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+
+from rainstats.errors import DataError
+from rainstats.rainmodel import SiteStatistics
+
+# ---------------------------------------------------------------------------
+# row-by-row reading
+
+
+def read_rows(path, columns, convert):
+    """Yield ``(line number, convert(row))`` for each non-empty CSV row.
+
+    The first row must equal ``columns`` and every later non-empty row must
+    have that many fields.  A wrong header, a wrong field count, text the
+    csv module cannot parse (such as a field over its size limit) or a
+    ``ValueError`` from ``convert`` raises :class:`DataError` naming the
+    file and line, and bytes that are not UTF-8 one naming the file.
+    """
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader, None)
+            if header != list(columns):
+                raise DataError(f"{path}: expected header "
+                                f"{','.join(columns)}, got {header}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise DataError(f"{path} line {reader.line_num}: "
+                                    f"expected {len(columns)} columns")
+                try:
+                    value = convert(row)
+                except ValueError as e:
+                    raise DataError(
+                        f"{path} line {reader.line_num}: {e}") from None
+                yield reader.line_num, value
+        except csv.Error as e:
+            raise DataError(f"{path} line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8") from None
+
+
+def read_keyed(path, columns, convert) -> dict:
+    """``{first field: convert(row)}`` for each row read by :func:`read_rows`,
+    in file order.  The first field is a site id, and a site listed twice
+    raises :class:`DataError` naming the file and the second line."""
+    out = {}
+    for lineno, (key, value) in read_rows(
+            path, columns, lambda row: (row[0], convert(row))):
+        if key in out:
+            raise DataError(f"{path} line {lineno}: duplicate site {key}")
+        out[key] = value
+    return out
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
 
 # ---------------------------------------------------------------------------
 # tip CSV
@@ -81,3 +146,61 @@ def _sample_row(row):
                          f"got {predicted}")
     return row[0], p, observed, predicted
 
+
+# ---------------------------------------------------------------------------
+# site statistics and climate CSVs
+
+
+@dataclass(frozen=True)
+class ClimatePoint:
+    """Climate statistics at one location: mt in mm/yr, p0 in percent."""
+
+    mt: float
+    p0: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.mt) and self.mt >= 0):
+            raise ValueError(f"mt must be >= 0, got {self.mt}")
+        if not (np.isfinite(self.p0) and 0 <= self.p0 <= 100):
+            raise ValueError(f"p0 must be in [0, 100], got {self.p0}")
+
+
+_SITE_COLUMNS = ["site_id", "lat", "lon", "country", "years", "p_percent",
+                 "rate_mm_h"]
+
+
+def read_sites_csv(path):
+    """Read site statistics grouped by ``site_id`` in first-seen order."""
+    meta = {}
+    points = {}
+    rows = read_rows(path, _SITE_COLUMNS, lambda r: (
+        r[0], (_finite(r[1]), _finite(r[2]), r[3], _finite(r[4])),
+        (_finite(r[5]), _finite(r[6]))))
+    for lineno, (site_id, rec, point) in rows:
+        if meta.setdefault(site_id, rec) != rec:
+            raise DataError(f"{path} line {lineno}: inconsistent "
+                            f"metadata for site {site_id}")
+        points.setdefault(site_id, []).append(point)
+    sites = []
+    for sid, (lat, lon, country, years) in meta.items():
+        try:
+            sites.append(SiteStatistics(sid, lat, lon, country, years,
+                                        tuple(points[sid])))
+        except ValueError as e:
+            raise DataError(f"{path}: site {sid}: {e}") from None
+    return sites
+
+
+def read_climate_csv(path):
+    """Map site_id -> ClimatePoint from a ``site_id,mt_mm,p0_percent`` CSV."""
+    return read_keyed(path, ["site_id", "mt_mm", "p0_percent"],
+                      lambda r: ClimatePoint(float(r[1]), float(r[2])))
+
+
+# ---------------------------------------------------------------------------
+# the locations of predict and the sites of gauge
+
+
+def _located(row):
+    """The fields after a site row's id, with lat and lon finite floats."""
+    return (_finite(row[1]), _finite(row[2]), *row[3:])

@@ -473,9 +473,17 @@ def test_output_geometry_too_large_for_memory_exits_2(tmp_path):
     assert sorted(os.listdir(tmp_path)) == before
 
 
-@pytest.mark.parametrize("key", ["ncols", "nrows", "k_uniform", "k_gauss"])
+@pytest.mark.parametrize("key, value, rule", [
+    *(pytest.param(key, 10**20 + 1, "must fit in 64 bits", id=key)
+      for key in ("ncols", "nrows", "k_uniform", "k_gauss")),
+    # fits int64, but overflows a float-to-int cast, a cell count or the
+    # windowed IQR's 32-bit offsets
+    *(pytest.param(key, 2**63 - 1, "must be below 2**31",
+                   id=f"{key}-int64-max")
+      for key in ("ncols", "nrows", "k_uniform", "k_gauss"))])
 def test_build_clim_int_beyond_int64_is_a_config_error(tmp_path, monkeypatch,
-                                                       capsys, key):
+                                                       capsys, key, value,
+                                                       rule):
     # numpy would refuse the int when it sizes an array; with a tiny cell,
     # nrows passes the latitude-extent check
     monkeypatch.chdir(tmp_path)
@@ -483,13 +491,12 @@ def test_build_clim_int_beyond_int64_is_a_config_error(tmp_path, monkeypatch,
     with open(tmp_path / "c.cfg") as f:
         text = "".join(line for line in f
                        if not line.startswith((f"{key}=", "cell=")))
-    (tmp_path / "c.cfg").write_text(
-        text + f"{key}={10**20 + 1}\ncell=1e-300\n")
+    (tmp_path / "c.cfg").write_text(text + f"{key}={value}\ncell=1e-300\n")
     before = sorted(os.listdir(tmp_path))
     assert run_cli("build-clim", "--config", "c.cfg") == 1
     err = capsys.readouterr().err
-    assert (f"config error: c.cfg: {key} must fit in 64 bits, "
-            f"got {10**20 + 1}") in err and "Traceback" not in err
+    assert (f"config error: c.cfg: {key} {rule}, got {value}") in err
+    assert "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == before
 
 

@@ -52,6 +52,23 @@ def test_only_tables_calls_numpy_file_readers():
     assert _calls(SRC / "tables.py", NUMPY_FILE_READERS)
 
 
+def _imported(path):
+    """The top-level packages of the absolute imports in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.partition(".")[0]
+
+
+def test_only_tables_imports_csv():
+    # every CSV is split, and its fields converted and checked, in one
+    # place, by the steps of its table description
+    importers = [path.stem for path in sorted(SRC.glob("*.py"))
+                 if "csv" in _imported(path)]
+    assert importers == ["tables"]
+
+
 #: Public definitions kept without a caller in the package, with the reason.
 UNCALLED = {
     # waits on the end-to-end check of the paper's result (ROADMAP item 7)

@@ -1,4 +1,5 @@
-"""The whole-file CSV reader against the row-by-row reader it stands in for."""
+"""The CSV readers against the hand-written readers they stand in for,
+kept in ``reference_readers``: every row through ``read_rows``."""
 
 import csv
 import warnings
@@ -6,23 +7,72 @@ import warnings
 import numpy as np
 import pytest
 
-from rainstats import climatology, evaluation, gauge, tables
+import reference_readers as ref
+from rainstats import cli, climatology, evaluation, gauge, rainmodel, tables
 from rainstats.errors import DataError
 
-#: name: (reader, columns, row converter, dtype, two valid rows)
+
+def _records(columns, convert, dtype):
+    """A record table's reader as it was: every row through ``read_rows``
+    and ``convert``, into a record array of ``dtype``."""
+    def read(path):
+        rows = [value for _, value in ref.read_rows(path, columns, convert)]
+        return np.array(rows, dtype=dtype).view(np.recarray)
+    return read
+
+
+def _keyed(table):
+    """``cli``'s reading of a site-keyed table, as the dict of the fields
+    after ``site_id`` (a lone field bare) that it was read into."""
+    def read(path):
+        return {sid: rest[0] if len(rest) == 1 else tuple(rest)
+                for sid, *rest in tables.read_table(path, table).tolist()}
+    return read
+
+
+_LOCATION_COLUMNS = ["site_id", "lat", "lon", "country"]
+
+#: name: (reader, the hand-written reader, columns, two valid rows, the row
+#: that the corpus alters one field of)
 TABLES = {
-    "tips": (gauge.read_tips_csv, gauge._TIP_COLUMNS, gauge._tip_row,
-             gauge._TIP_DTYPE,
-             ["2005-01-01T00:00:00Z,0.254", "2005-01-01T00:01:30.5,2e-1"]),
+    "tips": (gauge.read_tips_csv,
+             _records(ref._TIP_COLUMNS, ref._tip_row, ref._TIP_DTYPE),
+             ref._TIP_COLUMNS,
+             ["2005-01-01T00:00:00Z,0.254", "2005-01-01T00:01:30.5,2e-1"],
+             "2005-01-01T00:00:00Z,0.254"),
     "observations": (climatology.read_observations_csv,
-                     climatology._OBS_COLUMNS, climatology._observation,
-                     climatology._OBS_DTYPE,
+                     _records(ref._OBS_COLUMNS, ref._observation,
+                              ref._OBS_DTYPE),
+                     ref._OBS_COLUMNS,
                      ["1104537600.0,6.5,3.25,12.5,1,4.5",
-                      "1104537660,-6.75,-0.0,0,0,3"]),
+                      "1104537660,-6.75,-0.0,0,0,3"],
+                     "1104537600.0,6.5,3.25,12.5,1,4.5"),
     "samples": (evaluation.read_error_samples_csv,
-                evaluation._SAMPLE_COLUMNS, evaluation._sample_row,
-                evaluation._SAMPLE_DTYPE,
-                ["a,0.01,50.0,45.5", "site b,100,2.5,0"]),
+                _records(ref._SAMPLE_COLUMNS, ref._sample_row,
+                         ref._SAMPLE_DTYPE),
+                ref._SAMPLE_COLUMNS,
+                ["a,0.01,50.0,45.5", "site b,100,2.5,0"], "a,0.01,50.0,45.5"),
+    # one site on two rows, its lon once -0.0 and once 0.0
+    "sites": (rainmodel.read_sites_csv, ref.read_sites_csv, ref._SITE_COLUMNS,
+              ["a,6.5,-0.0,KE,2.0,0.01,80.5", "a,6.5,0.0,KE,2,1,2.5"],
+              "b,1e1,3,TZ,1,0.1,30"),
+    "climate": (rainmodel.read_climate_csv, ref.read_climate_csv,
+                ["site_id", "mt_mm", "p0_percent"],
+                ["a,1500.0,5.0", "site b,0,100"], "c,800,2.5"),
+    "locations": (_keyed(cli._LOCATIONS),
+                  lambda p: ref.read_keyed(p, _LOCATION_COLUMNS, ref._located),
+                  _LOCATION_COLUMNS, ["a,6.5,3.25,KE", "site b,-0.0,0,TZ"],
+                  "c,1,2,UG"),
+    "gauge_sites": (_keyed(cli._GAUGE_SITES),
+                    lambda p: ref.read_keyed(p, [*_LOCATION_COLUMNS,
+                                                 "tips_path"], ref._located),
+                    [*_LOCATION_COLUMNS, "tips_path"],
+                    ["a,6.5,3.25,KE,a.csv", "site b,-0.0,0,TZ,tips/b.csv"],
+                    "c,1,2,UG,c.csv"),
+    "countries": (_keyed(cli._COUNTRIES),
+                  lambda p: ref.read_keyed(p, ["site_id", "country"],
+                                           lambda row: row[1]),
+                  ["site_id", "country"], ["a,KE", "site b,TZ"], "c,UG"),
 }
 
 LIMIT = csv.field_size_limit()
@@ -32,13 +82,8 @@ FIELD_TOKENS = [
     '"{}"', ' {}', '{} ', '\t{}\t', '\u2003{}', '{}\x00', 'x"{}', '',
     '1_0', 'inf', '-inf', 'nan', 'NaN', '-0', '1e308', '1e309', '\u0661',
     '0x10', '1.0', '0' * (LIMIT - 4) + '{}', '0' * (LIMIT + 1) + '{}',
+    '\x1c{}', '{}\x1f',
 ]
-
-
-def _row_by_row(path, columns, convert, dtype):
-    """The reader as it was: every row through ``tables.read_rows``."""
-    rows = [value for _, value in tables.read_rows(path, columns, convert)]
-    return np.array(rows, dtype=dtype).view(np.recarray)
 
 
 def _outcome(read, path):
@@ -54,9 +99,10 @@ def _outcome(read, path):
 
 
 def _same(a, b):
-    """Equal outcomes: one message, or arrays equal bit for bit."""
-    if a[0] != b[0] or a[0] == "error":
-        return a == b
+    """Equal outcomes: one message, record arrays equal bit for bit, or
+    other values with one ``repr`` (which tells every double apart)."""
+    if a[0] != b[0] or not isinstance(a[1], np.ndarray):
+        return a[0] == b[0] and repr(a[1]) == repr(b[1])
     x, y = a[1], b[1]
     return (x.dtype == y.dtype and x.shape == y.shape
             and all(x[f].tolist() == y[f].tolist()
@@ -65,8 +111,9 @@ def _same(a, b):
                     for f in x.dtype.names))
 
 
-def _files(columns, rows):
-    """``(case, bytes)`` for each malformed or unusual variant of a table."""
+def _files(columns, rows, variant):
+    """``(case, bytes)`` for each malformed or unusual variant of a table;
+    the field variants are of the row ``variant``."""
     header = ",".join(columns)
     text = header + "\n" + "\n".join(rows) + "\n"
     yield "plain", text.encode()
@@ -93,7 +140,7 @@ def _files(columns, rows):
     yield "trailing comma", (text + rows[1] + ",\n").encode()
     for f in range(len(columns)):
         for token in FIELD_TOKENS:
-            fields = rows[0].split(",")
+            fields = variant.split(",")
             fields[f] = token.format(fields[f])
             yield (f"field {f} as {token[:12]!r}",
                    (text + ",".join(fields) + "\n").encode())
@@ -101,13 +148,12 @@ def _files(columns, rows):
 
 @pytest.mark.parametrize("name", list(TABLES))
 def test_whole_file_reader_matches_the_row_by_row_reader(tmp_path, name):
-    read, columns, convert, dtype, rows = TABLES[name]
+    read, reference, columns, rows, variant = TABLES[name]
     accepted = 0
-    for case, data in _files(columns, rows):
+    for case, data in _files(columns, rows, variant):
         path = tmp_path / "table.csv"
         path.write_bytes(data)
-        want = _outcome(lambda p: _row_by_row(p, columns, convert, dtype),
-                        path)
+        want = _outcome(reference, path)
         got = _outcome(read, path)
         assert _same(got, want), (case, got, want)
         accepted += want[0] == "table"
@@ -115,31 +161,30 @@ def test_whole_file_reader_matches_the_row_by_row_reader(tmp_path, name):
 
 
 def test_long_site_ids_up_to_the_csv_field_limit(tmp_path):
-    read, columns, convert, dtype, rows = TABLES["samples"]
+    read, reference, columns, rows, _ = TABLES["samples"]
     for size in (LIMIT - 1, LIMIT, LIMIT + 1, 3 * LIMIT):
         path = tmp_path / "samples.csv"
         path.write_text(",".join(columns) + "\n" + "s" * size
                         + ",1,2,3\n" + rows[0] + "\n", encoding="utf-8")
-        want = _outcome(lambda p: _row_by_row(p, columns, convert, dtype),
-                        path)
+        want = _outcome(reference, path)
         assert _same(_outcome(read, path), want), size
         assert want[0] == ("table" if size <= LIMIT else "error")
 
 
 @pytest.mark.parametrize("name", list(TABLES))
 def test_plain_tables_are_read_whole(tmp_path, monkeypatch, name):
-    # the row-by-row reader is only a fallback: a valid table, blank lines
+    # the csv module's split is only a fallback: a valid table, blank lines
     # and CRLF line ends included, never reaches it
-    read, columns, convert, dtype, rows = TABLES[name]
+    read, reference, columns, rows, _ = TABLES[name]
     path = tmp_path / "table.csv"
     path.write_bytes((",".join(columns) + "\r\n" + rows[0] + "\r\n\r\n"
                       + rows[1] + "\r\n").encode())
-    want = _row_by_row(path, columns, convert, dtype)
+    want = reference(path)
 
     def refuse(*args):
-        raise AssertionError("read row by row")
+        raise AssertionError("split by csv")
 
-    monkeypatch.setattr(tables, "read_rows", refuse)
+    monkeypatch.setattr(tables, "_split_csv", refuse)
     assert _same(("table", read(path)), ("table", want))
     path.write_text(",".join(columns) + "\n", encoding="utf-8")
-    assert read(path).shape == (0,)
+    assert _same(("table", read(path)), ("table", reference(path)))
