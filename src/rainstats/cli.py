@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import climatology, evaluation, gauge, impact, rainmodel
 from .errors import DATA_ERRORS, ConfigError, DataError, SolverError
-from .raster import Grid, GridGeometry, read_grid, sample_bilinear
+from .raster import GridGeometry, read_grid, require_aligned, sample_bilinear
 from .rainmodel import ClimatePoint, SiteStatistics
 from .tables import (UNIQUE_SITE, Field, Table, finite, load_config,
                      read_table, write_rows, write_text)
@@ -268,8 +268,6 @@ def _cmd_build_clim(args, cfg: dict) -> None:
     inputs, outputs = _files(args, cfg, _BUILD_CLIM_SCHEMA)
     for key in ("ncols", "nrows", "k_uniform", "k_gauss"):
         # numpy refuses an int beyond int64; window_iqr's offsets are int32
-        _config_check(cfg[key] <= np.iinfo(np.int64).max,
-                      f"{key} must fit in 64 bits, got {cfg[key]}")
         _config_check(cfg[key] < 2**31,
                       f"{key} must be below 2**31, got {cfg[key]}")
     try:
@@ -280,6 +278,13 @@ def _cmd_build_clim(args, cfg: dict) -> None:
     for key in ("k_uniform", "k_gauss"):
         _config_check(cfg[key] >= 1 and cfg[key] % 2 == 1,
                       f"{key} must be odd and positive, got {cfg[key]}")
+    _config_check(cfg["ncols"] + cfg["k_uniform"] < 2**31,
+                  f"k_uniform plus ncols must be below 2**31, got "
+                  f"{cfg['ncols'] + cfg['k_uniform']}")
+    # mt and p0 are never negative, so a marker >= 0 (-0.0 too) would mark
+    # observed values as missing
+    _config_check(cfg["nodata"] < 0,
+                  f"nodata must be negative, got {cfg['nodata']}")
     _config_check(cfg["sigma_gauss"] is None or cfg["sigma_gauss"] > 0,
                   "sigma_gauss must be positive")
     _config_check(cfg["dedup_window_s"] > 0,
@@ -501,11 +506,10 @@ def _cmd_impact(args, cfg: dict) -> None:
     countries = read_grid(cfg["countries"])
 
     rates = impact.rate_map(mt, p0, params, cfg["p"])
+    require_aligned(pop, rates, countries)
     mask, nodata_pixels = impact.heavy_mask(rates, cfg["threshold"])
-    categories = impact._categories(countries, "country")
-    heavy = impact.zonal_population(pop, mask, countries, categories)
-    everywhere = Grid.full(mask.geometry, 1.0)
-    totals = impact.zonal_population(pop, everywhere, countries, categories)
+    heavy = impact.zonal_population(pop, mask, countries)
+    totals = impact.zonal_population(pop, np.ones_like(mask), countries)
 
     impact_rows = []
     for code in sorted(totals.by_code):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,30 +28,31 @@ def _categories(grid: Grid, what: str):
 def rate_map(mt: Grid, p0: Grid, params: ModelParams, p: float) -> Grid:
     """Per-pixel rain rate at exceedance probability ``p`` (percent).
 
-    Nodata in either input propagates to the output.  Valid cells are
-    clamped to ``mt >= 0`` and ``0 <= p0 <= 100`` before inverting.
+    Valid cells are clamped to ``mt >= 0`` and ``0 <= p0 <= 100`` before
+    inverting.  A pixel where mt or p0 is nodata holds a marker no rate
+    can take: mt's ``nodata`` when that is negative, else -1.0.  So the
+    output's valid mask is exactly "mt and p0 both valid".
     """
     require_aligned(mt, p0)
     if not (0 < p <= 100):
         raise ValueError(f"exceedance probability must be in (0, 100], "
                          f"got {p}")
     valid = mt.valid_mask() & p0.valid_mask()
-    out = np.full_like(mt.values, mt.geometry.nodata)
+    marker = mt.geometry.nodata if mt.geometry.nodata < 0 else -1.0
+    out = np.full_like(mt.values, marker)
     if valid.any():
         out[valid] = _rain_rate_array(
             float(p), np.maximum(mt.values[valid], 0.0),
             np.clip(p0.values[valid], 0.0, 100.0), params)
-    return Grid(mt.geometry, out)
+    return Grid(replace(mt.geometry, nodata=marker), out)
 
 
 def heavy_mask(rate: Grid, threshold: float = HEAVY_RATE_MM_H):
-    """Boolean (0/1) grid marking rates strictly above ``threshold``.
-
-    Nodata pixels are marked false; their count is returned alongside.
-    """
+    """``(mask, nodata count)``: a boolean array, true where the rate is
+    valid and strictly above ``threshold``, and the number of nodata
+    pixels, which the mask marks false."""
     valid = rate.valid_mask()
-    mask = np.where(valid & (rate.values > threshold), 1.0, 0.0)
-    return Grid(rate.geometry, mask), int(np.count_nonzero(~valid))
+    return valid & (rate.values > threshold), int(np.count_nonzero(~valid))
 
 
 @dataclass(frozen=True)
@@ -67,29 +68,19 @@ class PopulationTally:
     total: float
 
 
-def zonal_population(pop: Grid, mask: Grid, countries: Grid,
-                     categories=None) -> PopulationTally:
-    """Sum population over mask-true pixels, per country code.
-
-    ``categories`` is ``_categories(countries, "country")`` when the caller
-    has it already, so that tallies under several masks sort the codes
-    once."""
-    require_aligned(pop, mask, countries)
-    if categories is None:
-        categories = _categories(countries, "country")
-    codes, index, cvalid = categories
-    mvals = mask.values[mask.valid_mask()]
-    if mvals.size and not np.all((mvals == 0) | (mvals == 1)):
-        raise ValueError("mask grid must hold only 0/1 values")
-
-    selected = mask.valid_mask() & (mask.values == 1.0)
+def zonal_population(pop: Grid, mask, countries: Grid) -> PopulationTally:
+    """Sum population over the pixels where the boolean array ``mask``, of
+    the grids' shape, is true, per country code.  Sums are float64."""
+    require_aligned(pop, countries)
+    codes, index, cvalid = _categories(countries, "country")
     popvals = np.where(pop.valid_mask(), pop.values, 0.0)
-    # each code's pixels add in row-major order, as a per-code scan would
+    # each code's pixels add in row-major order, as a per-code scan would;
+    # bincount gives integers when no pixel is selected
     by_code = dict(zip(codes, np.bincount(
-        index[selected[cvalid]], weights=popvals[selected & cvalid],
-        minlength=len(codes)).tolist()))
+        index[mask[cvalid]], weights=popvals[mask & cvalid],
+        minlength=len(codes)).astype(np.float64).tolist()))
 
-    unassigned = float(np.sum(popvals[selected & ~cvalid]))
+    unassigned = float(np.sum(popvals[mask & ~cvalid]))
     total = float(sum(by_code.values()) + unassigned)
     return PopulationTally(by_code, unassigned, total)
 

@@ -329,22 +329,22 @@ def test_criterion_8_impact_tabulation():
         g4 = GridGeometry(4, 4, 0.0, 0.0, 1.0, ND)
         pop = Grid(g4, np.arange(16, dtype=float))
         countries = Grid(g4, np.array([[1, 1, 2, 2]] * 4, dtype=float))
-        mask_vals = np.zeros((4, 4))
-        mask_vals[0] = 1.0
-        mask_vals[3] = 1.0
-        tally = zonal_population(pop, Grid(g4, mask_vals), countries)
+        mask = np.zeros((4, 4), bool)
+        mask[0] = True
+        mask[3] = True
+        tally = zonal_population(pop, mask, countries)
         assert tally.by_code == {1: 0 + 1 + 12 + 13, 2: 2 + 3 + 14 + 15}
         assert tally.total == 0 + 1 + 2 + 3 + 12 + 13 + 14 + 15
 
         rate_vals = rng.uniform(0, 200, (12, 12))
         rate = Grid(g, rate_vals)
-        counts = [heavy_mask(rate, t)[0].values.sum()
+        counts = [heavy_mask(rate, t)[0].sum()
                   for t in (40.0, 95.0, 160.0)]
         assert counts[0] >= counts[1] >= counts[2]
 
         boundary = Grid(GridGeometry(2, 1, 0.0, 0.0, 1.0, ND), [95.0, 95.1])
         mask, _ = heavy_mask(boundary, 95.0)
-        assert mask.values.tolist() == [[0.0, 1.0]]
+        assert mask.tolist() == [[False, True]]
 
 
 # ---------------------------------------------------------------------------

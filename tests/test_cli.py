@@ -34,6 +34,23 @@ def read_report(path):
     return out
 
 
+def run_cli_under_2gib(cwd, command, config):
+    """``(exit code, stderr)`` of ``rainstats command --config config`` run
+    in ``cwd`` in a child process under a 2 GiB address-space limit, so
+    that an array sized by a huge value fails at once."""
+    code = ("import resource, sys; "
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard)); "
+            "from rainstats import cli; "
+            f"sys.exit(cli.main([{command!r}, '--config', {config!r}]))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": src,
+                              "OPENBLAS_NUM_THREADS": "1"})
+    return out.returncode, out.stderr
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -345,7 +362,7 @@ def test_predict_bad_grid_or_params_names_the_file(tmp_path, monkeypatch,
 # build-clim
 
 
-def _write_clim_config(tmp_path, cfg_name="c.cfg"):
+def _write_clim_config(tmp_path, cfg_name="c.cfg", **overrides):
     g = GridGeometry(16, 16, 30.0, 9.0, 1.0 / 120.0, ND)
     rng = np.random.default_rng(63)
     t, stream = 0.0, []
@@ -357,11 +374,12 @@ def _write_clim_config(tmp_path, cfg_name="c.cfg"):
     write_observations_csv(observations(stream), tmp_path / "obs.csv")
     write_grid(Grid.full(g, 900.0), tmp_path / "ref.grd")
     write_grid(Grid(g, rng.uniform(0, 1500, 256)), tmp_path / "elev.grd")
-    write_config(tmp_path / cfg_name, observations="obs.csv",
-                 reference_mt="ref.grd", elevation="elev.grd",
-                 ncols=g.ncols, nrows=g.nrows, xll=g.xll, yll=g.yll,
-                 cell=g.cell, nodata=g.nodata, k_uniform=9, k_gauss=5,
-                 out_mt="mt.grd", out_p0="p0.grd", out_report="report.txt")
+    cfg = dict(observations="obs.csv", reference_mt="ref.grd",
+               elevation="elev.grd", ncols=g.ncols, nrows=g.nrows, xll=g.xll,
+               yll=g.yll, cell=g.cell, nodata=g.nodata, k_uniform=9,
+               k_gauss=5, out_mt="mt.grd", out_p0="p0.grd",
+               out_report="report.txt")
+    write_config(tmp_path / cfg_name, **{**cfg, **overrides})
 
 
 def test_build_clim_rerun_identical_bytes(tmp_path, monkeypatch):
@@ -458,23 +476,14 @@ def test_output_geometry_too_large_for_memory_exits_2(tmp_path):
                  cell=1e-07, nodata=ND, out_mt="mt.grd", out_p0="p0.grd",
                  out_report="report.txt")
     before = sorted(os.listdir(tmp_path))
-    code = ("import resource, sys; "
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard)); "
-            "from rainstats import cli; "
-            "sys.exit(cli.main(['build-clim', '--config', 'c.cfg']))")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, cwd=tmp_path,
-                         env={**os.environ, "PYTHONPATH": src,
-                              "OPENBLAS_NUM_THREADS": "1"})
-    assert out.returncode == 2, out.stderr
-    assert "data error" in out.stderr and "Traceback" not in out.stderr
+    code, err = run_cli_under_2gib(tmp_path, "build-clim", "c.cfg")
+    assert code == 2, err
+    assert "data error" in err and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("key, value, rule", [
-    *(pytest.param(key, 10**20 + 1, "must fit in 64 bits", id=key)
+    *(pytest.param(key, 10**20 + 1, "must be below 2**31", id=key)
       for key in ("ncols", "nrows", "k_uniform", "k_gauss")),
     # fits int64, but overflows a float-to-int cast, a cell count or the
     # windowed IQR's 32-bit offsets
@@ -487,16 +496,39 @@ def test_build_clim_int_beyond_int64_is_a_config_error(tmp_path, monkeypatch,
     # numpy would refuse the int when it sizes an array; with a tiny cell,
     # nrows passes the latitude-extent check
     monkeypatch.chdir(tmp_path)
-    _write_clim_config(tmp_path)
-    with open(tmp_path / "c.cfg") as f:
-        text = "".join(line for line in f
-                       if not line.startswith((f"{key}=", "cell=")))
-    (tmp_path / "c.cfg").write_text(text + f"{key}={value}\ncell=1e-300\n")
+    _write_clim_config(tmp_path, **{key: value, "cell": 1e-300})
     before = sorted(os.listdir(tmp_path))
     assert run_cli("build-clim", "--config", "c.cfg") == 1
     err = capsys.readouterr().err
     assert (f"config error: c.cfg: {key} {rule}, got {value}") in err
     assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("ncols, k", [(16, 2**31 - 1), (17, 2**31 - 17)])
+def test_build_clim_k_uniform_beyond_the_window_bound_is_a_config_error(
+        tmp_path, ncols, k):
+    # window_iqr's int32 column offsets reach -(ncols + k); a run past this
+    # check could size arrays by k, so it runs under a memory limit
+    _write_clim_config(tmp_path, ncols=ncols, k_uniform=k)
+    before = sorted(os.listdir(tmp_path))
+    code, err = run_cli_under_2gib(tmp_path, "build-clim", "c.cfg")
+    assert code == 1, err
+    assert ("config error: c.cfg: k_uniform plus ncols must be below 2**31, "
+            f"got {ncols + k}") in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("nodata", ["0.0", "-0.0", "1.0"])
+def test_build_clim_nodata_not_negative_is_a_config_error(
+        tmp_path, monkeypatch, capsys, nodata):
+    # an observed pixel that never saw rain has mt = p0 = 0
+    monkeypatch.chdir(tmp_path)
+    _write_clim_config(tmp_path, nodata=nodata)
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("build-clim", "--config", "c.cfg") == 1
+    err = capsys.readouterr().err
+    assert f"config error: c.cfg: nodata must be negative, got {nodata}" in err
     assert sorted(os.listdir(tmp_path)) == before
 
 
@@ -849,18 +881,9 @@ def test_impact_codes_beyond_int32_exit_0(tmp_path):
                  params="params.txt", pop="pop.grd",
                  countries="countries.grd", zones="zones.grd",
                  out_impact="impact.csv", out_zones="zones.csv")
-    code = ("import resource, sys; "
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard)); "
-            "from rainstats import cli; "
-            "sys.exit(cli.main(['impact', '--config', 'i.cfg']))")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, cwd=tmp_path,
-                         env={**os.environ, "PYTHONPATH": src,
-                              "OPENBLAS_NUM_THREADS": "1"})
-    assert out.returncode == 0, out.stderr
-    assert out.stderr == ""
+    code, err = run_cli_under_2gib(tmp_path, "impact", "i.cfg")
+    assert code == 0, err
+    assert err == ""
     with open(tmp_path / "impact.csv", newline="") as f:
         codes = [r[0] for r in list(csv.reader(f))[1:]]
     assert codes == ["2147483647", "100000000000000000000", "unassigned",
@@ -869,6 +892,61 @@ def test_impact_codes_beyond_int32_exit_0(tmp_path):
         zrows = list(csv.reader(f))[1:]
     assert [(r[0], r[1]) for r in zrows] == [
         ("2147483647", "50.0000"), ("100000000000000000000", "50.0000")]
+
+
+def _impact_config(tmp_path, **kv):
+    write_config(tmp_path / "i.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                 params="params.txt", pop="pop.grd",
+                 countries="countries.grd", out_impact="impact.csv", **kv)
+
+
+@pytest.mark.parametrize("mt_nodata", [1.0, 0.0])
+def test_impact_reads_any_mt_nodata_value(tmp_path, monkeypatch, mt_nodata):
+    # mt holds neither value; a p0 of 0 gives a rate of 0
+    monkeypatch.chdir(tmp_path)
+    _write_impact_inputs(tmp_path)
+    p0_vals = np.full((4, 4), 5.0)
+    p0_vals[1, 1] = 0.0
+    g = GridGeometry(4, 4, 0.0, 0.0, 1.0, ND)
+    write_grid(Grid(g, p0_vals), tmp_path / "p0.grd")
+    _impact_config(tmp_path)
+    assert run_cli("impact", "--config", "i.cfg") == 0
+    expected = (tmp_path / "impact.csv").read_bytes()
+    write_grid(Grid(GridGeometry(4, 4, 0.0, 0.0, 1.0, mt_nodata),
+                    [[3500.0, 3500.0, 400.0, 400.0]] * 4),
+               tmp_path / "mt.grd")
+    assert run_cli("impact", "--config", "i.cfg") == 0
+    assert (tmp_path / "impact.csv").read_bytes() == expected
+    manifest = read_report(tmp_path / "impact.csv.manifest")
+    assert manifest["note.nodata_rate_pixels"] == "0"
+
+
+def test_impact_threshold_above_every_rate_writes_floats(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_impact_inputs(tmp_path)
+    _impact_config(tmp_path, threshold=1e6)
+    assert run_cli("impact", "--config", "i.cfg") == 0
+    with open(tmp_path / "impact.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert [r[0] for r in rows] == ["1", "2", "unassigned", "total"]
+    assert [r[2] for r in rows] == ["0.0"] * 4
+
+
+def test_impact_rates_misaligned_with_pop_exit_2(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_impact_inputs(tmp_path)
+    half = GridGeometry(4, 4, 0.5, 0.0, 1.0, ND)
+    write_grid(Grid.full(half, 3500.0), tmp_path / "mt.grd")
+    write_grid(Grid.full(half, 5.0), tmp_path / "p0.grd")
+    _impact_config(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("impact", "--config", "i.cfg") == 2
+    err = capsys.readouterr().err
+    assert "data error: grids are not aligned" in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_eval_malformed_samples_exits_2(tmp_path, monkeypatch):

@@ -62,11 +62,23 @@ def test_rate_map_propagates_nodata_and_checks_alignment():
     mt = Grid(geom(2, 1), [ND, 1000.0])
     p0 = Grid(geom(2, 1), [5.0, ND])
     out = rate_map(mt, p0, PARAMS, 0.01)
-    assert np.all(out.values == ND)
+    assert np.all(out.values == ND) and out.geometry.nodata == ND
     with pytest.raises(AlignmentError):
         rate_map(mt, Grid.full(geom(3, 1), 5.0), PARAMS, 0.01)
     with pytest.raises(ValueError):
         rate_map(mt, p0, PARAMS, 0.0)
+
+
+@pytest.mark.parametrize("nodata", [0.0, -0.0, 1.0, 95.0])
+def test_rate_map_marks_nodata_with_a_value_no_rate_takes(nodata):
+    # p0 = 0 gives a rate of 0, which a marker of 0 would take for nodata
+    g = GridGeometry(3, 1, 0.0, 0.0, 1.0, nodata)
+    mt = Grid(g, [nodata, 1000.0, 1000.0])
+    p0 = Grid(geom(3, 1), [5.0, 0.0, 5.0])
+    out = rate_map(mt, p0, PARAMS, 0.01)
+    assert out.geometry.nodata == -1.0
+    assert out.valid_mask().tolist() == [[False, True, True]]
+    assert out.values[0, 1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +88,8 @@ def test_rate_map_propagates_nodata_and_checks_alignment():
 def test_heavy_mask_boundaries():
     rate = Grid(geom(4, 1), [95.0, 95.1, 0.0, ND])
     mask, nodata_count = heavy_mask(rate)
-    assert mask.values.tolist()[0] == [0.0, 1.0, 0.0, 0.0]
+    assert mask.dtype == bool
+    assert mask.tolist() == [[False, True, False, False]]
     assert nodata_count == 1
 
 
@@ -86,7 +99,7 @@ def test_heavy_mask_monotone_in_threshold():
     counts = []
     for thr in (50.0, 95.0, 150.0):
         mask, _ = heavy_mask(rate, thr)
-        counts.append(mask.values.sum())
+        counts.append(mask.sum())
     assert counts[0] >= counts[1] >= counts[2]
 
 
@@ -96,10 +109,10 @@ def test_heavy_mask_monotone_in_threshold():
 
 def test_zonal_population_empty_mask_is_all_zeros():
     pop = Grid.full(geom(3, 3), 10.0)
-    mask = Grid.full(geom(3, 3), 0.0)
     countries = Grid.full(geom(3, 3), 1.0)
-    tally = zonal_population(pop, mask, countries)
+    tally = zonal_population(pop, np.zeros((3, 3), bool), countries)
     assert tally.by_code == {1: 0.0}
+    assert type(tally.by_code[1]) is float
     assert tally.total == 0.0
 
 
@@ -107,9 +120,8 @@ def test_zonal_population_full_mask_single_country():
     rng = np.random.default_rng(33)
     vals = rng.integers(0, 100, (3, 3)).astype(float)
     pop = Grid(geom(3, 3), vals)
-    mask = Grid.full(geom(3, 3), 1.0)
     countries = Grid.full(geom(3, 3), 7.0)
-    tally = zonal_population(pop, mask, countries)
+    tally = zonal_population(pop, np.ones((3, 3), bool), countries)
     assert tally.by_code == {7: pytest.approx(vals.sum())}
     assert tally.total == pytest.approx(vals.sum())
 
@@ -119,11 +131,10 @@ def test_zonal_population_hand_case():
     countries_vals = np.array([[1, 1, 2, 2]] * 4, dtype=float)
     countries_vals[3, 3] = ND
     pop_vals = np.arange(16, dtype=float).reshape(4, 4)
-    mask_vals = np.zeros((4, 4))
-    mask_vals[0, :] = 1.0   # pixels 0, 1, 2, 3
-    mask_vals[3, :] = 1.0   # pixels 12, 13, 14, 15
-    tally = zonal_population(Grid(geom(4, 4), pop_vals),
-                             Grid(geom(4, 4), mask_vals),
+    mask = np.zeros((4, 4), bool)
+    mask[0, :] = True   # pixels 0, 1, 2, 3
+    mask[3, :] = True   # pixels 12, 13, 14, 15
+    tally = zonal_population(Grid(geom(4, 4), pop_vals), mask,
                              Grid(geom(4, 4), countries_vals))
     assert tally.by_code == {1: 0 + 1 + 12 + 13, 2: 2 + 3 + 14}
     assert tally.unassigned == 15.0
@@ -133,19 +144,16 @@ def test_zonal_population_hand_case():
 def test_zonal_population_additive_over_tiling():
     rng = np.random.default_rng(34)
     pop_vals = rng.integers(0, 1000, (6, 6)).astype(float)
-    mask_vals = (rng.uniform(size=(6, 6)) < 0.5).astype(float)
+    mask = rng.uniform(size=(6, 6)) < 0.5
     country_vals = rng.integers(0, 4, (6, 6)).astype(float)
-    whole = zonal_population(Grid(geom(6, 6), pop_vals),
-                             Grid(geom(6, 6), mask_vals),
+    whole = zonal_population(Grid(geom(6, 6), pop_vals), mask,
                              Grid(geom(6, 6), country_vals))
     # split into north and south halves laid out as separate grids
     half = GridGeometry(6, 3, 0.0, 0.0, 1.0, ND)
     south = GridGeometry(6, 3, 0.0, 0.0, 1.0, ND)
-    top = zonal_population(Grid(half, pop_vals[:3]),
-                           Grid(half, mask_vals[:3]),
+    top = zonal_population(Grid(half, pop_vals[:3]), mask[:3],
                            Grid(half, country_vals[:3]))
-    bottom = zonal_population(Grid(south, pop_vals[3:]),
-                              Grid(south, mask_vals[3:]),
+    bottom = zonal_population(Grid(south, pop_vals[3:]), mask[3:],
                               Grid(south, country_vals[3:]))
     for code, total in whole.by_code.items():
         assert total == pytest.approx(top.by_code.get(code, 0.0)
@@ -155,15 +163,11 @@ def test_zonal_population_additive_over_tiling():
 
 def test_zonal_population_rejects_bad_inputs():
     pop = Grid.full(geom(2, 2), 1.0)
+    everywhere = np.ones((2, 2), bool)
     with pytest.raises(AlignmentError):
-        zonal_population(pop, Grid.full(geom(3, 2), 0.0),
-                         Grid.full(geom(2, 2), 1.0))
-    with pytest.raises(ValueError, match="0/1"):
-        zonal_population(pop, Grid.full(geom(2, 2), 0.5),
-                         Grid.full(geom(2, 2), 1.0))
+        zonal_population(pop, everywhere, Grid.full(geom(3, 2), 1.0))
     with pytest.raises(ValueError, match="non-integer"):
-        zonal_population(pop, Grid.full(geom(2, 2), 1.0),
-                         Grid.full(geom(2, 2), 1.5))
+        zonal_population(pop, everywhere, Grid.full(geom(2, 2), 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +239,15 @@ def test_zone_coverage_no_valid_pixels_raises():
 
 def _scan_zonal_population(pop, mask, countries):
     """The tally one code at a time: a bincount over the codes' values."""
-    selected = mask.valid_mask() & (mask.values == 1.0)
     popvals = np.where(pop.valid_mask(), pop.values, 0.0)
     cvalid = countries.valid_mask()
     codes = np.unique(countries.values[cvalid]).astype(np.int64)
-    hit = selected & cvalid
+    hit = mask & cvalid
     sums = (np.bincount(countries.values[hit].astype(np.int64),
                         weights=popvals[hit]) if hit.any() else np.zeros(0))
     by_code = {int(c): float(sums[c]) if c < sums.size else 0.0
                for c in codes}
-    unassigned = float(np.sum(popvals[selected & ~cvalid]))
+    unassigned = float(np.sum(popvals[mask & ~cvalid]))
     return PopulationTally(by_code, unassigned,
                            float(sum(by_code.values()) + unassigned))
 
@@ -270,8 +273,8 @@ def _scan_zone_coverage(zones, pop):
 
 
 def _random_category_inputs(rng):
-    """Codes (up to 4096, some nodata), a 0/1 mask with nodata, and a
-    fractional population from 1e-3 to 1e6 with zeros and nodata."""
+    """Codes (up to 4096, some nodata), a boolean mask, and a fractional
+    population from 1e-3 to 1e6 with zeros and nodata."""
     shape = tuple(rng.integers(1, 60, 2))
     g = geom(shape[1], shape[0])
     n_codes = int(rng.choice([1, 3, 40, 500]))
@@ -281,16 +284,15 @@ def _random_category_inputs(rng):
     pop_vals = 10.0 ** rng.uniform(-3, 6, shape)
     pop_vals[rng.uniform(size=shape) < 0.2] = 0.0
     pop_vals[rng.uniform(size=shape) < 0.1] = ND
-    mask_vals = (rng.uniform(size=shape) < 0.5).astype(float)
-    mask_vals[rng.uniform(size=shape) < 0.05] = ND
-    return Grid(g, code_vals), Grid(g, mask_vals), Grid(g, pop_vals)
+    mask = rng.uniform(size=shape) < 0.5
+    return Grid(g, code_vals), mask, Grid(g, pop_vals)
 
 
 def test_zonal_population_matches_the_per_code_scan():
     rng = np.random.default_rng(37)
     for _ in range(200):
         codes, mask, pop = _random_category_inputs(rng)
-        for m in (mask, Grid.full(mask.geometry, 1.0)):
+        for m in (mask, np.ones_like(mask)):
             assert (zonal_population(pop, m, codes)
                     == _scan_zonal_population(pop, m, codes))
 
@@ -309,7 +311,7 @@ def test_category_codes_beyond_int64_keep_their_value():
     big = [2147483647.0, 1e20]
     countries = Grid(geom(2, 1), big)
     pop = Grid(geom(2, 1), [3.0, 4.0])
-    tally = zonal_population(pop, Grid.full(geom(2, 1), 1.0), countries)
+    tally = zonal_population(pop, np.ones((1, 2), bool), countries)
     assert tally.by_code == {2147483647: 3.0, 10**20: 4.0}
     shares = zone_coverage(countries, pop)
     assert sorted(shares) == [2147483647, 10**20]
