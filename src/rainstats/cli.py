@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -224,7 +225,7 @@ def _cmd_predict(args, cfg: dict) -> None:
     for site_id, lat, lon, country in locations.tolist():
         mt_v = sample_bilinear(mt, lat, lon)
         p0_v = sample_bilinear(p0, lat, lon)
-        if mt_v == mt.geometry.nodata or p0_v == p0.geometry.nodata:
+        if math.isnan(mt_v) or math.isnan(p0_v):
             skipped += 1
             continue
         curve = rainmodel.estimate_site_curve(
@@ -454,15 +455,12 @@ def _cmd_eval(args, cfg: dict) -> None:
         _confusion_block("classify.by_site", actuals, preds)
         if cfg["sites"] is not None:
             countries = dict(read_table(cfg["sites"], _COUNTRIES).tolist())
-            records = []
-            for site_id, a, p in zip(classify.site_id, actuals, preds):
-                if site_id not in countries:
-                    raise DataError(f"{cfg['sites']}: no country for site "
-                                    f"{site_id}")
-                records.append((countries[site_id], a, p))
-            pairs = evaluation.by_country(records).values()
-            _confusion_block("classify.by_country", [a for a, _ in pairs],
-                             [p for _, p in pairs])
+            codes = [countries.get(site_id) for site_id in classify.site_id]
+            if None in codes:
+                raise DataError(f"{cfg['sites']}: no country for site "
+                                f"{classify.site_id[codes.index(None)]}")
+            _confusion_block("classify.by_country",
+                             *evaluation.by_country(codes, actuals, preds))
 
     fractions = evaluation.rec_curve(rel_pct, cfg["rec_thresholds"])
 

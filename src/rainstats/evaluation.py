@@ -75,17 +75,16 @@ class ConfusionMatrix:
 
 
 def confusion(actuals, predictions) -> ConfusionMatrix:
-    a = list(bool(v) for v in actuals)
-    p = list(bool(v) for v in predictions)
-    if len(a) != len(p):
-        raise ValueError(f"length mismatch: {len(a)} actuals vs "
-                         f"{len(p)} predictions")
-    if not a:
+    """Count paired boolean labels: sample ``i`` falls in cell
+    ``2 * actual + predicted`` of (tn, fp, fn, tp)."""
+    a = np.asarray(actuals, dtype=bool)
+    p = np.asarray(predictions, dtype=bool)
+    if a.size != p.size:
+        raise ValueError(f"length mismatch: {a.size} actuals vs "
+                         f"{p.size} predictions")
+    if not a.size:
         raise ValueError("cannot build a confusion matrix from no labels")
-    cells = [0, 0, 0, 0]  # tn, fp, fn, tp
-    for x, y in zip(a, p):
-        cells[2 * x + y] += 1
-    return ConfusionMatrix(*cells)
+    return ConfusionMatrix(*np.bincount(2 * a + p, minlength=4).tolist())
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -101,20 +100,20 @@ def mcc(cm: ConfusionMatrix) -> float:
     return (cm.tp * cm.tn - cm.fp * cm.fn) / math.sqrt(denom)
 
 
-def by_country(records):
-    """Collapse per-site booleans to per-country pairs by OR.
+def by_country(countries, actuals, predicted):
+    """Collapse per-site booleans to per-country booleans by OR.
 
-    ``records`` is an iterable of (country, actual, predicted).  Returns an
-    ordered mapping country -> (actual, predicted), sorted by country code.
+    The three arguments are equal-length columns: a country code and the
+    actual and predicted labels of each site.  Returns ``(actual,
+    predicted)`` boolean arrays with one entry per country code, in
+    ascending order of code.
     """
-    recs = list(records)
-    if not recs:
+    codes, site_code = np.unique(countries, return_inverse=True)
+    if not codes.size:
         raise ValueError("no site records")
-    agg: dict = {}
-    for country, actual, predicted in recs:
-        a, p = agg.get(country, (False, False))
-        agg[country] = (a or bool(actual), p or bool(predicted))
-    return dict(sorted(agg.items()))
+    return tuple(np.bincount(site_code[np.asarray(labels, dtype=bool)],
+                             minlength=codes.size) > 0
+                 for labels in (actuals, predicted))
 
 
 def station_comparison(climatology: Grid, stations):

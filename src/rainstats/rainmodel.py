@@ -247,12 +247,13 @@ def minimize(*args, **kwargs):
 _SEED_X = (0.25, 1.0, 4.0)
 _SEED_Y = (2.5e3, 2.0e4, 1.6e5)
 _SEED_Z = (3.25, 26.0, 208.0)
+_N_DESCENTS = 4
 
 
-def fit_params(training, *, threads: int = 1, n_descents: int = 4) -> FitResult:
+def fit_params(training, *, threads: int = 1) -> FitResult:
     """Globally fit (x, y, z) by multi-start derivative-free descent.
 
-    Starts are a coarse logarithmic grid; the ``n_descents`` most promising
+    Starts are a coarse logarithmic grid; the ``_N_DESCENTS`` most promising
     seeds are refined with Nelder-Mead in log-parameter space (one restart
     each).  The best objective wins, with ties broken toward the
     lexicographically smallest (x, y, z).  The descents run in turn:
@@ -282,7 +283,7 @@ def fit_params(training, *, threads: int = 1, n_descents: int = 4) -> FitResult:
     # subtracts objectives; a descent that ends at inf is dropped
     with np.errstate(over="ignore", invalid="ignore"):
         scored = sorted(((objective(s), i) for i, s in enumerate(seeds)))
-        starts = [seeds[i] for _, i in scored[:max(1, n_descents)]]
+        starts = [seeds[i] for _, i in scored[:_N_DESCENTS]]
         candidates = [c for c in map(descend, starts) if np.isfinite(c[0])]
     if not candidates:
         raise SolverError("no fit start converged to a finite objective")

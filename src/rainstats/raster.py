@@ -255,14 +255,13 @@ def _bilinear_many(grid: Grid, lats: np.ndarray, lons: np.ndarray):
 def sample_bilinear(grid: Grid, lat: float, lon: float) -> float:
     """Bilinear interpolation of the four surrounding cell-center values.
 
-    Returns the grid's nodata sentinel if any of the four neighbors is
-    nodata.  Raises ``ValueError`` for coordinates outside the outer bounds.
+    Returns NaN if any of the four neighbors is nodata, so an interpolated
+    value that happens to equal the nodata sentinel is still a value.
+    Raises ``ValueError`` for coordinates outside the outer bounds.
     """
     vals, inside = _bilinear_many(grid, [lat], [lon])
     if not inside[0]:
         raise ValueError(f"point ({lat}, {lon}) is outside the grid bounds")
-    if np.isnan(vals[0]):
-        return grid.geometry.nodata
     return float(vals[0])
 
 

@@ -309,6 +309,38 @@ def test_predict_matches_library_curves(tmp_path, monkeypatch):
         assert list(s.points) == expected
 
 
+def test_predict_skips_only_samples_that_touch_nodata(tmp_path,
+                                                     monkeypatch):
+    # the bilinear sample at (1, 1) is 500.0, mt's NODATA_value, but it is
+    # interpolated from four valid cells
+    monkeypatch.chdir(tmp_path)
+    _write_predict_inputs(tmp_path)
+    write_grid(Grid(GridGeometry(2, 2, 0.0, 0.0, 1.0, ND), np.full(4, 5.0)),
+               tmp_path / "p0.grd")
+    with open(tmp_path / "locs.csv", "w") as f:
+        f.write("site_id,lat,lon,country\na,1.0,1.0,XX\n")
+    write_config(tmp_path / "p.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                 params="params.txt", locations="locs.csv",
+                 out_sites="pred.csv", ladder="0.01,0.1,1")
+
+    from rainstats.rainmodel import read_sites_csv
+
+    def predict(mt_cells):
+        write_grid(Grid(GridGeometry(2, 2, 0.0, 0.0, 1.0, 500.0), mt_cells),
+                   tmp_path / "mt.grd")
+        assert run_cli("predict", "--config", "p.cfg") == 0
+        manifest = read_report(tmp_path / "pred.csv.manifest")
+        return (read_sites_csv(tmp_path / "pred.csv"),
+                manifest["note.skipped_locations"])
+
+    [site], skipped = predict([400.0, 600.0, 400.0, 600.0])
+    assert skipped == "0" and site.site_id == "a"
+    assert list(site.points) == estimate_site_curve(
+        ClimatePoint(500.0, 5.0), PARAMS, (0.01, 0.1, 1.0))
+    # a nodata cell among the four does skip it
+    assert predict([400.0, 500.0, 400.0, 600.0]) == ([], "1")
+
+
 def test_predict_grid_claiming_more_rows_than_it_has_exits_2(
         tmp_path, monkeypatch, capsys):
     # 10^16 cells (71 PiB): the row count is checked before any allocation
@@ -1152,10 +1184,13 @@ def _reference_eval(rows, countries, classify_p, threshold, thresholds):
     actuals = [obs > threshold for _, _, obs, _ in picked]
     preds = [pred > threshold for _, _, _, pred in picked]
     confusion("classify.by_site", actuals, preds)
-    pairs = ev.by_country((countries[row[0]], a, q) for row, a, q
-                          in zip(picked, actuals, preds)).values()
-    confusion("classify.by_country", [a for a, _ in pairs],
-              [q for _, q in pairs])
+    by_country = {}
+    for row, a, q in zip(picked, actuals, preds):
+        any_a, any_q = by_country.get(countries[row[0]], (False, False))
+        by_country[countries[row[0]]] = (any_a or a, any_q or q)
+    confusion("classify.by_country",
+              [by_country[c][0] for c in sorted(by_country)],
+              [by_country[c][1] for c in sorted(by_country)])
     fractions = ev.rec_curve([abs(e) for e in rel_pct], thresholds)
     return lines, [[repr(t), repr(f)] for t, f in zip(thresholds, fractions)]
 

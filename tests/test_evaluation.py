@@ -220,13 +220,14 @@ def test_all_false_predictor_accuracy_is_negative_prevalence():
 
 
 def test_by_country_single_site_passthrough():
-    assert by_country([("KEN", True, False)]) == {"KEN": (True, False)}
+    actual, predicted = by_country(["KEN"], [True], [False])
+    assert (actual.tolist(), predicted.tolist()) == ([True], [False])
 
 
 def test_by_country_or_semantics():
-    out = by_country([("NGA", False, False), ("NGA", True, False),
-                      ("NGA", False, True)])
-    assert out == {"NGA": (True, True)}
+    actual, predicted = by_country(["NGA", "NGA", "NGA"],
+                                   [False, True, False], [False, False, True])
+    assert (actual.tolist(), predicted.tolist()) == ([True], [True])
 
 
 def test_by_country_matches_enumeration():
@@ -237,15 +238,20 @@ def test_by_country_matches_enumeration():
         for _ in range(int(rng.integers(1, 6))):
             records.append((c, bool(rng.uniform() < 0.4),
                             bool(rng.uniform() < 0.4)))
-    out = by_country(records)
-    assert sorted(out) == countries
-    for c in countries:
+    rng.shuffle(records)
+    actual, predicted = by_country(*zip(*records))
+    assert actual.dtype == predicted.dtype == bool
+    assert actual.size == predicted.size == len(countries)
+    for i, c in enumerate(countries):
         acts = [a for cc, a, _ in records if cc == c]
         preds = [p for cc, _, p in records if cc == c]
-        assert out[c] == (any(acts), any(preds))
-    cm = confusion([a for a, _ in out.values()],
-                   [p for _, p in out.values()])
-    assert cm.total == 20
+        assert (actual[i], predicted[i]) == (any(acts), any(preds))
+    assert confusion(actual, predicted).total == 20
+
+
+def test_by_country_rejects_no_sites():
+    with pytest.raises(ValueError, match="no site records"):
+        by_country([], [], [])
 
 
 # ---------------------------------------------------------------------------

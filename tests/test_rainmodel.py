@@ -327,7 +327,7 @@ def test_fit_rejects_degenerate_training():
 
 def test_fit_calls_minimize_through_the_module_global(monkeypatch):
     training = _make_training(GEN_PARAMS, _training_climates(5, seed=17))
-    expected = fit_params(training, n_descents=3)
+    expected = fit_params(training)
     nfev = []
 
     def counting_minimize(*args, **kwargs):
@@ -337,8 +337,8 @@ def test_fit_calls_minimize_through_the_module_global(monkeypatch):
 
     real_minimize = rainmodel.minimize
     monkeypatch.setattr(rainmodel, "minimize", counting_minimize)
-    assert fit_params(training, n_descents=3) == expected
-    assert len(nfev) == 6  # one descent and one restart per start
+    assert fit_params(training) == expected
+    assert len(nfev) == 8  # one descent and one restart per start
     assert all(n > 0 for n in nfev)
 
 

@@ -151,7 +151,7 @@ def test_sample_corner_midpoint_hand_value():
 
 def test_sample_nodata_corner_returns_nodata():
     grid = Grid(geom(2, 2, cell=1.0), [0.0, ND, 1.0, 2.0])
-    assert sample_bilinear(grid, 1.0, 1.0) == ND
+    assert np.isnan(sample_bilinear(grid, 1.0, 1.0))
 
 
 def test_sample_out_of_bounds_raises():

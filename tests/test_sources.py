@@ -69,6 +69,26 @@ def test_only_tables_imports_csv():
     assert importers == ["tables"]
 
 
+def _nodata_equalities(path):
+    """The text of each ``==`` or ``!=`` comparison in ``path`` that reads
+    an attribute named ``nodata``."""
+    return [ast.unparse(node)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "nodata"
+                    for sub in ast.walk(node))]
+
+
+def test_only_raster_compares_values_with_the_nodata_sentinel():
+    # a value interpolated from valid cells can equal the sentinel; raster
+    # marks missing cells (valid_mask) and missing samples (NaN) itself
+    found = [(path.stem, text) for path in sorted(SRC.glob("*.py"))
+             if path.stem != "raster" for text in _nodata_equalities(path)]
+    assert found == []
+    assert _nodata_equalities(SRC / "raster.py")
+
+
 #: Public definitions kept without a caller in the package, with the reason.
 UNCALLED = {
     # waits on the end-to-end check of the paper's result (ROADMAP item 7)
