@@ -326,7 +326,7 @@ def _gauge_site(cfg: dict, span, tips_path):
     tips = gauge.read_tips_csv(tips_path)
     bucket = cfg["bucket_mm"]
     if bucket is None:
-        depths = sorted(set(tips.depth.tolist()))
+        depths = np.unique(tips.depth).tolist()
         if len(depths) > 1:
             raise DataError(f"{tips_path}: mixed bucket depths "
                             f"{depths}; set bucket_mm")

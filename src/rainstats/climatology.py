@@ -191,11 +191,12 @@ def render_observations(observations, geometry: GridGeometry,
 def initial_estimates(acc: AccumulatorGrid):
     """First-pass grids from the accumulator.
 
-    Per observed pixel: p0 = 100 * n_rain / n_total (percent), conditional
-    rate = sum_nsrr / n_rain (mm/h, 0 when never raining), and
-    mt = cond_rate * 8766 * p0 / 100 (mm/yr).  Unobserved pixels are nodata.
+    Per observed pixel: p0 = 100 * n_rain / n_total (percent) and
+    mt = cond_rate * 8766 * p0 / 100 (mm/yr), where the conditional rate is
+    sum_nsrr / n_rain (mm/h, 0 when never raining).  Unobserved pixels are
+    nodata.
 
-    Returns ``(mt, p0, cond_rate)`` grids.
+    Returns ``(mt, p0)`` grids.
     """
     g = acc.geometry
     seen = acc.n_total > 0
@@ -203,9 +204,8 @@ def initial_estimates(acc: AccumulatorGrid):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         p0 = np.where(seen, 100.0 * acc.n_rain / acc.n_total, g.nodata)
         cond = np.where(acc.n_rain > 0, acc.sum_nsrr / acc.n_rain, 0.0)
-        cond = np.where(seen, cond, g.nodata)
         mt = np.where(seen, cond * HOURS_PER_YEAR * (p0 / 100.0), g.nodata)
-    return Grid(g, mt), Grid(g, p0), Grid(g, cond)
+    return Grid(g, mt), Grid(g, p0)
 
 
 def elevation_weight(elev: Grid, k: int = DEFAULT_K_UNIFORM) -> Grid:
@@ -293,13 +293,6 @@ def read_observations_csv(path) -> np.recarray:
 # full pipeline
 
 
-@dataclass(frozen=True)
-class ClimatologyResult:
-    mt: Grid
-    p0: Grid
-    report: str
-
-
 @contextmanager
 def _stage(name: str):
     """Put ``stage <name>:`` in front of the message of an error raised in
@@ -317,7 +310,7 @@ def _valid_mean(grid: Grid) -> float:
     return float(np.mean(grid.values[m])) if m.any() else float("nan")
 
 
-def build_climatology(config: Mapping) -> ClimatologyResult:
+def build_climatology(config: Mapping) -> None:
     """Run the full pipeline and write its outputs.
 
     ``config`` is the typed build-clim config, every key present: the
@@ -341,7 +334,7 @@ def build_climatology(config: Mapping) -> ClimatologyResult:
         acc, render_report = render_observations(observations, geometry,
                                                 config["dedup_window_s"])
     with _stage("initial"):
-        mt0, p00, _cond = initial_estimates(acc)
+        mt0, p00 = initial_estimates(acc)
     with _stage("elevation"):
         elev_local = resample(elevation, geometry)
         weight = elevation_weight(elev_local, k_uniform)
@@ -367,4 +360,3 @@ def build_climatology(config: Mapping) -> ClimatologyResult:
         write_grid(mt_final, config["out_mt"])
         write_grid(p0_final, config["out_p0"])
         write_text(config["out_report"], report)
-    return ClimatologyResult(mt_final, p0_final, report)

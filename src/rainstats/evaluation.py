@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyDataError
 from .raster import Grid, _bilinear_many
-from .tables import Check, Table, read_table
+from .tables import Check, Table, read_table, unique
 
 #: Rain rate at 0.01% exceedance above which a location counts as heavy.
 HEAVY_RATE_MM_H = 95.0
@@ -156,7 +156,8 @@ _SAMPLES = Table(
            "observed rate must be positive and finite for relative error, "
            "got {observed}"),
      Check(("predicted",), lambda rate: (rate >= 0) & (rate < math.inf),
-           "predicted rate must be >= 0 and finite, got {predicted}")],
+           "predicted rate must be >= 0 and finite, got {predicted}"),
+     unique(("site_id", "p"), "duplicate sample for site {site_id} at p={p}")],
     names=["site_id", "p", "observed", "predicted"])
 
 

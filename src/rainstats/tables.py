@@ -97,17 +97,23 @@ def finite(*names) -> list:
         (name, float), Check((name,), np.isfinite, _NOT_FINITE))]
 
 
-def first_rows(keys) -> np.ndarray:
-    """For each of ``keys``, the index of the first of them equal to it."""
-    keys = keys.tolist()
+def first_rows(*columns) -> np.ndarray:
+    """For each row of the equal-length ``columns``, the index of the first
+    row whose values all equal its own."""
+    keys = list(zip(*(c.tolist() for c in columns)))
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
     return np.fromiter(map(first.__getitem__, keys), np.intp, len(keys))
 
 
+def unique(reads, message) -> Check:
+    """A check that no two rows share their values of the fields
+    ``reads``; it fails on each row that repeats an earlier one."""
+    return Check(reads, lambda *keys: first_rows(*keys)
+                 == np.arange(len(keys[0])), message)
+
+
 #: A site-keyed table lists each ``site_id`` once.
-UNIQUE_SITE = Check(("site_id",),
-                    lambda ids: first_rows(ids) == np.arange(len(ids)),
-                    "duplicate site {site_id}")
+UNIQUE_SITE = unique(("site_id",), "duplicate site {site_id}")
 
 
 def _split_whole(path, table: Table):

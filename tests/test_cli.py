@@ -991,20 +991,25 @@ def test_eval_malformed_samples_exits_2(tmp_path, monkeypatch):
     assert not os.path.exists(tmp_path / "metrics.txt")
 
 
+#: The rungs of the generated eval samples; 0.01 is the classify rung.
+_EVAL_LADDER = (0.001, 0.01, 0.1, 1.0, 5.0)
+
+
 def test_eval_per_probability_blocks_match_a_full_scan(tmp_path,
                                                        monkeypatch):
     from rainstats.evaluation import p311_summary, read_error_samples_csv
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(5)
-    ps = rng.choice([0.001, 0.01, 0.1, 1.0, 5.0], 600)
+    pairs = rng.permutation(40 * len(_EVAL_LADDER))  # each (site, p) once
+    ps = np.array(_EVAL_LADDER)[pairs // 40]
     obs = rng.uniform(1.0, 150.0, ps.size)
     pred = obs * rng.uniform(0.3, 1.9, ps.size)
     with open(tmp_path / "samples.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["site_id", "p_percent", "observed", "predicted"])
-        w.writerows([f"s{i % 40}", repr(p), repr(o), repr(q)]
-                     for i, (p, o, q) in enumerate(zip(
-                         ps.tolist(), obs.tolist(), pred.tolist())))
+        w.writerows([f"s{s}", repr(p), repr(o), repr(q)]
+                    for s, p, o, q in zip((pairs % 40).tolist(), ps.tolist(),
+                                          obs.tolist(), pred.tolist()))
     write_config(tmp_path / "e.cfg", samples="samples.csv",
                  out_report="m.txt", out_rec="rec.csv")
     assert run_cli("eval", "--config", "e.cfg") == 0
@@ -1031,6 +1036,23 @@ def test_eval_nan_probability_exits_2(tmp_path, monkeypatch, capsys):
     assert run_cli("eval", "--config", "e.cfg") == 2
     assert "line 24" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "m.txt")
+
+
+def test_eval_repeated_sample_exits_2_and_writes_nothing(tmp_path,
+                                                         monkeypatch, capsys):
+    # scored twice, site a would count as two true positives
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text(
+        "site_id,p_percent,observed,predicted\n"
+        "a,0.01,120.0,110.0\nb,0.01,50.0,40.0\na,0.01,120.0,110.0\n")
+    (tmp_path / "c.csv").write_text("site_id,country\na,X\nb,Y\n")
+    write_config(tmp_path / "e.cfg", samples="s.csv", sites="c.csv",
+                 out_report="m.txt", out_rec="rec.csv",
+                 out_manifest="manifest.txt")
+    assert run_cli("eval", "--config", "e.cfg") == 2
+    assert ("s.csv line 4: duplicate sample for site a at p=0.01"
+            in capsys.readouterr().err)
+    assert sorted(os.listdir(tmp_path)) == ["c.csv", "e.cfg", "s.csv"]
 
 
 @pytest.mark.parametrize("row", ["a,0.01,nan,1.0", "c,150,50.0,40.0",
@@ -1199,14 +1221,18 @@ def test_eval_report_matches_a_per_sample_reference(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(12)
     for trial in range(5):
-        n = int(rng.integers(1, 300))
-        ps = rng.choice([0.001, 0.01, 0.1, 1.0, 5.0], n)
-        ps[0] = 0.01  # the classify rung always has a sample
+        n = int(rng.integers(1, 40 * len(_EVAL_LADDER) + 1))
+        pairs = rng.permutation(40 * len(_EVAL_LADDER))  # each (site, p) once
+        # the classify rung (index 1) always has a sample
+        first = np.flatnonzero(pairs // 40 == 1)[0]
+        pairs[[0, first]] = pairs[[first, 0]]
+        pairs = pairs[:n]
+        ps = np.array(_EVAL_LADDER)[pairs // 40]
         obs = rng.uniform(1.0, 150.0, n)
         pred = obs * np.where(rng.uniform(size=n) < 0.1, 0.0,
                               rng.uniform(0.3, 1.9, n))
-        rows = [(f"s{i % 40}", p, o, q) for i, (p, o, q) in enumerate(zip(
-            ps.tolist(), obs.tolist(), pred.tolist()))]
+        rows = [(f"s{s}", p, o, q) for s, p, o, q in zip(
+            (pairs % 40).tolist(), ps.tolist(), obs.tolist(), pred.tolist())]
         countries = {f"s{i}": f"C{i % 7}" for i in range(40)}
         with open(tmp_path / "samples.csv", "w", newline="") as f:
             w = csv.writer(f, lineterminator="\n")

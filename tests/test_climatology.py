@@ -161,19 +161,17 @@ def test_initial_estimates_ratio_and_units():
     acc.n_total[1, 0] = 8
     acc.n_rain[1, 0] = 8
     acc.sum_nsrr[1, 0] = 16.0      # cond 2 mm/h at p0 100%
-    mt, p0, cond = initial_estimates(acc)
+    mt, p0 = initial_estimates(acc)
 
     assert p0.values[0, 0] == pytest.approx(30.0)
-    assert cond.values[0, 0] == pytest.approx(3.0)
     assert p0.values[0, 1] == 0.0
     assert mt.values[0, 1] == 0.0
     # cond 2 mm/h at 5% would give 876.6; at 100% it is 2 * 8766
     assert mt.values[1, 0] == pytest.approx(2 * 8766.0)
     assert 2.0 * HOURS_PER_YEAR * 0.05 == pytest.approx(876.6)
-    # unobserved pixel is nodata in all three grids
+    # unobserved pixel is nodata in both grids
     assert mt.values[1, 1] == ND
     assert p0.values[1, 1] == ND
-    assert cond.values[1, 1] == ND
 
 
 def test_scaling_observations_scales_initial_mt_exactly():
@@ -189,9 +187,9 @@ def test_scaling_observations_scales_initial_mt_exactly():
         rain = bool(rng.uniform() < 0.6)
         base.append(obs(t, lat, lon, nsrr=nsrr, rain=rain))
         doubled.append(obs(t, lat, lon, nsrr=2.0 * nsrr, rain=rain))
-    mt1, _, _ = initial_estimates(
+    mt1, _ = initial_estimates(
         render_observations(observations(base), g)[0])
-    mt2, _, _ = initial_estimates(
+    mt2, _ = initial_estimates(
         render_observations(observations(doubled), g)[0])
     valid = mt1.valid_mask()
     assert np.array_equal(mt2.values[valid], 2.0 * mt1.values[valid])
@@ -369,11 +367,11 @@ def test_pipeline_empty_observations(tmp_path):
     g = geom(12, 12)
     cfg = _write_pipeline_inputs(tmp_path, [], g, Grid.full(g, 900.0),
                                  Grid.full(g, 10.0))
-    result = build_climatology(cfg)
-    assert not result.mt.valid_mask().any()
-    assert not result.p0.valid_mask().any()
-    assert "observations=0" in result.report
-    assert read_grid(cfg["out_mt"]) == result.mt
+    assert build_climatology(cfg) is None
+    assert not read_grid(cfg["out_mt"]).valid_mask().any()
+    assert not read_grid(cfg["out_p0"]).valid_mask().any()
+    with open(cfg["out_report"], encoding="utf-8") as f:
+        assert "observations=0" in f.read()
 
 
 def test_pipeline_uniform_rain_matches_expectation(tmp_path):
@@ -394,12 +392,13 @@ def test_pipeline_uniform_rain_matches_expectation(tmp_path):
     ref = Grid.full(g, ND)  # forces the satellite passthrough branch
     elev = Grid.full(g, 40.0)
     cfg = _write_pipeline_inputs(tmp_path, stream, g, ref, elev)
-    result = build_climatology(cfg)
+    build_climatology(cfg)
+    mt, p0 = read_grid(cfg["out_mt"]), read_grid(cfg["out_p0"])
     expected = v * HOURS_PER_YEAR * 0.5
-    assert result.mt.valid_mask().all()
-    got = float(np.mean(result.mt.values))
+    assert mt.valid_mask().all()
+    got = float(np.mean(mt.values))
     assert abs(got - expected) <= 0.02 * expected
-    assert np.allclose(result.p0.values, 50.0, atol=1e-9)
+    assert np.allclose(p0.values, 50.0, atol=1e-9)
 
 
 def test_pipeline_rerun_is_bit_identical(tmp_path):

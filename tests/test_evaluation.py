@@ -332,3 +332,18 @@ def test_error_samples_csv_rejects_bad_header(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(DataError):
         read_error_samples_csv(path)
+
+
+@pytest.mark.parametrize("site", ["a", '"a"'])  # read whole, and by csv
+def test_error_samples_csv_refuses_a_repeated_pair(tmp_path, site):
+    # a site may repeat across rungs and a rung across sites, but a pair
+    # is one sample however its probability is spelled
+    path = tmp_path / "samples.csv"
+    text = ("site_id,p_percent,observed,predicted\n"
+            "a,0.01,100.0,130.0\na,0.1,100.0,130.0\nb,0.01,55.0,50.0\n")
+    path.write_text(text)
+    assert read_error_samples_csv(path).site_id.tolist() == ["a", "a", "b"]
+    path.write_text(text + site + ",0.010,90.0,80.0\n")
+    with pytest.raises(DataError, match=r"samples\.csv line 5: duplicate "
+                       r"sample for site a at p=0\.01$"):
+        read_error_samples_csv(path)

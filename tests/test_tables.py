@@ -51,7 +51,7 @@ TABLES = {
                 _records(ref._SAMPLE_COLUMNS, ref._sample_row,
                          ref._SAMPLE_DTYPE),
                 ref._SAMPLE_COLUMNS,
-                ["a,0.01,50.0,45.5", "site b,100,2.5,0"], "a,0.01,50.0,45.5"),
+                ["a,0.01,50.0,45.5", "site b,100,2.5,0"], "c,0.01,50.0,45.5"),
     # one site on two rows, its lon once -0.0 and once 0.0
     "sites": (rainmodel.read_sites_csv, ref.read_sites_csv, ref._SITE_COLUMNS,
               ["a,6.5,-0.0,KE,2.0,0.01,80.5", "a,6.5,0.0,KE,2,1,2.5"],
