@@ -16,8 +16,7 @@ from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      write_grid)
 from .rainmodel import (STANDARD_LADDER, ClimatePoint, FitResult, ModelParams,
                         SiteStatistics, curve_objective, estimate_site_curve,
-                        exceedance_probability, fit_params,
-                        loglinear_resample, rain_rate)
+                        fit_params, loglinear_resample, rain_rate)
 
 __all__ = [
     "AlignmentError", "ConfigError", "DataError", "EmptyDataError",
@@ -26,6 +25,6 @@ __all__ = [
     "sample_bilinear", "uniform_filter", "window_iqr", "write_grid",
     "STANDARD_LADDER", "ClimatePoint", "FitResult", "ModelParams",
     "SiteStatistics", "curve_objective", "estimate_site_curve",
-    "exceedance_probability", "fit_params", "loglinear_resample", "rain_rate",
+    "fit_params", "loglinear_resample", "rain_rate",
     "__version__",
 ]

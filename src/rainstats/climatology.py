@@ -55,6 +55,7 @@ class RenderReport:
 _HIT_BLOCK = 1 << 20
 
 
+@np.errstate(over="ignore")
 def _footprint_hits(lat, lon, diam, coslat, g: GridGeometry):
     """``(observation index, flat pixel)`` of every pixel center within a
     footprint, in observation order and row-major within one observation.
@@ -70,15 +71,14 @@ def _footprint_hits(lat, lon, diam, coslat, g: GridGeometry):
     # bounding box rows (from north) and columns, clipped to the grid; an
     # empty range marks a footprint that misses it.  A bound too far off the
     # grid to count in cells overflows to +-inf, which the clip takes in.
-    with np.errstate(over="ignore"):
-        i0 = np.clip(np.floor((g.lat_max - (lat + dlat)) / g.cell - 0.5),
-                     0, g.nrows).astype(np.int64)
-        i1 = np.clip(np.ceil((g.lat_max - (lat - dlat)) / g.cell - 0.5),
-                     -1, g.nrows - 1).astype(np.int64)
-        j0 = np.clip(np.floor(((lon - dlon) - g.xll) / g.cell - 0.5),
-                     0, g.ncols).astype(np.int64)
-        j1 = np.clip(np.ceil(((lon + dlon) - g.xll) / g.cell - 0.5),
-                     -1, g.ncols - 1).astype(np.int64)
+    i0 = np.clip(np.floor((g.lat_max - (lat + dlat)) / g.cell - 0.5),
+                 0, g.nrows).astype(np.int64)
+    i1 = np.clip(np.ceil((g.lat_max - (lat - dlat)) / g.cell - 0.5),
+                 -1, g.nrows - 1).astype(np.int64)
+    j0 = np.clip(np.floor(((lon - dlon) - g.xll) / g.cell - 0.5),
+                 0, g.ncols).astype(np.int64)
+    j1 = np.clip(np.ceil(((lon + dlon) - g.xll) / g.cell - 0.5),
+                 -1, g.ncols - 1).astype(np.int64)
     height = int(np.max(i1 - i0 + 1, initial=0))
     width = int(np.max(j1 - j0 + 1, initial=0))
 
@@ -92,7 +92,8 @@ def _footprint_hits(lat, lon, diam, coslat, g: GridGeometry):
         lon_c = g.xll + (cols + 0.5) * g.cell
         dy = (lat_c - lat[sel, None]) * KM_PER_DEG
         dx = (lon_c - lon[sel, None]) * (KM_PER_DEG * coslat[sel, None])
-        # cells past a footprint's own box are infinitely far
+        # cells past a footprint's own box are infinitely far, which takes
+        # in the dx that overflows for a footprint far off the grid
         dy2 = np.where(rows <= i1[sel, None], dy * dy, np.inf)
         dx2 = np.where(cols <= j1[sel, None], dx * dx, np.inf)
         o, a, b = np.nonzero(dy2[:, :, None] + dx2[:, None, :]

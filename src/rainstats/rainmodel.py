@@ -123,15 +123,6 @@ def _exceedance_array(rates, mt, p0, params: ModelParams) -> np.ndarray:
     return np.where(raining, out, 0.0)
 
 
-def exceedance_probability(rate: float, climate: ClimatePoint,
-                           params: ModelParams) -> float:
-    """Percent of the year the rain rate is at or above ``rate`` mm/h."""
-    if rate < 0:
-        raise ValueError(f"rain rate must be >= 0, got {rate}")
-    return float(_exceedance_array([rate], [climate.mt], [climate.p0],
-                                   params)[0])
-
-
 def _rain_rate_array(p, mt, p0, params: ModelParams) -> np.ndarray:
     """Vectorized inversion of the forward model in closed form.
 
@@ -149,10 +140,11 @@ def _rain_rate_array(p, mt, p0, params: ModelParams) -> np.ndarray:
         return out
 
     p0a = p0[active]
-    b = mt[active] / (params.y * p0a)
-    # a p so small that L overflows gives a rate of inf or NaN, which the
-    # cap check below refuses
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a p so small that L overflows, a y so small that b overflows, or an x
+    # so small that A is 0 gives a rate of inf or NaN, which the cap check
+    # below refuses; a y so large that y * p0 overflows gives b = 0, its limit
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b = mt[active] / (params.y * p0a)
         L = np.log(p0a / p[active])
         A = params.x * b
         B = params.x - params.z * b * L

@@ -226,9 +226,11 @@ def _bilinear_many(grid: Grid, lats: np.ndarray, lons: np.ndarray):
     inside = ((lats >= g.yll) & (lats <= g.lat_max)
               & (lons >= g.xll) & (lons <= g.lon_max))
 
-    # continuous (row-from-north, col) coordinates of the sample point
-    gx = (lons - g.xll) / g.cell - 0.5
-    gy = (g.lat_max - lats) / g.cell - 0.5
+    # continuous (row-from-north, col) coordinates of the sample point; a
+    # point too far outside to count in cells overflows to +-inf
+    with np.errstate(over="ignore"):
+        gx = (lons - g.xll) / g.cell - 0.5
+        gy = (g.lat_max - lats) / g.cell - 0.5
 
     # fmin/fmax clip as np.clip does, but take NaN (outside) to an index
     j0 = np.fmax(np.fmin(np.floor(gx), g.ncols - 2), 0).astype(np.intp)
@@ -270,10 +272,8 @@ def resample(grid: Grid, target: GridGeometry) -> Grid:
     at its center, as :func:`sample_bilinear` gives it.  Centers outside the
     source bounds, or whose 2x2 neighborhood touches nodata, become nodata.
     """
-    # a center too far outside to count in source cells overflows to +-inf
-    with np.errstate(over="ignore"):
-        vals, inside = _bilinear_many(grid, target.row_center_lats()[:, None],
-                                      target.col_center_lons()[None, :])
+    vals, inside = _bilinear_many(grid, target.row_center_lats()[:, None],
+                                  target.col_center_lons()[None, :])
     if not inside.any():
         raise ValueError("target geometry does not overlap the source grid")
     return Grid(target, np.where(np.isnan(vals), target.nodata, vals))

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -1456,3 +1457,84 @@ def test_extreme_config_value_keeps_the_contract(tmp_path, monkeypatch,
     assert "Traceback" not in err and "Warning" not in err, err
     if exit_code:
         assert sorted(os.listdir(tmp_path)) == before
+
+
+# ---------------------------------------------------------------------------
+# extreme input-file values
+
+
+def run_cli_recording_warnings(*argv):
+    """``(exit code, warning messages)`` of an in-process run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exit_code = run_cli(*argv)
+    return exit_code, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("lon", ["1e308", "-1e308"])
+def test_build_clim_observation_far_off_in_longitude_is_skipped(
+        tmp_path, monkeypatch, lon):
+    # its distance from every cell overflows; it covers none of them
+    monkeypatch.chdir(tmp_path)
+    _write_clim_config(tmp_path)
+    assert run_cli("build-clim", "--config", "c.cfg") == 0
+    grids = {name: (tmp_path / name).read_bytes()
+             for name in ("mt.grd", "p0.grd")}
+    report = read_report(tmp_path / "report.txt")
+    with open(tmp_path / "obs.csv", "a") as f:
+        f.write(f"99999.0,9.05,{lon},3.0,1,4.5\n")
+    assert run_cli_recording_warnings("build-clim", "--config",
+                                      "c.cfg") == (0, [])
+    for name, data in grids.items():
+        assert (tmp_path / name).read_bytes() == data
+    assert read_report(tmp_path / "report.txt") == {
+        **report, "observations": str(int(report["observations"]) + 1),
+        "skipped": str(int(report["skipped"]) + 1)}
+
+
+@pytest.mark.parametrize("lat,lon", [("1e308", "2.0"), ("-1e308", "2.0"),
+                                     ("2.0", "1e308")])
+def test_predict_location_far_off_the_grid_exits_2(tmp_path, monkeypatch,
+                                                   capsys, lat, lon):
+    # its position in grid cells overflows
+    monkeypatch.chdir(tmp_path)
+    _write_predict_inputs(tmp_path)
+    with open(tmp_path / "locs.csv", "a") as f:
+        f.write(f"c,{lat},{lon},ZZ\n")
+    write_config(tmp_path / "p.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                 params="params.txt", locations="locs.csv",
+                 out_sites="pred.csv")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli_recording_warnings("predict", "--config",
+                                      "p.cfg") == (2, [])
+    err = capsys.readouterr().err
+    assert (f"point ({float(lat)!r}, {float(lon)!r}) is outside the grid "
+            "bounds") in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+#: Exit code of predict and impact on the test inputs when one parameter
+#: is set to the smallest or the largest double: a tiny x or y, or a huge
+#: z, drives the rates to infinity, a solver error.
+_EXTREME_PARAMS = {("x", "5e-324"): 3, ("x", "1e308"): 0,
+                   ("y", "5e-324"): 3, ("y", "1e308"): 0,
+                   ("z", "5e-324"): 0, ("z", "1e308"): 3}
+
+
+@pytest.mark.parametrize("command", ["predict", "impact"])
+@pytest.mark.parametrize("key,value", sorted(_EXTREME_PARAMS))
+def test_extreme_params_value_keeps_the_contract(tmp_path, monkeypatch,
+                                                 command, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = _working_config(tmp_path, command)
+    write_config(tmp_path / "c.cfg", **cfg)
+    write_params(ModelParams(**{**vars(PARAMS), key: float(value)}),
+                 tmp_path / "params.txt")
+    before = sorted(os.listdir(tmp_path))
+    exit_code = _EXTREME_PARAMS[key, value]
+    assert run_cli_recording_warnings(command, "--config",
+                                      "c.cfg") == (exit_code, [])
+    written = sorted(set(os.listdir(tmp_path)) - set(before))
+    outputs = [v for k, v in cfg.items() if k.startswith("out_")]
+    assert written == ([] if exit_code else sorted(
+        [*outputs, f"{outputs[0]}.manifest"]))

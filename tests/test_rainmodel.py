@@ -9,8 +9,7 @@ from rainstats.rainmodel import (RATE_CAP_MM_H, STANDARD_LADDER, ClimatePoint,
                                  ModelParams, SiteStatistics,
                                  _exceedance_array, _rain_rate_array,
                                  curve_objective, estimate_site_curve,
-                                 exceedance_probability, fit_params,
-                                 loglinear_resample, rain_rate,
+                                 fit_params, loglinear_resample, rain_rate,
                                  read_climate_csv, read_params,
                                  read_sites_csv, write_params,
                                  write_sites_csv)
@@ -30,32 +29,27 @@ def test_ladder_is_fixed_and_ascending():
 
 
 def test_forward_at_zero_rate_returns_p0():
-    assert exceedance_probability(0.0, ClimatePoint(800, 3), PARAMS) == 3.0
+    assert _exceedance_array(0.0, 800, 3, PARAMS) == 3.0
 
 
 def test_forward_no_rain_climate_is_zero():
-    assert exceedance_probability(25.0, ClimatePoint(0, 0), PARAMS) == 0.0
-    assert exceedance_probability(0.0, ClimatePoint(500, 0), PARAMS) == 0.0
+    assert _exceedance_array(25.0, 0, 0, PARAMS) == 0.0
+    assert _exceedance_array(0.0, 500, 0, PARAMS) == 0.0
 
 
 def test_forward_hand_arithmetic():
     # b = 1500/(20000*5) = 0.015, c = 0.39
     expected = 5.0 * math.exp(-1.0 * 30.0 * (1 + 0.015 * 30)
                               / (1 + 0.39 * 30))
-    got = exceedance_probability(30.0, CLIMATE, PARAMS)
+    got = float(_exceedance_array(30.0, CLIMATE.mt, CLIMATE.p0, PARAMS))
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(0.1627, abs=5e-5)
 
 
 def test_forward_strictly_decreasing_in_rate():
     rates = np.linspace(0, 150, 40)
-    ps = [exceedance_probability(r, CLIMATE, PARAMS) for r in rates]
-    assert all(a > b for a, b in zip(ps, ps[1:]))
-
-
-def test_forward_rejects_negative_rate():
-    with pytest.raises(ValueError):
-        exceedance_probability(-1.0, CLIMATE, PARAMS)
+    ps = _exceedance_array(rates, CLIMATE.mt, CLIMATE.p0, PARAMS)
+    assert np.all(ps[:-1] > ps[1:])
 
 
 def test_params_must_be_positive():
@@ -79,7 +73,7 @@ def test_rain_rate_boundary_and_above():
 
 
 def test_rain_rate_round_trips_forward_example():
-    p = exceedance_probability(30.0, CLIMATE, PARAMS)
+    p = float(_exceedance_array(30.0, CLIMATE.mt, CLIMATE.p0, PARAMS))
     assert rain_rate(p, CLIMATE, PARAMS) == pytest.approx(30.0, rel=1e-6)
 
 
@@ -105,7 +99,7 @@ def test_round_trip_property_random_climates():
             if p >= climate.p0:
                 continue
             r = rain_rate(p, climate, PARAMS)
-            back = exceedance_probability(r, climate, PARAMS)
+            back = _exceedance_array(r, climate.mt, climate.p0, PARAMS)
             assert abs(back - p) <= 1e-6 * p
 
 

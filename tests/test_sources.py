@@ -1,7 +1,6 @@
 """Rules on the package's own source, checked by parsing it."""
 
 import ast
-from collections import defaultdict
 from pathlib import Path
 
 import rainstats
@@ -89,38 +88,68 @@ def test_only_raster_compares_values_with_the_nodata_sentinel():
     assert _nodata_equalities(SRC / "raster.py")
 
 
-#: Public definitions kept without a caller in the package, with the reason.
+#: Public definitions kept without a caller, with the ROADMAP item that
+#: decides them.
 UNCALLED = {
-    # waits on the end-to-end check of the paper's result (ROADMAP item 7)
+    # waits on the end-to-end check of the paper's result (item 7)
     ("evaluation", "station_comparison"),
+    # waits on eval's join of observed and predicted site curves (item 4)
+    ("rainmodel", "loglinear_resample"),
 }
 
+#: The release criteria, whose imports are callers too.
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
-def _callers(module, tree):
-    """``(name, (module, top-level definition))`` for each name the module
-    reads, bare or as an attribute; the definition is None outside one.
-    Strings, docstrings among them, are not read names."""
+
+def _reads(tree):
+    """``(name, top-level definition)`` for each name a module reads, bare
+    or as an attribute; the definition is None outside one.  Strings,
+    docstrings among them, are not read names."""
     for stmt in tree.body:
         for node in ast.walk(stmt):
             if (isinstance(node, (ast.Name, ast.Attribute))
                     and isinstance(node.ctx, ast.Load)):
                 yield (getattr(node, "id", None) or node.attr,
-                       (module, getattr(stmt, "name", None)))
+                       getattr(stmt, "name", None))
+
+
+def _package_imports(tree):
+    """The names that ``from ... import`` statements of the package's own
+    modules bind in ``tree``."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.partition(".")[0] == "rainstats")
+            for alias in node.names}
+
+
+def _used_names(trees):
+    """The names that a statement of the package reads outside a top-level
+    definition of that name, and those the release criteria import."""
+    used = {name for tree in trees.values()
+            for name, owner in _reads(tree) if owner != name}
+    criteria = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
+    return used | _package_imports(criteria)
+
+
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
 
 
 def test_every_public_definition_has_a_caller():
-    # library code that no subcommand reaches is deleted or moved to tests
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
-    callers = defaultdict(set)
-    for module, tree in trees.items():
-        for name, caller in _callers(module, tree):
-            callers[name].add(caller)
-    unused = [(module, node.name) for module, tree in trees.items()
+    # library code that neither a subcommand nor a release criterion
+    # reaches is deleted or moved to tests; being exported is not a use
+    trees = _package_trees()
+    used = _used_names(trees)
+    unused = {(module, node.name) for module, tree in trees.items()
               for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and not callers[node.name] - {(module, node.name)}
-              and node.name not in rainstats.__all__
-              and (module, node.name) not in UNCALLED]
-    assert unused == []
+              and not node.name.startswith("_") and node.name not in used}
+    assert unused == UNCALLED
+
+
+def test_all_is_what_init_imports_and_the_package_uses():
+    trees = _package_trees()
+    assert _package_imports(trees["__init__"]) <= set(rainstats.__all__)
+    kept = _used_names(trees) | {name for _, name in UNCALLED}
+    assert set(rainstats.__all__) <= kept
