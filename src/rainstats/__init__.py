@@ -9,22 +9,20 @@ metrics and population-impact tables.
 
 __version__ = "0.1.0"
 
-from .errors import (AlignmentError, ConfigError, DataError, EmptyDataError,
-                     GridParseError, SolverError)
+from .errors import ConfigError, DataError, SolverError
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      resample, sample_bilinear, uniform_filter, window_iqr,
                      write_grid)
 from .rainmodel import (STANDARD_LADDER, ClimatePoint, FitResult, ModelParams,
                         SiteStatistics, curve_objective, estimate_site_curve,
-                        fit_params, loglinear_resample, rain_rate)
+                        fit_params, rain_rate)
 
 __all__ = [
-    "AlignmentError", "ConfigError", "DataError", "EmptyDataError",
-    "GridParseError", "SolverError",
+    "ConfigError", "DataError", "SolverError",
     "Grid", "GridGeometry", "gaussian_filter", "read_grid", "resample",
     "sample_bilinear", "uniform_filter", "window_iqr", "write_grid",
     "STANDARD_LADDER", "ClimatePoint", "FitResult", "ModelParams",
     "SiteStatistics", "curve_objective", "estimate_site_curve",
-    "fit_params", "loglinear_resample", "rain_rate",
+    "fit_params", "rain_rate",
     "__version__",
 ]

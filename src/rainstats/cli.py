@@ -4,7 +4,8 @@ Subcommands: ``fit``, ``predict``, ``build-clim``, ``gauge``, ``eval`` and
 ``impact``.  Each takes ``--config PATH`` (flat key=value file) plus
 ``--seed`` and ``--threads``.  Outputs are computed fully before anything is
 written, every run emits a manifest recording its inputs by content hash,
-and reruns with the same inputs produce byte-identical outputs.  Every
+and reruns with the same inputs produce byte-identical outputs.  No command
+draws a random number: ``--seed`` is only recorded in the manifest.  Every
 command runs in one thread: ``--threads`` is accepted, and outputs are the
 same for any value.
 
@@ -566,8 +567,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", required=True,
                         help="flat key=value configuration file")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized step (recorded in the "
-                             "manifest; identical seeds give identical bytes)")
+                        help="recorded in the manifest only; no command "
+                             "draws a random number")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; every command "
                              "runs in one thread and outputs are the same "

@@ -20,6 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DATA_ERRORS, DataError, SolverError
+from .rainmodel import RATE_CAP_MM_H
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      require_aligned, resample, uniform_filter, window_iqr,
                      write_grid)
@@ -274,6 +275,9 @@ _OBSERVATIONS = Table(
            "time and lon must be finite, got {time}, {lon}"),
      Check(("nsrr",), lambda nsrr: (nsrr >= 0) & (nsrr < math.inf),
            "nsrr must be finite and >= 0, got {nsrr}"),
+     # below the model's rate cap, a pixel's sum of rates cannot overflow
+     Check(("nsrr",), lambda nsrr: nsrr < RATE_CAP_MM_H,
+           f"nsrr must be below {RATE_CAP_MM_H} mm/h, got {{nsrr}}"),
      Check(("footprint_diameter",), lambda d: (d >= 3.0) & (d <= 6.0),
            "footprint diameter must be within [3, 6] km, "
            "got {footprint_diameter}"),

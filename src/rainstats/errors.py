@@ -19,17 +19,5 @@ class DataError(ValueError):
     """Malformed or internally inconsistent input data."""
 
 
-class GridParseError(DataError):
-    """Grid file could not be parsed; the message names the offending line."""
-
-
-class EmptyDataError(DataError):
-    """An operation was left with no usable data points."""
-
-
-class AlignmentError(ValueError):
-    """Grids passed to an aligned-only operation do not share a geometry."""
-
-
 class SolverError(RuntimeError):
     """A numerical solver failed to converge or hit its safety cap."""

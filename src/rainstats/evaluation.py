@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataError
-from .raster import Grid, _bilinear_many
 from .tables import Check, Table, read_table, unique
 
 #: Rain rate at 0.01% exceedance above which a location counts as heavy.
@@ -114,34 +112,6 @@ def by_country(countries, actuals, predicted):
     return tuple(np.bincount(site_code[np.asarray(labels, dtype=bool)],
                              minlength=codes.size) > 0
                  for labels in (actuals, predicted))
-
-
-def station_comparison(climatology: Grid, stations):
-    """Relative errors of a climatology against point station values.
-
-    ``stations`` is an iterable of (lat, lon, mt).  Each station is sampled
-    bilinearly; stations whose sample hits nodata are skipped.  Returns
-    ``(P311Summary, skipped_count)``.
-    """
-    stations = list(stations)
-    if not stations:
-        raise ValueError("no stations")
-    lats = [s[0] for s in stations]
-    lons = [s[1] for s in stations]
-    mts = np.asarray([s[2] for s in stations], dtype=np.float64)
-    if np.any(mts <= 0):
-        raise ValueError("station mt values must be positive")
-    vals, inside = _bilinear_many(climatology, lats, lons)
-    if not inside.all():
-        bad = int(np.argmin(inside))
-        raise ValueError(f"station ({lats[bad]}, {lons[bad]}) is outside "
-                         "the grid bounds")
-    usable = ~np.isnan(vals)
-    skipped = int(np.count_nonzero(~usable))
-    if not usable.any():
-        raise EmptyDataError("every station sampled nodata")
-    errors = (vals[usable] - mts[usable]) / mts[usable]
-    return p311_summary(errors), skipped
 
 
 # ---------------------------------------------------------------------------

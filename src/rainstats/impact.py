@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyDataError
+from .errors import DataError
 from .evaluation import HEAVY_RATE_MM_H
 from .rainmodel import ModelParams, _rain_rate_array
 from .raster import Grid, require_aligned
@@ -101,7 +101,7 @@ def zone_coverage(zones: Grid, pop: Grid):
     require_aligned(zones, pop)
     codes, index, zvalid = _categories(zones, "zone")
     if not codes:
-        raise EmptyDataError("zone grid has no valid pixels")
+        raise DataError("zone grid has no valid pixels")
     popvals = np.where(pop.valid_mask(), pop.values, 0.0)[zvalid]
     land = np.bincount(index, minlength=len(codes)).tolist()
     populated = np.bincount(index[popvals > 0], minlength=len(codes)).tolist()

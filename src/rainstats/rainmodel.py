@@ -9,16 +9,14 @@ annual rainfall ``mt`` (mm/yr) and annual probability of rain ``p0`` (%):
 
 with three global constants (x, y, z).  This module provides the forward
 evaluation, its inversion to a rain rate at a given exceedance probability,
-curve estimation over the standard probability ladder, a global
-least-squares fit of (x, y, z) against observed site statistics, and
-log-linear resampling of observed curves.
+curve estimation over the standard probability ladder, and a global
+least-squares fit of (x, y, z) against observed site statistics.
 
 Probabilities are expressed in percent throughout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,33 +279,6 @@ def fit_params(training, *, threads: int = 1) -> FitResult:
         raise SolverError("no fit start converged to a finite objective")
     fun, x, y, z = min(candidates)
     return FitResult(ModelParams(x, y, z), fun, int(arrays[1].size))
-
-
-# ---------------------------------------------------------------------------
-# resampling of observed curves
-
-
-def loglinear_resample(points, targets):
-    """Interpolate R linearly in ln(p); targets outside the observed
-    p-range are omitted (never extrapolated)."""
-    pts = sorted((float(p), float(r)) for p, r in points)
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points to resample")
-    ps = np.array([p for p, _ in pts])
-    rs = np.array([r for _, r in pts])
-    if np.any(ps <= 0):
-        raise ValueError("probabilities must be positive")
-    if np.any(np.diff(ps) == 0):
-        raise ValueError("duplicate probabilities")
-    if np.any(np.diff(rs) > 0):
-        raise ValueError("rates must not increase with probability")
-    lnp = np.log(ps)
-    out = []
-    for t in targets:
-        t = float(t)
-        if ps[0] <= t <= ps[-1]:
-            out.append((t, float(np.interp(math.log(t), lnp, rs))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, GridParseError
+from .errors import DataError
 from .tables import read_text, write_text
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
@@ -119,11 +119,11 @@ class Grid:
 
 
 def require_aligned(*grids: Grid) -> None:
-    """Raise :class:`AlignmentError` unless all grids share a geometry."""
+    """Raise :class:`DataError` unless all grids share a geometry."""
     first = grids[0].geometry
     for g in grids[1:]:
         if not first.aligned_with(g.geometry):
-            raise AlignmentError(
+            raise DataError(
                 f"grids are not aligned: {first} vs {g.geometry}")
 
 
@@ -150,7 +150,7 @@ def write_grid(grid: Grid, path) -> None:
 def read_grid(path) -> Grid:
     """Read a grid written by :func:`write_grid`.
 
-    Raises :class:`GridParseError` naming the file and line at fault for
+    Raises :class:`DataError` naming the file and line at fault for
     malformed headers, row/column count mismatches or non-numeric tokens.
     """
     return read_text(path, _parse_grid)
@@ -165,25 +165,25 @@ def _parse_grid(text: str) -> Grid:
         line = raw[lineno - 1] if lineno <= len(raw) else ""
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
-            raise GridParseError(
+            raise DataError(
                 f"line {lineno}: expected '{key} <value>', got {line!r}")
         try:
             header[key] = (int if key in ("ncols", "nrows") else float)(
                 parts[1])
         except ValueError as e:
-            raise GridParseError(f"line {lineno}: {e}") from None
+            raise DataError(f"line {lineno}: {e}") from None
 
     try:
         geometry = GridGeometry(header["ncols"], header["nrows"],
                                 header["xllcorner"], header["yllcorner"],
                                 header["cellsize"], header["NODATA_value"])
     except ValueError as e:
-        raise GridParseError(f"header: {e}") from None
+        raise DataError(f"header: {e}") from None
 
     nrows, ncols = geometry.nrows, geometry.ncols
     n_lines = len(raw) - 6 - (raw[-1] == "")
     if n_lines < nrows:
-        raise GridParseError(
+        raise DataError(
             f"line {7 + n_lines}: expected {nrows} data rows, file ends "
             f"after {n_lines}")
     values = np.empty((nrows, ncols), dtype=np.float64)
@@ -191,19 +191,19 @@ def _parse_grid(text: str) -> Grid:
         lineno = 7 + r
         tokens = raw[6 + r].split()
         if len(tokens) != ncols:
-            raise GridParseError(
+            raise DataError(
                 f"line {lineno}: expected {ncols} values, found {len(tokens)}")
         try:
             row = [float(t) for t in tokens]
         except ValueError as e:
-            raise GridParseError(f"line {lineno}: {e}") from None
+            raise DataError(f"line {lineno}: {e}") from None
         values[r] = row
         if not np.all(np.isfinite(values[r])):
-            raise GridParseError(f"line {lineno}: non-finite value in row")
+            raise DataError(f"line {lineno}: non-finite value in row")
 
     for extra, line in enumerate(raw[6 + nrows:]):
         if line.strip():
-            raise GridParseError(
+            raise DataError(
                 f"line {7 + nrows + extra}: unexpected content after "
                 f"{nrows} data rows")
     return Grid(geometry, values)

@@ -26,15 +26,15 @@ from .errors import ConfigError, DataError
 
 def read_text(path, parse):
     """``parse(text)`` of the file at ``path``.  Bytes that are not UTF-8
-    and a :class:`DataError` from ``parse`` (keeping its type) raise with the
-    path in front of the message."""
+    and a :class:`DataError` from ``parse`` raise a :class:`DataError` with
+    the path in front of the message."""
     try:
         with open(path, encoding="utf-8") as f:
             return parse(f.read())
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 at byte {e.start}") from None
     except DataError as e:
-        raise type(e)(f"{path}: {e}") from None
+        raise DataError(f"{path}: {e}") from None
 
 
 def parse_pairs(text: str) -> dict:

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from rainstats.errors import DataError
-from rainstats.rainmodel import SiteStatistics
+from rainstats.rainmodel import RATE_CAP_MM_H, SiteStatistics
 
 # ---------------------------------------------------------------------------
 # row-by-row reading
@@ -117,6 +117,9 @@ def _observation(row):
         raise ValueError(f"time and lon must be finite, got {time}, {lon}")
     if not 0 <= nsrr < math.inf:
         raise ValueError(f"nsrr must be finite and >= 0, got {nsrr}")
+    if not nsrr < RATE_CAP_MM_H:
+        raise ValueError(f"nsrr must be below {RATE_CAP_MM_H} mm/h, "
+                         f"got {nsrr}")
     if not 3.0 <= diameter <= 6.0:
         raise ValueError("footprint diameter must be within [3, 6] km, "
                          f"got {diameter}")

@@ -1305,6 +1305,27 @@ def test_eval_rerun_identical_bytes(tmp_path, monkeypatch):
         assert (tmp_path / n).read_bytes() == blob
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_seed_is_only_recorded_in_the_manifest(tmp_path, monkeypatch,
+                                               command):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "run.cfg", **_working_config(tmp_path, command))
+    inputs = set(os.listdir(tmp_path))
+    runs = []
+    for seed in ("1", "2"):
+        assert run_cli(command, "--config", "run.cfg", "--seed", seed) == 0
+        runs.append({name: (tmp_path / name).read_bytes()
+                     for name in set(os.listdir(tmp_path)) - inputs})
+    first, second = runs
+    manifests = [name for name in first if name.endswith(".manifest")]
+    assert first.keys() == second.keys() and len(manifests) == 1
+    assert {n: b for n, b in first.items() if n not in manifests} == {
+        n: b for n, b in second.items() if n not in manifests}
+    lines = [run[manifests[0]].decode().splitlines() for run in runs]
+    assert len(lines[0]) == len(lines[1])
+    assert [(a, b) for a, b in zip(*lines) if a != b] == [("seed=1", "seed=2")]
+
+
 # ---------------------------------------------------------------------------
 # output paths
 
@@ -1538,3 +1559,28 @@ def test_extreme_params_value_keeps_the_contract(tmp_path, monkeypatch,
     outputs = [v for k, v in cfg.items() if k.startswith("out_")]
     assert written == ([] if exit_code else sorted(
         [*outputs, f"{outputs[0]}.manifest"]))
+
+
+@pytest.mark.parametrize("nsrr", ["1e308", "1e4"])
+def test_build_clim_rate_at_the_cap_names_the_line(tmp_path, monkeypatch,
+                                                   capsys, nsrr):
+    # a pixel's sum of such rates would overflow to inf, which no grid holds
+    monkeypatch.chdir(tmp_path)
+    _write_clim_config(tmp_path)
+    with open(tmp_path / "obs.csv", "a") as f:
+        f.write(f"99999.0,9.05,30.05,{nsrr},1,4.5\n")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli_recording_warnings("build-clim", "--config",
+                                      "c.cfg") == (2, [])
+    assert (f"obs.csv line 82: nsrr must be below 10000.0 mm/h, got "
+            f"{float(nsrr)}") in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_build_clim_rate_below_the_cap_is_rendered(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_clim_config(tmp_path)
+    with open(tmp_path / "obs.csv", "a") as f:
+        f.write("99999.0,9.05,30.05,9999.5,1,4.5\n")
+    assert run_cli_recording_warnings("build-clim", "--config",
+                                      "c.cfg") == (0, [])

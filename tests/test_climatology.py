@@ -10,7 +10,7 @@ from rainstats.climatology import (HOURS_PER_YEAR, KM_PER_DEG,
                                    initial_estimates, merge_reference,
                                    read_observations_csv,
                                    render_observations)
-from rainstats.errors import AlignmentError, DataError
+from rainstats.errors import DataError
 from rainstats.raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                               uniform_filter, write_grid)
 from writers import observations, write_observations_csv
@@ -277,7 +277,7 @@ def test_merge_reference_nodata_reference_passes_satellite_through():
 
 def test_merge_reference_rejects_misaligned_and_bad_weights():
     sat = Grid.full(geom(4, 4), 1.0)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(DataError, match="not aligned"):
         merge_reference(sat, Grid.full(geom(5, 4), 1.0),
                         Grid.full(geom(4, 4), 0.5), k=3)
     with pytest.raises(ValueError, match="weights"):

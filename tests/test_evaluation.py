@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from rainstats import cli
-from rainstats.errors import DataError, EmptyDataError
+from rainstats.errors import DataError
 from rainstats.evaluation import (ConfusionMatrix, accuracy, by_country,
                                   confusion, mcc, p311_summary,
-                                  read_error_samples_csv, rec_curve,
-                                  station_comparison)
-from rainstats.raster import Grid, GridGeometry
+                                  read_error_samples_csv, rec_curve)
 from writers import samples, write_error_samples_csv
-
-ND = -9999.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,66 +248,6 @@ def test_by_country_matches_enumeration():
 def test_by_country_rejects_no_sites():
     with pytest.raises(ValueError, match="no site records"):
         by_country([], [], [])
-
-
-# ---------------------------------------------------------------------------
-# station comparison
-
-
-def _grid(values, ncols, nrows, cell=1.0):
-    return Grid(GridGeometry(ncols, nrows, 0.0, 0.0, cell, ND), values)
-
-
-def test_station_comparison_exact_grid():
-    grid = _grid(np.full((4, 4), 1200.0), 4, 4)
-    stations = [(1.0, 1.0, 1200.0), (2.5, 3.0, 1200.0)]
-    summary, skipped = station_comparison(grid, stations)
-    assert skipped == 0
-    assert (summary.mean, summary.sd, summary.rms) == (0.0, 0.0, 0.0)
-
-
-def test_station_comparison_direct_arithmetic():
-    grid = _grid(np.full((4, 4), 1000.0), 4, 4)
-    summary, _ = station_comparison(grid, [(2.0, 2.0, 500.0)])
-    assert summary.mean == pytest.approx(1.0)
-
-
-def test_station_comparison_skips_nodata():
-    vals = np.full((4, 4), 800.0)
-    vals[0, 0] = ND  # poisons the north-west corner samples
-    grid = _grid(vals, 4, 4)
-    summary, skipped = station_comparison(
-        grid, [(3.9, 0.1, 800.0), (1.0, 1.0, 800.0)])
-    assert skipped == 1
-    assert summary.mean == 0.0
-
-
-def test_station_comparison_random_oracle():
-    rng = np.random.default_rng(26)
-    vals = rng.uniform(500, 2000, (6, 6))
-    grid = _grid(vals, 6, 6)
-    stations = [(rng.uniform(0.5, 5.5), rng.uniform(0.5, 5.5),
-                 rng.uniform(600, 1800)) for _ in range(25)]
-    summary, skipped = station_comparison(grid, stations)
-    assert skipped == 0
-    from rainstats.raster import sample_bilinear
-    errs = [(sample_bilinear(grid, lat, lon) - mt) / mt
-            for lat, lon, mt in stations]
-    expected = p311_summary(errs)
-    assert summary.mean == pytest.approx(expected.mean, rel=1e-12)
-    assert summary.rms == pytest.approx(expected.rms, rel=1e-12)
-
-
-def test_station_comparison_all_skipped_raises():
-    grid = _grid(np.full((2, 2), ND), 2, 2)
-    with pytest.raises(EmptyDataError):
-        station_comparison(grid, [(1.0, 1.0, 100.0)])
-
-
-def test_station_comparison_out_of_bounds_raises():
-    grid = _grid(np.full((2, 2), 5.0), 2, 2)
-    with pytest.raises(ValueError, match="outside"):
-        station_comparison(grid, [(10.0, 1.0, 100.0)])
 
 
 # ---------------------------------------------------------------------------

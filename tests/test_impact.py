@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rainstats.errors import AlignmentError, EmptyDataError
+from rainstats.errors import DataError
 from rainstats.impact import (PopulationTally, ZoneShare, heavy_mask,
                               rate_map, zonal_population, zone_coverage)
 from rainstats.rainmodel import ClimatePoint, ModelParams, rain_rate
@@ -63,7 +63,7 @@ def test_rate_map_propagates_nodata_and_checks_alignment():
     p0 = Grid(geom(2, 1), [5.0, ND])
     out = rate_map(mt, p0, PARAMS, 0.01)
     assert np.all(out.values == ND) and out.geometry.nodata == ND
-    with pytest.raises(AlignmentError):
+    with pytest.raises(DataError, match="not aligned"):
         rate_map(mt, Grid.full(geom(3, 1), 5.0), PARAMS, 0.01)
     with pytest.raises(ValueError):
         rate_map(mt, p0, PARAMS, 0.0)
@@ -164,7 +164,7 @@ def test_zonal_population_additive_over_tiling():
 def test_zonal_population_rejects_bad_inputs():
     pop = Grid.full(geom(2, 2), 1.0)
     everywhere = np.ones((2, 2), bool)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(DataError, match="not aligned"):
         zonal_population(pop, everywhere, Grid.full(geom(3, 2), 1.0))
     with pytest.raises(ValueError, match="non-integer"):
         zonal_population(pop, everywhere, Grid.full(geom(2, 2), 1.5))
@@ -229,7 +229,7 @@ def test_zone_coverage_matches_brute_force_tally():
 def test_zone_coverage_no_valid_pixels_raises():
     zones = Grid.full(geom(2, 2), ND)
     pop = Grid.full(geom(2, 2), 1.0)
-    with pytest.raises(EmptyDataError):
+    with pytest.raises(DataError, match="no valid pixels"):
         zone_coverage(zones, pop)
 
 

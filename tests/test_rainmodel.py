@@ -9,7 +9,7 @@ from rainstats.rainmodel import (RATE_CAP_MM_H, STANDARD_LADDER, ClimatePoint,
                                  ModelParams, SiteStatistics,
                                  _exceedance_array, _rain_rate_array,
                                  curve_objective, estimate_site_curve,
-                                 fit_params, loglinear_resample, rain_rate,
+                                 fit_params, rain_rate,
                                  read_climate_csv, read_params,
                                  read_sites_csv, write_params,
                                  write_sites_csv)
@@ -334,33 +334,6 @@ def test_fit_calls_minimize_through_the_module_global(monkeypatch):
     assert fit_params(training) == expected
     assert len(nfev) == 8  # one descent and one restart per start
     assert all(n > 0 for n in nfev)
-
-
-# ---------------------------------------------------------------------------
-# log-linear resampling
-
-
-def test_loglinear_knot_identity():
-    points = [(0.01, 100.0), (1.0, 20.0)]
-    out = loglinear_resample(points, [0.01, 1.0])
-    assert out == [(0.01, 100.0), (1.0, 20.0)]
-
-
-def test_loglinear_midpoint_in_log_p():
-    out = loglinear_resample([(0.01, 100.0), (1.0, 20.0)], [0.1])
-    assert out[0][0] == 0.1
-    assert out[0][1] == pytest.approx(60.0, rel=1e-12)
-
-
-def test_loglinear_omits_targets_outside_range():
-    out = loglinear_resample([(0.01, 100.0), (1.0, 20.0)],
-                             [0.001, 0.1, 2.0])
-    assert [p for p, _ in out] == [0.1]
-
-
-def test_loglinear_needs_two_points():
-    with pytest.raises(ValueError):
-        loglinear_resample([(0.01, 100.0)], [0.1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rainstats.errors import GridParseError
+from rainstats.errors import DataError
 from rainstats.raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                               resample, sample_bilinear, uniform_filter,
                               window_iqr, write_grid)
@@ -66,7 +66,7 @@ def test_parse_error_names_header_line(tmp_path):
     path = tmp_path / "bad.grd"
     path.write_text("ncols 2\nnrows 1\nxllcorn 0.0\nyllcorner 0.0\n"
                     "cellsize 1.0\nNODATA_value -9999.0\n1.0 2.0\n")
-    with pytest.raises(GridParseError, match="line 3"):
+    with pytest.raises(DataError, match="line 3"):
         read_grid(path)
 
 
@@ -74,7 +74,7 @@ def test_parse_error_non_numeric_header_value(tmp_path):
     path = tmp_path / "bad.grd"
     path.write_text("ncols 2\nnrows oops\nxllcorner 0.0\nyllcorner 0.0\n"
                     "cellsize 1.0\nNODATA_value -9999.0\n1.0 2.0\n")
-    with pytest.raises(GridParseError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         read_grid(path)
 
 
@@ -82,7 +82,7 @@ def test_parse_error_wrong_column_count(tmp_path):
     path = tmp_path / "bad.grd"
     path.write_text("ncols 3\nnrows 1\nxllcorner 0.0\nyllcorner 0.0\n"
                     "cellsize 1.0\nNODATA_value -9999.0\n1.0 2.0\n")
-    with pytest.raises(GridParseError, match="line 7"):
+    with pytest.raises(DataError, match="line 7"):
         read_grid(path)
 
 
@@ -90,7 +90,7 @@ def test_parse_error_non_numeric_token(tmp_path):
     path = tmp_path / "bad.grd"
     path.write_text("ncols 2\nnrows 2\nxllcorner 0.0\nyllcorner 0.0\n"
                     "cellsize 1.0\nNODATA_value -9999.0\n1.0 2.0\n3.0 x\n")
-    with pytest.raises(GridParseError, match="line 8.*'x'"):
+    with pytest.raises(DataError, match="line 8.*'x'"):
         read_grid(path)
 
 
@@ -98,7 +98,7 @@ def test_parse_error_missing_rows(tmp_path):
     path = tmp_path / "bad.grd"
     path.write_text("ncols 2\nnrows 3\nxllcorner 0.0\nyllcorner 0.0\n"
                     "cellsize 1.0\nNODATA_value -9999.0\n1.0 2.0\n")
-    with pytest.raises(GridParseError, match="line 8"):
+    with pytest.raises(DataError, match="line 8"):
         read_grid(path)
 
 
@@ -108,7 +108,7 @@ def test_parse_error_missing_rows_is_found_before_allocating(tmp_path):
     path.write_text("ncols 100000000\nnrows 100000000\nxllcorner 0.0\n"
                     "yllcorner 0.0\ncellsize 1e-07\nNODATA_value -9999.0\n"
                     "1.0\n")
-    with pytest.raises(GridParseError,
+    with pytest.raises(DataError,
                        match="line 8: expected 100000000 data rows, file "
                              "ends after 1"):
         read_grid(path)
@@ -118,7 +118,7 @@ def test_parse_error_trailing_content(tmp_path):
     path = tmp_path / "bad.grd"
     path.write_text("ncols 1\nnrows 1\nxllcorner 0.0\nyllcorner 0.0\n"
                     "cellsize 1.0\nNODATA_value -9999.0\n1.0\n2.0\n")
-    with pytest.raises(GridParseError, match="line 8"):
+    with pytest.raises(DataError, match="line 8"):
         read_grid(path)
 
 

@@ -88,15 +88,6 @@ def test_only_raster_compares_values_with_the_nodata_sentinel():
     assert _nodata_equalities(SRC / "raster.py")
 
 
-#: Public definitions kept without a caller, with the ROADMAP item that
-#: decides them.
-UNCALLED = {
-    # waits on the end-to-end check of the paper's result (item 7)
-    ("evaluation", "station_comparison"),
-    # waits on eval's join of observed and predicted site curves (item 4)
-    ("rainmodel", "loglinear_resample"),
-}
-
 #: The release criteria, whose imports are callers too.
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
@@ -145,11 +136,29 @@ def test_every_public_definition_has_a_caller():
               for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used}
-    assert unused == UNCALLED
+    assert unused == set()
 
 
 def test_all_is_what_init_imports_and_the_package_uses():
     trees = _package_trees()
     assert _package_imports(trees["__init__"]) <= set(rainstats.__all__)
-    kept = _used_names(trees) | {name for _, name in UNCALLED}
-    assert set(rainstats.__all__) <= kept
+    assert set(rainstats.__all__) <= _used_names(trees)
+
+
+def _caught(tree):
+    """The names that the ``except`` clauses in ``tree`` catch, bare, as an
+    attribute or in a tuple."""
+    return {getattr(node, "id", None) or getattr(node, "attr", None)
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler) and handler.type
+            for node in ast.walk(handler.type)}
+
+
+def test_every_error_type_is_caught_somewhere():
+    # an exception type is worth its class when some caller tells it apart;
+    # the rest are raised as the type whose exit code they share
+    trees = _package_trees()
+    defined = {node.name for node in trees["errors"].body
+               if isinstance(node, ast.ClassDef)}
+    caught = set().union(*map(_caught, trees.values()))
+    assert defined - caught == set()

@@ -17,7 +17,8 @@ FAULTS = {
         "1104537600,95,3.25,12.5,2,4.5", "nan,6.5,3.25,12.5,1.0,4.5",
         "inf,abc,3.25,12.5,1,4.5", "inf,6.5,3.25,-1,1,4.5",
         "1,6.5,3.25,-1,1,7", "1,95,3.25,1,1,2", "nan,6.5,inf,1,0,4.5",
-        "1,-90,3.25,nan,0,4.5", "1,6.5,3.25,1,1,abc", "1,6.5,3.25,1,x,abc"],
+        "1,-90,3.25,nan,0,4.5", "1,6.5,3.25,1,1,abc", "1,6.5,3.25,1,x,abc",
+        "1,6.5,3.25,1e4,1,7", "1,95,3.25,1e308,1,4.5"],
     "samples": [
         "a,0,0,1", "a,1,0,-1", "a,101,1,abc", "a,nan,inf,nan",
         "a,100,1e-400,1", "a,abc,0,0"],
