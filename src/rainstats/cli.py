@@ -178,7 +178,10 @@ def _cmd_fit(args, cfg: dict) -> None:
                             f"{s.site_id}")
         training.append((s, climate[s.site_id]))
 
-    result = rainmodel.fit_params(training)
+    try:
+        result = rainmodel.fit_params(training)
+    except ValueError as e:  # no rung the model can be fitted to
+        raise DataError(f"{cfg['sites']}: {e}") from None
 
     ids, ps, rs, mts, p0s = rainmodel._training_arrays(training)
     predicted = rainmodel._rain_rate_array(ps, mts, p0s, result.params)
@@ -224,8 +227,12 @@ def _cmd_predict(args, cfg: dict) -> None:
     out_sites = []
     skipped = 0
     for site_id, lat, lon, country in locations.tolist():
-        mt_v = sample_bilinear(mt, lat, lon)
-        p0_v = sample_bilinear(p0, lat, lon)
+        try:
+            mt_v = sample_bilinear(mt, lat, lon)
+            p0_v = sample_bilinear(p0, lat, lon)
+        except ValueError as e:  # outside the grid
+            raise DataError(f"{cfg['locations']}: site {site_id}: "
+                            f"{e}") from None
         if math.isnan(mt_v) or math.isnan(p0_v):
             skipped += 1
             continue

@@ -62,11 +62,6 @@ class ConfusionMatrix:
     fn: int
     tp: int
 
-    def __post_init__(self):
-        for name in ("tn", "fp", "fn", "tp"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"count {name} must be >= 0")
-
     @property
     def total(self) -> int:
         return self.tn + self.fp + self.fn + self.tp

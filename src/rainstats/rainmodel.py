@@ -50,14 +50,6 @@ class ModelParams:
                                  f"finite, got {v}")
 
 
-#: The conditions on a climate point, here and in the climate CSV.
-_CLIMATE_CHECKS = [
-    Check(("mt",), lambda mt: np.isfinite(mt) & (mt >= 0),
-          "mt must be >= 0, got {mt}"),
-    Check(("p0",), lambda p0: np.isfinite(p0) & (p0 >= 0) & (p0 <= 100),
-          "p0 must be in [0, 100], got {p0}")]
-
-
 @dataclass(frozen=True)
 class ClimatePoint:
     """Climate statistics at one location: mt in mm/yr, p0 in percent."""
@@ -65,18 +57,13 @@ class ClimatePoint:
     mt: float
     p0: float
 
-    def __post_init__(self):
-        for check in _CLIMATE_CHECKS:
-            if not check.test(*map(vars(self).get, check.reads)):
-                raise ValueError(check.message.format_map(vars(self)))
-
 
 @dataclass(frozen=True)
 class SiteStatistics:
     """Observed (p, R) exceedance pairs for one measurement site.
 
-    Points are stored sorted by ascending probability.  Exceedance
-    monotonicity is enforced: as p decreases, R must not decrease.
+    ``points`` ascend in p, and R does not increase with p;
+    :func:`read_sites_csv` checks this for the sites of a file.
     """
 
     site_id: str
@@ -85,23 +72,6 @@ class SiteStatistics:
     country: str
     duration_years: float
     points: tuple
-
-    def __post_init__(self):
-        if self.duration_years <= 0:
-            raise ValueError("duration_years must be positive")
-        pts = tuple(sorted((float(p), float(r)) for p, r in self.points))
-        for i, (p, r) in enumerate(pts):
-            if not (0 < p <= 100):
-                raise ValueError(f"probability {p} outside (0, 100]")
-            if r < 0:
-                raise ValueError(f"rain rate {r} is negative")
-            if i and pts[i - 1][0] == p:
-                raise ValueError(f"duplicate probability {p}")
-            if i and r > pts[i - 1][1]:
-                raise ValueError(
-                    "exceedance monotonicity violated: R must not increase "
-                    f"with p (p={p}, R={r})")
-        object.__setattr__(self, "points", pts)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +225,8 @@ def fit_params(training, *, threads: int = 1) -> FitResult:
     def objective(theta) -> float:
         try:
             return _mean_sq_rel_error(arrays, ModelParams(*np.exp(theta)))
-        except SolverError:
-            return 1e9  # steer the search away from pathological corners
+        except (ValueError, SolverError):
+            return 1e9  # steer away from an exp out of range, or capped rates
 
     seeds = [np.log([x, y, z])
              for x in _SEED_X for y in _SEED_Y for z in _SEED_Z]
@@ -278,7 +248,11 @@ def fit_params(training, *, threads: int = 1) -> FitResult:
     if not candidates:
         raise SolverError("no fit start converged to a finite objective")
     fun, x, y, z = min(candidates)
-    return FitResult(ModelParams(x, y, z), fun, int(arrays[1].size))
+    try:
+        params = ModelParams(x, y, z)
+    except ValueError as e:
+        raise SolverError(f"the best fit is not a valid model: {e}") from None
+    return FitResult(params, fun, int(arrays[1].size))
 
 
 # ---------------------------------------------------------------------------
@@ -325,33 +299,56 @@ _SITES = Table(
 
 
 def write_sites_csv(sites, path) -> None:
-    """One row per (site, rung): the standard site-statistics CSV."""
+    """The site-statistics CSV, one row per (site, rung), points as floats."""
     write_rows(path, _SITES.columns, (
         [s.site_id, repr(s.lat), repr(s.lon), s.country,
-         repr(s.duration_years), repr(p), repr(r)]
+         repr(s.duration_years), repr(float(p)), repr(float(r))]
         for s in sites for p, r in s.points))
 
 
 def read_sites_csv(path):
-    """Read site statistics grouped by ``site_id`` in first-seen order."""
+    """Read site statistics grouped by ``site_id`` in first-seen order, each
+    site's points ascending in p.  Once every row is read, the first failing
+    site and its first point in (p, R) order raise :class:`DataError` naming
+    the site and the first rule broken: years > 0, p in (0, 100], R >= 0,
+    no duplicate p, and R not increasing with p."""
     rows = read_table(path, _SITES)
     first = first_rows(rows.site_id)
+    order = np.lexsort((rows.rate, rows.p, first))
+    site, p, r = first[order], rows.p[order], rows.rate[order]
+    same = np.r_[False, site[1:] == site[:-1]]  # not its site's first row
+    bad = np.array([rows.years[order] <= 0, (p <= 0) | (p > 100), r < 0,
+                    same & (p == np.r_[np.nan, p[:-1]]),
+                    same & (r > np.r_[np.nan, r[:-1]])])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        pi, ri = float(p[i]), float(r[i])
+        message = [
+            "duration_years must be positive",
+            f"probability {pi} outside (0, 100]",
+            f"rain rate {ri} is negative",
+            f"duplicate probability {pi}",
+            "exceedance monotonicity violated: R must not increase with p "
+            f"(p={pi}, R={ri})"][int(np.argmax(bad[:, i]))]
+        raise DataError(f"{path}: site {rows.site_id[site[i]]}: {message}")
+    # metadata from each site's first row, as -0.0 and 0.0 are one value
     heads = np.flatnonzero(first == np.arange(first.size))
-    order = np.argsort(first, kind="stable")  # by site, then file order
-    points = np.split(np.column_stack([rows.p, rows.rate])[order],
-                      np.searchsorted(first[order], heads[1:]))
-    sites = []
-    for (sid, *meta, _, _), pts in zip(rows[heads].tolist(), points):
-        try:  # meta: lat, lon, country, years
-            sites.append(SiteStatistics(sid, *meta, pts))
-        except ValueError as e:
-            raise DataError(f"{path}: site {sid}: {e}") from None
-    return sites
+    starts = np.flatnonzero(~same).tolist()
+    pairs = list(zip(p.tolist(), r.tolist()))
+    return [SiteStatistics(sid, lat, lon, country, years, tuple(pairs[a:b]))
+            for (sid, lat, lon, country, years, _, _), a, b
+            in zip(rows[heads].tolist(), starts, [*starts[1:], len(pairs)])]
 
 
-_CLIMATE = Table(["site_id", "mt_mm", "p0_percent"],
-                 [("mt", float), ("p0", float), *_CLIMATE_CHECKS, UNIQUE_SITE],
-                 names=["site_id", "mt", "p0"])
+_CLIMATE = Table(
+    ["site_id", "mt_mm", "p0_percent"],
+    [("mt", float), ("p0", float),
+     Check(("mt",), lambda mt: np.isfinite(mt) & (mt >= 0),
+           "mt must be >= 0, got {mt}"),
+     Check(("p0",), lambda p0: np.isfinite(p0) & (p0 >= 0) & (p0 <= 100),
+           "p0 must be in [0, 100], got {p0}"),
+     UNIQUE_SITE],
+    names=["site_id", "mt", "p0"])
 
 
 def read_climate_csv(path):

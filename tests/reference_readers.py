@@ -1,9 +1,10 @@
 """The CSV readers as they were written by hand, before the tables were
 described in ``rainstats``: the row-by-row reader :func:`read_rows`, the
-record CSVs' row converters and the readers of the five site-keyed CSVs.
-They are the reference that ``test_tables`` and ``test_table_parity`` hold
-the described readers to.  Keep them as they are; they are the record of
-each table's accepted rows and messages.
+record CSVs' row converters and the readers of the five site-keyed CSVs,
+with the record types that checked sites and climate points as they were
+built.  They are the reference that ``test_tables`` and
+``test_table_parity`` hold the described readers to.  Keep them as they
+are; they are the record of each table's accepted rows and messages.
 """
 
 import csv
@@ -14,7 +15,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from rainstats.errors import DataError
-from rainstats.rainmodel import RATE_CAP_MM_H, SiteStatistics
+from rainstats.rainmodel import RATE_CAP_MM_H
 
 # ---------------------------------------------------------------------------
 # row-by-row reading
@@ -166,6 +167,36 @@ class ClimatePoint:
             raise ValueError(f"mt must be >= 0, got {self.mt}")
         if not (np.isfinite(self.p0) and 0 <= self.p0 <= 100):
             raise ValueError(f"p0 must be in [0, 100], got {self.p0}")
+
+
+@dataclass(frozen=True)
+class SiteStatistics:
+    """Observed (p, R) exceedance pairs for one measurement site, stored
+    sorted by ascending probability, checked as each site is built."""
+
+    site_id: str
+    lat: float
+    lon: float
+    country: str
+    duration_years: float
+    points: tuple
+
+    def __post_init__(self):
+        if self.duration_years <= 0:
+            raise ValueError("duration_years must be positive")
+        pts = tuple(sorted((float(p), float(r)) for p, r in self.points))
+        for i, (p, r) in enumerate(pts):
+            if not (0 < p <= 100):
+                raise ValueError(f"probability {p} outside (0, 100]")
+            if r < 0:
+                raise ValueError(f"rain rate {r} is negative")
+            if i and pts[i - 1][0] == p:
+                raise ValueError(f"duplicate probability {p}")
+            if i and r > pts[i - 1][1]:
+                raise ValueError(
+                    "exceedance monotonicity violated: R must not increase "
+                    f"with p (p={p}, R={r})")
+        object.__setattr__(self, "points", pts)
 
 
 _SITE_COLUMNS = ["site_id", "lat", "lon", "country", "years", "p_percent",

@@ -204,6 +204,57 @@ def test_fit_on_a_denormal_rate_exits_3_without_warnings(tmp_path,
     assert sorted(os.listdir(tmp_path)) == before
 
 
+#: Two training sites on which a Nelder-Mead descent of the fit reaches a
+#: ``y`` whose ``exp`` overflows to inf.
+_DOMAIN_EDGE_TRAINING = [
+    (SiteStatistics("s0", 0.0, 0.0, "X", 1.0, (
+        (0.002, 24.0641426349717), (0.03, 23.03948789819486),
+        (0.1, 14.197381747540854), (3.0, 4.900611768288555))),
+     ClimatePoint(998.9434362603102, 14.410419516557901)),
+    (SiteStatistics("s1", 0.0, 0.0, "X", 1.0, (
+        (0.002, 175.3450892558354), (0.02, 160.48977933018682),
+        (0.03, 12.929110455777456), (1.0, 7.404331278470822),
+        (3.0, 5.913011897833782), (5.0, 0.9175079209285809))),
+     ClimatePoint(2680.747280405739, 7.984705898527539))]
+
+
+def test_fit_descent_beyond_the_parameter_domain_exits_0(tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_training(tmp_path, _DOMAIN_EDGE_TRAINING)
+    write_config(tmp_path / "fit.cfg", sites="train_sites.csv",
+                 climate="train_climate.csv", out_params="params.txt",
+                 out_residuals="residuals.csv", out_report="fit_report.txt")
+    assert run_cli("fit", "--config", "fit.cfg") == 0
+    assert capsys.readouterr().err == ""
+    params = read_params(tmp_path / "params.txt")
+    assert min(params.x, params.y, params.z) > 0
+
+
+@pytest.mark.parametrize("site,climate,message", [
+    (SiteStatistics("z", 0.0, 0.0, "NA", 1.0, ((0.01, 0.0),)),
+     ClimatePoint(1000.0, 5.0),
+     "training set has no points with observed R > 0"),
+    # rain falls less often than every rung
+    (SiteStatistics("w", 0.0, 0.0, "NA", 1.0, ((5.0, 10.0),)),
+     ClimatePoint(1000.0, 2.0),
+     "training set has no point with p < p0; the model cannot predict any "
+     "of it")])
+def test_fit_degenerate_training_names_the_sites_file(tmp_path, monkeypatch,
+                                                      capsys, site, climate,
+                                                      message):
+    monkeypatch.chdir(tmp_path)
+    _write_training(tmp_path, [(site, climate)])
+    write_config(tmp_path / "fit.cfg", sites="train_sites.csv",
+                 climate="train_climate.csv", out_params="params.txt",
+                 out_residuals="residuals.csv", out_report="fit_report.txt")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("fit", "--config", "fit.cfg") == 2
+    err = capsys.readouterr().err
+    assert err == f"rainstats: data error: train_sites.csv: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_unknown_config_key_exits_1(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path / "fit.cfg", sites="a.csv", climate="b.csv",
@@ -389,6 +440,26 @@ def test_predict_bad_grid_or_params_names_the_file(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert f"data error: {bad}: " in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "pred.csv")
+
+
+def test_predict_location_outside_the_grid_names_the_file_and_site(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_predict_inputs(tmp_path)
+    g = GridGeometry(4, 4, 0.0, 0.0, 1.0, ND)
+    write_grid(Grid(g, np.full(16, 1500.0)), tmp_path / "mt.grd")
+    write_grid(Grid(g, np.full(16, 5.0)), tmp_path / "p0.grd")
+    (tmp_path / "locs.csv").write_text(
+        "site_id,lat,lon,country\na,1.0,1.0,X\nb,9.0,1.0,X\n")
+    write_config(tmp_path / "p.cfg", mt_grid="mt.grd", p0_grid="p0.grd",
+                 params="params.txt", locations="locs.csv",
+                 out_sites="pred.csv")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("predict", "--config", "p.cfg") == 2
+    assert capsys.readouterr().err == (
+        "rainstats: data error: locs.csv: site b: point (9.0, 1.0) is "
+        "outside the grid bounds\n")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 # ---------------------------------------------------------------------------

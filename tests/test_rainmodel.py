@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,15 +54,19 @@ def test_forward_strictly_decreasing_in_rate():
     assert np.all(ps[:-1] > ps[1:])
 
 
-def test_params_must_be_positive():
+def test_params_must_be_positive(tmp_path):
     with pytest.raises(ValueError):
         ModelParams(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(1.0, -2.0, 1.0)
-    with pytest.raises(ValueError):
-        ClimatePoint(-1.0, 5.0)
-    with pytest.raises(ValueError):
-        ClimatePoint(100.0, 101.0)
+    # a climate point is checked where it is read
+    path = tmp_path / "climate.csv"
+    for row, message in [
+            ("a,-1.0,5.0", "mt must be >= 0, got -1.0"),
+            ("a,100.0,101.0", "p0 must be in [0, 100], got 101.0")]:
+        path.write_text(f"site_id,mt_mm,p0_percent\n{row}\n")
+        with pytest.raises(DataError, match=re.escape(f"line 2: {message}")):
+            read_climate_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +325,20 @@ def test_fit_rejects_degenerate_training():
         fit_params([(site2, ClimatePoint(1000, 2.0))])
 
 
+def test_fit_ending_beyond_the_parameter_domain_is_a_solver_error(
+        monkeypatch):
+    # every descent ends where exp(theta) overflows x to inf
+    training = _make_training(GEN_PARAMS, _training_climates(2))
+
+    def minimize_beyond_the_domain(objective, theta0, **kwargs):
+        x = np.array([1000.0, 0.0, 0.0])
+        return SimpleNamespace(x=x, fun=objective(x))
+
+    monkeypatch.setattr(rainmodel, "minimize", minimize_beyond_the_domain)
+    with pytest.raises(SolverError, match="parameter x must be positive"):
+        fit_params(training)
+
+
 def test_fit_calls_minimize_through_the_module_global(monkeypatch):
     training = _make_training(GEN_PARAMS, _training_climates(5, seed=17))
     expected = fit_params(training)
@@ -340,17 +360,25 @@ def test_fit_calls_minimize_through_the_module_global(monkeypatch):
 # domain type validation
 
 
-def test_site_statistics_rejects_non_monotone_curve():
-    with pytest.raises(ValueError, match="monotonicity"):
-        SiteStatistics("bad", 0.0, 0.0, "NA", 1.0,
-                       ((0.01, 50.0), (0.1, 80.0)))
-    with pytest.raises(ValueError, match="duplicate"):
-        SiteStatistics("dup", 0.0, 0.0, "NA", 1.0,
-                       ((0.01, 50.0), (0.01, 50.0)))
-    with pytest.raises(ValueError):
-        SiteStatistics("neg", 0.0, 0.0, "NA", 1.0, ((0.01, -1.0),))
-    with pytest.raises(ValueError):
-        SiteStatistics("p0", 0.0, 0.0, "NA", 0.0, ((0.01, 1.0),))
+def test_site_statistics_rejects_non_monotone_curve(tmp_path):
+    # a site is checked where the sites CSV is read, not where it is built
+    path = tmp_path / "sites.csv"
+    for site, message in [
+            (SiteStatistics("bad", 0.0, 0.0, "NA", 1.0,
+                            ((0.01, 50.0), (0.1, 80.0))),
+             "exceedance monotonicity violated: R must not increase with p "
+             "(p=0.1, R=80.0)"),
+            (SiteStatistics("dup", 0.0, 0.0, "NA", 1.0,
+                            ((0.01, 50.0), (0.01, 50.0))),
+             "duplicate probability 0.01"),
+            (SiteStatistics("neg", 0.0, 0.0, "NA", 1.0, ((0.01, -1.0),)),
+             "rain rate -1.0 is negative"),
+            (SiteStatistics("p0", 0.0, 0.0, "NA", 0.0, ((0.01, 1.0),)),
+             "duration_years must be positive")]:
+        write_sites_csv([site], path)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: site {site.site_id}: {message}")):
+            read_sites_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +417,16 @@ def test_sites_csv_round_trip(tmp_path):
                        ((0.01, 110.0), (0.1, 55.0), (1.0, 12.0))),
         SiteStatistics("beta", -6.2, 106.8, "IDN", 2.0,
                        ((0.01, 130.0), (0.1, 60.0))),
+        # a record keeps the numpy scalars it is given
+        SiteStatistics("gamma", 1.5, 2.5, "KEN", 1.0,
+                       tuple(zip(np.array([0.01, 0.1]),
+                                 np.array([90.5, 41.0])))),
     ]
     path = tmp_path / "sites.csv"
     write_sites_csv(sites, path)
     back = read_sites_csv(path)
     assert back == sites
+    assert "gamma,1.5,2.5,KEN,1.0,0.1,41.0\n" in path.read_text()
     header = path.read_text().splitlines()[0]
     assert header == "site_id,lat,lon,country,years,p_percent,rate_mm_h"
 

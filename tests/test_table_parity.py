@@ -3,6 +3,7 @@ replaced, kept in ``reference_readers``: on every file of ``test_tables``'
 corpus, and on rows that fail two ways at once, a reader gives the same
 table bit for bit, or the same message."""
 
+import numpy as np
 import pytest
 
 from test_tables import LIMIT, TABLES, _files, _outcome, _same
@@ -37,7 +38,17 @@ FAULTS = {
         # a site's own error waits until every row is read
         "a,6.5,0,KE,2,0.01,70\nb,abc,1,KE,1,1,1",
         "a,6.5,0,KE,2,0.01,70", "a,6.5,0,KE,2,0.1,90",
-        "b,1,2,KE,0,0.1,5", "b,1,2,KE,-1,0.1,5\nc,1,2,KE,1,200,5"],
+        "b,1,2,KE,0,0.1,5", "b,1,2,KE,-1,0.1,5\nc,1,2,KE,1,200,5",
+        # each rule of a site's points, after every row is read: a
+        # duplicate p, a tied p with another R, R < 0, p = 0 (-0.0 first
+        # as the lower R), a later site failing as the first passes, and a
+        # site failing years and a point rule (years first)
+        "b,1,2,KE,1,0.01,5\nb,1,2,KE,1,0.010,5",
+        "b,1,2,KE,1,0.1,7\nb,1,2,KE,1,0.1,5", "b,1,2,KE,1,0.1,-1",
+        "b,1,2,KE,1,0,5", "b,1,2,KE,1,0.0,6\nb,1,2,KE,1,-0.0,5",
+        "b,1,2,KE,1,0.1,5\nc,1,2,KE,1,1,9\nc,1,2,KE,1,0.1,5",
+        "c,1,2,KE,1,1,9\nb,1,2,KE,0,0.1,5\nc,1,2,KE,1,0.1,5",
+        "b,1,2,KE,0,200,-1"],
     "climate": [
         "a,1,1", "a,-1,1", "c,abc,200", "c,inf,200", "c,1,200", "c,1,nan",
         "c,-0.0,-1", "x,1,1\n\na,1,1", "a,1,1\nc,1", "c,1,1\nc,-1,1",
@@ -76,3 +87,37 @@ def test_reader_matches_the_hand_written_rows(tmp_path, name):
         assert _same(got, want), (case, got, want)
         errors += case.startswith("two faults") and want[0] == "error"
     assert errors == len(FAULTS[name])
+
+
+def test_site_rules_match_the_hand_written_sites_on_random_files(tmp_path):
+    # small files of 1-3 sites in shuffled rows: monotone curves on few
+    # texts, a third of the sites with a stand-in for their years or for
+    # the p or R of one point, so that ties, -0.0 and every rule come up
+    read, reference, columns, _, _ = TABLES["sites"]
+    rng = np.random.default_rng(23)
+    ps = ["0.01", "0.010", "0.1", "1", "100"]
+    rates = ["80.5", "50", "7", "-0.0", "0"]
+    stand_ins = [["0", "2", "-1"], ["0", "-0.0", "101", "0.1", "1"],
+                 ["-1", "7", "50", "-0.0"]]
+    path = tmp_path / "sites.csv"
+    outcomes = {"table": 0, "error": 0}
+    for _ in range(2000):
+        rows = []
+        for site in range(rng.integers(1, 4)):
+            k = rng.integers(1, 5)
+            points = [[f"s{site}", "2", p, r] for p, r in zip(
+                sorted(rng.choice(ps, k, replace=False), key=float),
+                sorted(rng.choice(rates, k), key=float, reverse=True))]
+            if rng.random() < 0.3:
+                field = rng.integers(3)
+                text = rng.choice(stand_ins[field])
+                for point in points if field == 0 else points[:1]:
+                    point[1 + field] = text
+            rows += [f"{sid},1,2,KE,{years},{p},{r}"
+                     for sid, years, p, r in points]
+        rng.shuffle(rows)
+        path.write_text(",".join(columns) + "\n" + "\n".join(rows) + "\n")
+        want = _outcome(reference, path)
+        assert _same(_outcome(read, path), want), (rows, want)
+        outcomes[want[0]] += 1
+    assert min(outcomes.values()) >= 400, outcomes
