@@ -236,9 +236,8 @@ def _cmd_predict(args, cfg: dict) -> None:
         if math.isnan(mt_v) or math.isnan(p0_v):
             skipped += 1
             continue
-        curve = rainmodel.estimate_site_curve(
-            ClimatePoint(max(mt_v, 0.0), min(max(p0_v, 0.0), 100.0)),
-            params, cfg["ladder"])
+        curve = rainmodel.estimate_site_curve(ClimatePoint(mt_v, p0_v),
+                                              params, cfg["ladder"])
         out_sites.append(SiteStatistics(site_id, lat, lon, country, 1.0,
                                         tuple(curve)))
 

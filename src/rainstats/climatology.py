@@ -273,6 +273,8 @@ _OBSERVATIONS = Table(
      Check(("time", "lon"),
            lambda time, lon: (abs(time) < math.inf) & (abs(lon) < math.inf),
            "time and lon must be finite, got {time}, {lon}"),
+     Check(("time",), lambda time: np.diff(time, prepend=-math.inf) >= 0,
+           "time {time} is earlier than the row before it"),
      Check(("nsrr",), lambda nsrr: (nsrr >= 0) & (nsrr < math.inf),
            "nsrr must be finite and >= 0, got {nsrr}"),
      # below the model's rate cap, a pixel's sum of rates cannot overflow
@@ -287,10 +289,10 @@ _OBSERVATIONS = Table(
 
 
 def read_observations_csv(path) -> np.recarray:
-    """Radar footprints as a record array, in file order, with float fields
-    ``time`` (epoch s), ``lat`` and ``lon`` of the center (degrees),
-    ``nsrr`` (near-surface rain rate, mm/h), ``rain_certain`` (0 or 1) and
-    ``footprint_diameter`` (km)."""
+    """Radar footprints as a record array, in file order, which must not go
+    back in time, with float fields ``time`` (epoch s), ``lat`` and ``lon``
+    of the center (degrees), ``nsrr`` (near-surface rain rate, mm/h),
+    ``rain_certain`` (0 or 1) and ``footprint_diameter`` (km)."""
     return read_table(path, _OBSERVATIONS)
 
 

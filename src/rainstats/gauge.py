@@ -317,11 +317,13 @@ _TIPS = Table(
     [("depth", float),
      Check(("depth",), lambda depth: (depth > 0) & (depth < math.inf),
            "tip depth must be positive and finite, got {depth}"),
-     ("time", parse_utc_time)],
+     ("time", parse_utc_time),
+     Check(("time",), lambda time: np.diff(time, prepend=-math.inf) > 0,
+           "tip times must be strictly increasing")],
     names=["time", "depth"])
 
 
 def read_tips_csv(path) -> np.recarray:
     """Tips as a record array with float fields ``time`` (epoch s) and
-    ``depth`` (mm), in file order."""
+    ``depth`` (mm), in file order, which is strictly increasing in time."""
     return read_table(path, _TIPS)

@@ -28,22 +28,19 @@ def _categories(grid: Grid, what: str):
 def rate_map(mt: Grid, p0: Grid, params: ModelParams, p: float) -> Grid:
     """Per-pixel rain rate at exceedance probability ``p`` (percent).
 
-    Valid cells are clamped to ``mt >= 0`` and ``0 <= p0 <= 100`` before
-    inverting.  A pixel where mt or p0 is nodata holds a marker no rate
-    can take: mt's ``nodata`` when that is negative, else -1.0.  So the
-    output's valid mask is exactly "mt and p0 both valid".
+    Valid cells are inverted by :func:`~.rainmodel._rain_rate_array`,
+    which takes mt below 0 as 0 and p0 outside [0, 100] as its nearest
+    bound, and refuses p outside (0, 100] even on a map with no valid cell.
+    A pixel where mt or p0 is nodata holds a marker no rate can take: mt's
+    ``nodata`` when that is negative, else -1.0.  So the output's valid mask
+    is exactly "mt and p0 both valid".
     """
     require_aligned(mt, p0)
-    if not (0 < p <= 100):
-        raise ValueError(f"exceedance probability must be in (0, 100], "
-                         f"got {p}")
     valid = mt.valid_mask() & p0.valid_mask()
     marker = mt.geometry.nodata if mt.geometry.nodata < 0 else -1.0
     out = np.full_like(mt.values, marker)
-    if valid.any():
-        out[valid] = _rain_rate_array(
-            float(p), np.maximum(mt.values[valid], 0.0),
-            np.clip(p0.values[valid], 0.0, 100.0), params)
+    out[valid] = _rain_rate_array(p, mt.values[valid], p0.values[valid],
+                                  params)
     return Grid(replace(mt.geometry, nodata=marker), out)
 
 

@@ -52,7 +52,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ClimatePoint:
-    """Climate statistics at one location: mt in mm/yr, p0 in percent."""
+    """Climate statistics at one location: mt in mm/yr, p0 in percent.  The
+    model takes mt below 0 as 0 and p0 outside [0, 100] as its nearest
+    bound."""
 
     mt: float
     p0: float
@@ -96,17 +98,21 @@ def _rain_rate_array(p, mt, p0, params: ModelParams) -> np.ndarray:
 
     With L = ln(p0/p), the rate solves x*b*R^2 + (x - c*L)*R - L = 0
     (ITU-R P.837-5, Annex 1); the positive root is taken in the form that
-    avoids cancellation.  Raises :class:`SolverError` if the rate reaches
-    ``RATE_CAP_MM_H``.
+    avoids cancellation.  This is the one statement of the model's domain:
+    mt below 0 is taken as 0 and p0 outside [0, 100] as its nearest bound,
+    and any p outside (0, 100] raises ``ValueError``.  Raises
+    :class:`SolverError` if the rate reaches ``RATE_CAP_MM_H``.
     """
     p = np.asarray(p, dtype=np.float64)
-    p, mt, p0 = np.broadcast_arrays(p, np.asarray(mt, dtype=np.float64),
-                                    np.asarray(p0, dtype=np.float64))
+    ok = (p > 0) & (p <= 100)
+    if not ok.all():
+        raise ValueError(f"exceedance probability must be in (0, 100], "
+                         f"got {p[~ok].flat[0]}")
+    p, mt, p0 = np.broadcast_arrays(
+        p, np.maximum(mt, 0.0, dtype=np.float64),
+        np.clip(p0, 0.0, 100.0, dtype=np.float64))
     out = np.zeros(p.shape, dtype=np.float64)
     active = p < p0
-    if not active.any():
-        return out
-
     p0a = p0[active]
     # a p so small that L overflows, a y so small that b overflows, or an x
     # so small that A is 0 gives a rate of inf or NaN, which the cap check
@@ -130,26 +136,18 @@ def _rain_rate_array(p, mt, p0, params: ModelParams) -> np.ndarray:
 def rain_rate(p: float, climate: ClimatePoint, params: ModelParams) -> float:
     """Rain rate (mm/h) exceeded ``p`` percent of the year.
 
-    Returns 0 when ``p >= p0`` (rain occurs less often than p).  Raises
-    ``ValueError`` for p outside (0, 100] and :class:`SolverError` if the
-    rate reaches ``RATE_CAP_MM_H``.
+    Returns 0 when ``p >= p0`` (rain occurs less often than p).  Its
+    domain and errors are :func:`_rain_rate_array`'s.
     """
-    if not (0 < p <= 100):
-        raise ValueError(f"exceedance probability must be in (0, 100], "
-                         f"got {p}")
-    return float(_rain_rate_array([p], [climate.mt], [climate.p0], params)[0])
+    return float(_rain_rate_array(p, climate.mt, climate.p0, params))
 
 
 def estimate_site_curve(climate: ClimatePoint, params: ModelParams,
                         ladder=STANDARD_LADDER):
     """(p, R) pairs over the ladder; monotone by construction."""
     ladder = tuple(float(p) for p in ladder)
-    for p in ladder:
-        if not (0 < p <= 100):
-            raise ValueError(f"ladder probability {p} outside (0, 100]")
-    rates = _rain_rate_array(ladder, [climate.mt] * len(ladder),
-                             [climate.p0] * len(ladder), params)
-    return list(zip(ladder, (float(r) for r in rates)))
+    rates = _rain_rate_array(ladder, climate.mt, climate.p0, params)
+    return list(zip(ladder, rates.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +222,13 @@ def fit_params(training, *, threads: int = 1) -> FitResult:
 
     def objective(theta) -> float:
         try:
-            return _mean_sq_rel_error(arrays, ModelParams(*np.exp(theta)))
-        except (ValueError, SolverError):
-            return 1e9  # steer away from an exp out of range, or capped rates
+            params = ModelParams(*np.exp(theta))
+        except ValueError:
+            return 1e9  # steer away from an exp out of range
+        try:
+            return _mean_sq_rel_error(arrays, params)
+        except SolverError:
+            return 1e9  # and from capped rates; a p out of range raises
 
     seeds = [np.log([x, y, z])
              for x in _SEED_X for y in _SEED_Y for z in _SEED_Z]

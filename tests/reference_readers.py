@@ -1,8 +1,9 @@
 """The CSV readers as they were written by hand, before the tables were
 described in ``rainstats``: the row-by-row reader :func:`read_rows`, the
-record CSVs' row converters and the readers of the five site-keyed CSVs,
-with the record types that checked sites and climate points as they were
-built.  They are the reference that ``test_tables`` and
+record CSVs' row converters (the tips' and the observations' see the time
+of the row before, through :func:`in_time_order`) and the readers of the
+five site-keyed CSVs, with the record types that checked sites and climate
+points as they were built.  They are the reference that ``test_tables`` and
 ``test_table_parity`` hold the described readers to.  Keep them as they
 are; they are the record of each table's accepted rows and messages.
 """
@@ -68,6 +69,20 @@ def read_keyed(path, columns, convert) -> dict:
     return out
 
 
+def in_time_order(convert):
+    """A row converter for one file whose records start with a time:
+    ``convert(row, before)``, where ``before`` is the time of the row before
+    (-inf for the first row)."""
+    before = -math.inf
+
+    def convert_next(row):
+        nonlocal before
+        record = convert(row, before)
+        before = record[0]
+        return record
+    return convert_next
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -91,12 +106,15 @@ def parse_utc_time(text: str) -> float:
     return dt.timestamp()
 
 
-def _tip_row(row):
+def _tip_row(row, before):
     depth = float(row[1])
     if not 0 < depth < math.inf:
         raise ValueError(f"tip depth must be positive and finite, "
                          f"got {depth}")
-    return parse_utc_time(row[0]), depth
+    time = parse_utc_time(row[0])
+    if not time > before:
+        raise ValueError("tip times must be strictly increasing")
+    return time, depth
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +128,14 @@ _OBS_DTYPE = np.dtype([(name, np.float64) for name in (
     "time", "lat", "lon", "nsrr", "rain_certain", "footprint_diameter")])
 
 
-def _observation(row):
+def _observation(row, before):
     if row[4] not in ("0", "1"):
         raise ValueError(f"rain_certain must be 0 or 1, got {row[4]!r}")
     time, lat, lon, nsrr, rain, diameter = (float(v) for v in row)
     if not (math.isfinite(time) and math.isfinite(lon)):
         raise ValueError(f"time and lon must be finite, got {time}, {lon}")
+    if time < before:
+        raise ValueError(f"time {time} is earlier than the row before it")
     if not 0 <= nsrr < math.inf:
         raise ValueError(f"nsrr must be finite and >= 0, got {nsrr}")
     if not nsrr < RATE_CAP_MM_H:

@@ -522,6 +522,22 @@ def test_build_clim_oversized_csv_field_exits_2(tmp_path, monkeypatch,
         assert not os.path.exists(tmp_path / name)
 
 
+def test_build_clim_out_of_order_observations_name_the_line(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_clim_config(tmp_path)
+    lines = (tmp_path / "obs.csv").read_text().splitlines(keepends=True)
+    lines[10], lines[11] = lines[11], lines[10]  # lines 11 and 12 swapped
+    (tmp_path / "obs.csv").write_text("".join(lines))
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("build-clim", "--config", "c.cfg") == 2
+    time = float(lines[11].split(",")[0])
+    assert capsys.readouterr().err == (
+        f"rainstats: data error: stage read: obs.csv line 12: time {time} "
+        "is earlier than the row before it\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_build_clim_failed_output_leaves_no_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write_clim_config(tmp_path)
@@ -818,7 +834,7 @@ def test_gauge_span_without_a_full_period_exits_1(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("times, message", [
-    # 2005-01-02T00:10 listed before 00:05
+    # 2005-01-02T00:10 listed before 00:05, on line 3
     ([1104624600.0, 1104624300.0], "tip times must be strictly increasing"),
     # 2004-12-31T23:00, before span_start
     ([1104534000.0], "tips fall outside the requested span"),
@@ -830,7 +846,10 @@ def test_gauge_bad_tips_name_the_tip_file(tmp_path, monkeypatch, capsys,
     write_tips_csv(tips(times), tmp_path / "tips_a.csv")
     assert run_cli("gauge", "--config", "g.cfg") == 2
     err = capsys.readouterr().err
-    assert f"data error: tips_a.csv: {message}\n" in err
+    # the reader refuses tips out of order and names the line; the span is
+    # checked after the file is read, so that error names the file alone
+    where = "tips_a.csv line 3" if len(times) > 1 else "tips_a.csv"
+    assert f"data error: {where}: {message}\n" in err
     assert not os.path.exists(tmp_path / "stats.csv")
 
 

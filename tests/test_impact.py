@@ -4,7 +4,8 @@ import pytest
 from rainstats.errors import DataError
 from rainstats.impact import (PopulationTally, ZoneShare, heavy_mask,
                               rate_map, zonal_population, zone_coverage)
-from rainstats.rainmodel import ClimatePoint, ModelParams, rain_rate
+from rainstats.rainmodel import (ClimatePoint, ModelParams, _rain_rate_array,
+                                 estimate_site_curve, rain_rate)
 from rainstats.raster import Grid, GridGeometry
 
 ND = -9999.0
@@ -67,6 +68,43 @@ def test_rate_map_propagates_nodata_and_checks_alignment():
         rate_map(mt, Grid.full(geom(3, 1), 5.0), PARAMS, 0.01)
     with pytest.raises(ValueError):
         rate_map(mt, p0, PARAMS, 0.0)
+    # the model refuses the probability even where no cell is valid
+    with pytest.raises(ValueError, match=r"\(0, 100\], got 0\.0$"):
+        rate_map(mt, Grid.full(geom(2, 1), ND), PARAMS, 0.0)
+
+
+def test_model_clamp_matches_the_callers_clamps_bit_for_bit():
+    # rate_map and predict clamped mt and p0 themselves, with np.maximum and
+    # np.clip over the valid cells and with max and min per location; the
+    # model's own clamp must give the same bits, signed zeros included
+    rng = np.random.default_rng(41)
+    n = 10_000
+    mt = rng.uniform(-2000.0, 8000.0, n)
+    p0 = rng.uniform(-30.0, 130.0, n)
+    for values, specials in ((mt, [-0.0, 0.0, -5e-324, 5e-324, -1e300]),
+                             (p0, [-0.0, 0.0, -5e-324, 5e-324, 100.0,
+                                   100.00000000000001])):
+        chosen = rng.random(n) < 0.1
+        values[chosen] = rng.choice(specials, np.count_nonzero(chosen))
+    mt[rng.random(n) < 0.05] = ND
+    p0[rng.random(n) < 0.05] = ND
+    g = geom(100, 100, cell=0.5)
+    mt_grid, p0_grid = Grid(g, mt), Grid(g, p0)
+    valid = (mt != ND) & (p0 != ND)
+    for p in (0.001, 0.01, 1.0, 100.0):
+        want = np.full(n, ND)
+        want[valid] = _rain_rate_array(
+            float(p), np.maximum(mt[valid], 0.0),
+            np.clip(p0[valid], 0.0, 100.0), PARAMS)
+        assert rate_map(mt_grid, p0_grid, PARAMS, p).values.tobytes() \
+            == want.reshape(100, 100).tobytes()
+    ladder = (0.001, 0.01, 0.1, 1.0, 5.0, 50.0, 100.0)
+    for mt_v, p0_v in zip(mt[valid].tolist(), p0[valid].tolist()):
+        got = estimate_site_curve(ClimatePoint(mt_v, p0_v), PARAMS, ladder)
+        want = estimate_site_curve(
+            ClimatePoint(max(mt_v, 0.0), min(max(p0_v, 0.0), 100.0)),
+            PARAMS, ladder)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("nodata", [0.0, -0.0, 1.0, 95.0])

@@ -97,6 +97,34 @@ def test_rain_rate_rejects_bad_probability():
         rain_rate(101.0, CLIMATE, PARAMS)
 
 
+@pytest.mark.parametrize("climate, ladder, want", [
+    # a climate outside the model's domain is taken as its nearest point
+    (ClimatePoint(-100.0, 5.0), STANDARD_LADDER, ClimatePoint(0.0, 5.0)),
+    (ClimatePoint(1000.0, 150.0), STANDARD_LADDER,
+     ClimatePoint(1000.0, 100.0)),
+    (ClimatePoint(1000.0, -3.0), STANDARD_LADDER, ClimatePoint(1000.0, 0.0)),
+    (ClimatePoint(-1.0, 1e3), (0.01, 50.0, 100.0), ClimatePoint(0.0, 100.0)),
+    # a probability outside (0, 100] is refused, naming the first one
+    (CLIMATE, (0.01, 0.0, 101.0), 0.0),
+    (CLIMATE, (0.01, 101.0), 101.0),
+    (CLIMATE, (math.nan, 1.0), math.nan),
+])
+def test_model_domain_clamps_climate_and_refuses_probability(climate, ladder,
+                                                             want):
+    if isinstance(want, ClimatePoint):
+        assert estimate_site_curve(climate, PARAMS, ladder) == \
+            estimate_site_curve(want, PARAMS, ladder)
+        assert [rain_rate(p, climate, PARAMS) for p in ladder] == \
+            [rain_rate(p, want, PARAMS) for p in ladder]
+        return
+    message = re.escape(
+        f"exceedance probability must be in (0, 100], got {want}") + "$"
+    with pytest.raises(ValueError, match=message):
+        estimate_site_curve(climate, PARAMS, ladder)
+    with pytest.raises(ValueError, match=message):
+        rain_rate(want, climate, PARAMS)
+
+
 def test_round_trip_property_random_climates():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -337,6 +365,16 @@ def test_fit_ending_beyond_the_parameter_domain_is_a_solver_error(
     monkeypatch.setattr(rainmodel, "minimize", minimize_beyond_the_domain)
     with pytest.raises(SolverError, match="parameter x must be positive"):
         fit_params(training)
+
+
+def test_fit_lets_the_models_domain_error_through():
+    # p = 0 is outside the model's domain, not a parameter vector to steer
+    # away from: scored 1e9 at every start, it came back as a fit
+    site = SiteStatistics("a", 0.0, 0.0, "X", 1.0,
+                          ((0.0, 50.0), (0.1, 20.0)))
+    with pytest.raises(ValueError, match=re.escape(
+            "exceedance probability must be in (0, 100], got 0.0")):
+        fit_params([(site, ClimatePoint(1500.0, 5.0))])
 
 
 def test_fit_calls_minimize_through_the_module_global(monkeypatch):

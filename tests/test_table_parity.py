@@ -13,13 +13,24 @@ from test_tables import LIMIT, TABLES, _files, _outcome, _same
 FAULTS = {
     "tips": [
         "not a stamp,-1", "2005-02-30T00:00:00Z,0", "x,nan", "x,inf",
-        "2005-01-01T00:00:00Z,abc", "x,abc", "2005-01-01T24:00:00Z,-0"],
+        "2005-01-01T00:00:00Z,abc", "x,abc", "2005-01-01T24:00:00Z,-0",
+        # the order rule: an earlier tip, an equal stamp, an earlier tip
+        # with a bad depth (depth first), and an earlier tip before a line
+        # with a bad stamp (the earlier line first)
+        "2004-12-31T23:59:59Z,0.254", "2005-01-01T00:00:00+00:00,0.254",
+        "2004-12-31T23:59:59Z,-1", "2004-12-31T23:59:59Z,1\nx,1"],
     "observations": [
         "1104537600,95,3.25,12.5,2,4.5", "nan,6.5,3.25,12.5,1.0,4.5",
         "inf,abc,3.25,12.5,1,4.5", "inf,6.5,3.25,-1,1,4.5",
-        "1,6.5,3.25,-1,1,7", "1,95,3.25,1,1,2", "nan,6.5,inf,1,0,4.5",
-        "1,-90,3.25,nan,0,4.5", "1,6.5,3.25,1,1,abc", "1,6.5,3.25,1,x,abc",
-        "1,6.5,3.25,1e4,1,7", "1,95,3.25,1e308,1,4.5"],
+        "1104537600,6.5,3.25,-1,1,7", "1104537600,95,3.25,1,1,2",
+        "nan,6.5,inf,1,0,4.5", "1104537600,-90,3.25,nan,0,4.5",
+        "1,6.5,3.25,1,1,abc", "1,6.5,3.25,1,x,abc",
+        "1104537600,6.5,3.25,1e4,1,7", "1104537600,95,3.25,1e308,1,4.5",
+        # the order rule (an equal time passes it): an earlier row, an
+        # earlier row with a bad nsrr (the order rule first) or a bad
+        # rain_certain (that first), and an earlier row before a short one
+        "1104537599.5,6.5,3.25,12.5,1,4.5", "1,6.5,3.25,-1,1,7",
+        "1,6.5,3.25,12.5,2,4.5", "1,6.5,3.25,12.5,1,4.5\n1"],
     "samples": [
         "a,0,0,1", "a,1,0,-1", "a,101,1,abc", "a,nan,inf,nan",
         "a,100,1e-400,1", "a,abc,0,0"],

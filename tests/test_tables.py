@@ -12,11 +12,14 @@ from rainstats import cli, climatology, evaluation, gauge, rainmodel, tables
 from rainstats.errors import DataError
 
 
-def _records(columns, convert, dtype):
+def _records(columns, convert, dtype, in_time_order=False):
     """A record table's reader as it was: every row through ``read_rows``
-    and ``convert``, into a record array of ``dtype``."""
+    and ``convert``, into a record array of ``dtype``.  A table in time
+    order gives ``convert`` the time of the row before, too."""
     def read(path):
-        rows = [value for _, value in ref.read_rows(path, columns, convert)]
+        rows = [value for _, value in ref.read_rows(
+            path, columns,
+            ref.in_time_order(convert) if in_time_order else convert)]
         return np.array(rows, dtype=dtype).view(np.recarray)
     return read
 
@@ -36,17 +39,18 @@ _LOCATION_COLUMNS = ["site_id", "lat", "lon", "country"]
 #: that the corpus alters one field of)
 TABLES = {
     "tips": (gauge.read_tips_csv,
-             _records(ref._TIP_COLUMNS, ref._tip_row, ref._TIP_DTYPE),
+             _records(ref._TIP_COLUMNS, ref._tip_row, ref._TIP_DTYPE,
+                      in_time_order=True),
              ref._TIP_COLUMNS,
              ["2005-01-01T00:00:00Z,0.254", "2005-01-01T00:01:30.5,2e-1"],
-             "2005-01-01T00:00:00Z,0.254"),
+             "2005-01-01T00:02:00Z,0.254"),
     "observations": (climatology.read_observations_csv,
                      _records(ref._OBS_COLUMNS, ref._observation,
-                              ref._OBS_DTYPE),
+                              ref._OBS_DTYPE, in_time_order=True),
                      ref._OBS_COLUMNS,
                      ["1104537600.0,6.5,3.25,12.5,1,4.5",
                       "1104537660,-6.75,-0.0,0,0,3"],
-                     "1104537600.0,6.5,3.25,12.5,1,4.5"),
+                     "1104537720.0,6.5,3.25,12.5,1,4.5"),
     "samples": (evaluation.read_error_samples_csv,
                 _records(ref._SAMPLE_COLUMNS, ref._sample_row,
                          ref._SAMPLE_DTYPE),
