@@ -29,8 +29,8 @@ from . import climatology, evaluation, gauge, impact, rainmodel
 from .errors import DATA_ERRORS, ConfigError, DataError, SolverError
 from .raster import GridGeometry, read_grid, require_aligned, sample_bilinear
 from .rainmodel import ClimatePoint, SiteStatistics
-from .tables import (UNIQUE_SITE, Field, Table, finite, load_config,
-                     read_table, write_rows, write_text)
+from .tables import (UNIQUE_SITE, Field, Rule, Table, check_config, finite,
+                     load_config, read_table, write_rows, write_text)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,8 @@ def _files(args, cfg: dict, schema: dict):
 def _check_paths(args, inputs: dict, outputs: dict) -> None:
     """Refuse a run before it reads any input unless every input exists,
     every output directory exists, and each output, the manifest included,
-    is a file of its own: not another output, an input or the config.
+    is a new or regular file of its own: not another output, an input or the
+    config, and not a FIFO, device or directory, which a move would replace.
 
     Gauge calls it again once its sites CSV has added the tip files to
     ``inputs``."""
@@ -80,6 +81,9 @@ def _check_paths(args, inputs: dict, outputs: dict) -> None:
             raise ConfigError(f"{key} {path!r} is the same file as "
                               f"{taken[real]}")
         taken[real] = key
+    for key, path in outputs.items():
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(f"{key} {path!r} exists and is not a regular file")
 
 
 def _manifest_text(args, inputs: dict, outputs: dict, notes: dict) -> str:
@@ -139,17 +143,22 @@ _GAUGE_SITES = Table(["site_id", "lat", "lon", "country", "tips_path"],
 _COUNTRIES = Table(["site_id", "country"], [UNIQUE_SITE])
 
 
-def _config_check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+#: Rules that several config keys share; each message names its key.
+#: numpy refuses an int beyond int64, and window_iqr's offsets are int32.
+_BELOW_2_31 = Rule(lambda n: n < 2**31,
+                   "{key} must be below 2**31, got {value}")
+_ODD = Rule(lambda k: k >= 1 and k % 2 == 1,
+            "{key} must be odd and positive, got {value}")
+_POSITIVE = Rule(lambda x: x > 0, "{key} must be positive")
+_NOT_NEGATIVE = Rule(lambda x: x >= 0, "{key} must be >= 0")
+_PERCENT = Rule(lambda p: 0 < p <= 100, "{key} must be in (0, 100]")
 
-
-def _validate_ladder(ladder) -> None:
-    _config_check(bool(ladder), "ladder must list at least one probability")
-    _config_check(all(a < b for a, b in zip(ladder, ladder[1:])),
-                  "ladder must be strictly increasing")
-    for p in ladder:
-        _config_check(0 < p <= 100, f"ladder probability {p} outside (0, 100]")
+_LADDER = Field("floats", default=rainmodel.STANDARD_LADDER, rules=(
+    Rule(bool, "ladder must list at least one probability"),
+    Rule(lambda ps: list(ps) == sorted(set(ps)),
+         "ladder must be strictly increasing"),
+    Rule(_PERCENT.test, "ladder probability {value} outside (0, 100]",
+         each=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +175,7 @@ _FIT_SCHEMA = {
 }
 
 
-def _cmd_fit(args, cfg: dict) -> None:
-    inputs, outputs = _files(args, cfg, _FIT_SCHEMA)
-
+def _cmd_fit(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     sites = rainmodel.read_sites_csv(cfg["sites"])
     climate = rainmodel.read_climate_csv(cfg["climate"])
     training = []
@@ -209,16 +216,13 @@ _PREDICT_SCHEMA = {
     "p0_grid": Field("in", required=True),
     "params": Field("in", required=True),
     "locations": Field("in", required=True),
-    "ladder": Field("floats", default=rainmodel.STANDARD_LADDER),
+    "ladder": _LADDER,
     "out_sites": Field("out", required=True),
     "out_manifest": Field("out"),
 }
 
 
-def _cmd_predict(args, cfg: dict) -> None:
-    inputs, outputs = _files(args, cfg, _PREDICT_SCHEMA)
-    _validate_ladder(cfg["ladder"])
-
+def _cmd_predict(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     mt = read_grid(cfg["mt_grid"])
     p0 = read_grid(cfg["p0_grid"])
     params = rainmodel.read_params(cfg["params"])
@@ -254,17 +258,22 @@ _BUILD_CLIM_SCHEMA = {
     "observations": Field("in", required=True),
     "reference_mt": Field("in", required=True),
     "elevation": Field("in", required=True),
-    "ncols": Field("int", required=True),
-    "nrows": Field("int", required=True),
+    "ncols": Field("int", required=True, rules=(_BELOW_2_31,)),
+    "nrows": Field("int", required=True, rules=(_BELOW_2_31,)),
     "xll": Field("float", required=True),
     "yll": Field("float", required=True),
     "cell": Field("float", required=True),
-    "nodata": Field("float", required=True),
-    "k_uniform": Field("int", default=climatology.DEFAULT_K_UNIFORM),
-    "k_gauss": Field("int", default=climatology.DEFAULT_K_GAUSS),
-    "sigma_gauss": Field("float"),
+    # mt and p0 are never negative; a marker >= 0 (-0.0 too) would hide values
+    "nodata": Field("float", required=True, rules=(
+        Rule(lambda x: x < 0, "{key} must be negative, got {value}"),)),
+    "k_uniform": Field("int", default=climatology.DEFAULT_K_UNIFORM,
+                       rules=(_BELOW_2_31, _ODD)),
+    "k_gauss": Field("int", default=climatology.DEFAULT_K_GAUSS,
+                     rules=(_BELOW_2_31, _ODD)),
+    "sigma_gauss": Field("float", rules=(_POSITIVE,)),
     "dedup_window_s": Field("float",
-                            default=climatology.DEFAULT_DEDUP_WINDOW_S),
+                            default=climatology.DEFAULT_DEDUP_WINDOW_S,
+                            rules=(_POSITIVE,)),
     "out_mt": Field("out", required=True),
     "out_p0": Field("out", required=True),
     "out_report": Field("out", required=True),
@@ -272,31 +281,25 @@ _BUILD_CLIM_SCHEMA = {
 }
 
 
-def _cmd_build_clim(args, cfg: dict) -> None:
-    inputs, outputs = _files(args, cfg, _BUILD_CLIM_SCHEMA)
-    for key in ("ncols", "nrows", "k_uniform", "k_gauss"):
-        # numpy refuses an int beyond int64; window_iqr's offsets are int32
-        _config_check(cfg[key] < 2**31,
-                      f"{key} must be below 2**31, got {cfg[key]}")
+def _geometry_fault(cfg: dict) -> str:
+    """Why :class:`GridGeometry` refuses the output geometry, or ''."""
     try:
-        GridGeometry(cfg["ncols"], cfg["nrows"], cfg["xll"], cfg["yll"],
-                     cfg["cell"], cfg["nodata"])
+        GridGeometry(*(cfg[key] for key in ("ncols", "nrows", "xll", "yll",
+                                            "cell", "nodata")))
     except ValueError as e:
-        raise ConfigError(f"bad output geometry: {e}") from None
-    for key in ("k_uniform", "k_gauss"):
-        _config_check(cfg[key] >= 1 and cfg[key] % 2 == 1,
-                      f"{key} must be odd and positive, got {cfg[key]}")
-    _config_check(cfg["ncols"] + cfg["k_uniform"] < 2**31,
-                  f"k_uniform plus ncols must be below 2**31, got "
-                  f"{cfg['ncols'] + cfg['k_uniform']}")
-    # mt and p0 are never negative, so a marker >= 0 (-0.0 too) would mark
-    # observed values as missing
-    _config_check(cfg["nodata"] < 0,
-                  f"nodata must be negative, got {cfg['nodata']}")
-    _config_check(cfg["sigma_gauss"] is None or cfg["sigma_gauss"] > 0,
-                  "sigma_gauss must be positive")
-    _config_check(cfg["dedup_window_s"] > 0,
-                  "dedup_window_s must be positive")
+        return str(e)
+    return ""
+
+
+#: build-clim's rules across keys, as :func:`check_config` takes them.
+_BUILD_CLIM_RULES = (
+    ("output geometry", _geometry_fault,
+     (Rule(lambda fault: not fault, "bad output geometry: {value}"),)),
+    ("k_uniform plus ncols", lambda cfg: cfg["ncols"] + cfg["k_uniform"],
+     (_BELOW_2_31,)))
+
+
+def _cmd_build_clim(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     with _staged_outputs(args, inputs, outputs) as tmp:
         climatology.build_climatology({**cfg, **tmp})
 
@@ -309,9 +312,10 @@ _GAUGE_SCHEMA = {
     "sites": Field("in", required=True),
     "span_start": Field("str", required=True),
     "span_end": Field("str", required=True),
-    "bucket_mm": Field("float"),
-    "ladder": Field("floats", default=rainmodel.STANDARD_LADDER),
-    "min_count": Field("int", default=20),
+    "bucket_mm": Field("float", rules=(_POSITIVE,)),
+    "ladder": _LADDER,
+    "min_count": Field("int", default=20, rules=(
+        Rule(lambda n: n >= 1, "{key} must be >= 1"),)),
     "exclude": Field("strs", default=()),
     "out_sites": Field("out", required=True),
     "out_manifest": Field("out"),
@@ -324,6 +328,19 @@ def _parse_span_time(text: str, key: str) -> float:
     except ValueError:
         raise ConfigError(f"config key {key!r}: bad ISO8601 time "
                          f"{text!r}") from None
+
+
+def _span(cfg: dict) -> tuple:
+    """The ``(start, end)`` epoch seconds of the span keys."""
+    return tuple(_parse_span_time(cfg[key], key)
+                 for key in ("span_start", "span_end"))
+
+
+#: gauge's rules across keys, as :func:`check_config` takes them.
+_GAUGE_RULES = (("span", _span, (
+    Rule(lambda span: span[1] > span[0], "span_end must be after span_start"),
+    Rule(lambda span: len(gauge.period_edges(*gauge.span_minutes(span))) >= 2,
+         "span_start to span_end holds no full 12-month period"))),)
 
 
 def _gauge_site(cfg: dict, span, tips_path):
@@ -350,17 +367,8 @@ def _gauge_site(cfg: dict, span, tips_path):
             selected.n_minutes / gauge.MINUTES_PER_YEAR)
 
 
-def _cmd_gauge(args, cfg: dict) -> None:
-    inputs, outputs = _files(args, cfg, _GAUGE_SCHEMA)
-    _validate_ladder(cfg["ladder"])
-    span = tuple(_parse_span_time(cfg[key], key)
-                 for key in ("span_start", "span_end"))
-    _config_check(span[1] > span[0], "span_end must be after span_start")
-    _config_check(len(gauge.period_edges(*gauge.span_minutes(span))) >= 2,
-                  "span_start to span_end holds no full 12-month period")
-    _config_check(cfg["bucket_mm"] is None or cfg["bucket_mm"] > 0,
-                  "bucket_mm must be positive")
-    _config_check(cfg["min_count"] >= 1, "min_count must be >= 1")
+def _cmd_gauge(args, cfg: dict, inputs: dict, outputs: dict) -> None:
+    span = _span(cfg)
     excluded = set(cfg["exclude"])
 
     site_rows = read_table(cfg["sites"], _GAUGE_SITES).tolist()
@@ -389,26 +397,20 @@ def _cmd_gauge(args, cfg: dict) -> None:
 _EVAL_SCHEMA = {
     "samples": Field("in", required=True),
     "sites": Field("in"),
-    "rec_thresholds": Field("floats",
-                            default=tuple(float(t) for t in
-                                          range(10, 101, 10))),
-    "classify_p": Field("float", default=0.01),
-    "threshold": Field("float", default=evaluation.HEAVY_RATE_MM_H),
+    "rec_thresholds": Field(
+        "floats", default=tuple(float(t) for t in range(10, 101, 10)),
+        rules=(Rule(lambda ts: ts and list(ts) == sorted(set(ts)),
+                    "{key} must be non-empty and ascending"),)),
+    "classify_p": Field("float", default=0.01, rules=(_PERCENT,)),
+    "threshold": Field("float", default=evaluation.HEAVY_RATE_MM_H,
+                       rules=(_NOT_NEGATIVE,)),
     "out_report": Field("out", required=True),
     "out_rec": Field("out", required=True),
     "out_manifest": Field("out"),
 }
 
 
-def _cmd_eval(args, cfg: dict) -> None:
-    inputs, outputs = _files(args, cfg, _EVAL_SCHEMA)
-    ts = cfg["rec_thresholds"]
-    _config_check(bool(ts) and all(a < b for a, b in zip(ts, ts[1:])),
-                  "rec_thresholds must be non-empty and ascending")
-    _config_check(0 < cfg["classify_p"] <= 100,
-                  "classify_p must be in (0, 100]")
-    _config_check(cfg["threshold"] >= 0, "threshold must be >= 0")
-
+def _cmd_eval(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     samples = evaluation.read_error_samples_csv(cfg["samples"])
     if not len(samples):
         raise DataError(f"{cfg['samples']}: no samples")
@@ -488,22 +490,17 @@ _IMPACT_SCHEMA = {
     "params": Field("in", required=True),
     "pop": Field("in", required=True),
     "countries": Field("in", required=True),
-    "zones": Field("in"),
-    "p": Field("float", default=0.01),
-    "threshold": Field("float", default=evaluation.HEAVY_RATE_MM_H),
+    "zones": Field("in", pair="out_zones"),
+    "p": Field("float", default=0.01, rules=(_PERCENT,)),
+    "threshold": Field("float", default=evaluation.HEAVY_RATE_MM_H,
+                       rules=(_NOT_NEGATIVE,)),
     "out_impact": Field("out", required=True),
     "out_zones": Field("out"),
     "out_manifest": Field("out"),
 }
 
 
-def _cmd_impact(args, cfg: dict) -> None:
-    _config_check((cfg["zones"] is None) == (cfg["out_zones"] is None),
-                  "zones and out_zones must be given together")
-    inputs, outputs = _files(args, cfg, _IMPACT_SCHEMA)
-    _config_check(0 < cfg["p"] <= 100, "p must be in (0, 100]")
-    _config_check(cfg["threshold"] >= 0, "threshold must be >= 0")
-
+def _cmd_impact(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     mt = read_grid(cfg["mt_grid"])
     p0 = read_grid(cfg["p0_grid"])
     params = rainmodel.read_params(cfg["params"])
@@ -546,19 +543,19 @@ def _cmd_impact(args, cfg: dict) -> None:
 # entry points
 
 
-#: name: (config schema, handler, help), in the order ``--help`` lists them
+#: name: (config schema, rules across its keys, handler, help), in --help order
 _COMMANDS = {
-    "fit": (_FIT_SCHEMA, _cmd_fit,
+    "fit": (_FIT_SCHEMA, (), _cmd_fit,
             "fit model constants to training site statistics"),
-    "predict": (_PREDICT_SCHEMA, _cmd_predict,
+    "predict": (_PREDICT_SCHEMA, (), _cmd_predict,
                 "estimate site curves from climatology grids"),
-    "build-clim": (_BUILD_CLIM_SCHEMA, _cmd_build_clim,
+    "build-clim": (_BUILD_CLIM_SCHEMA, _BUILD_CLIM_RULES, _cmd_build_clim,
                    "build climatology grids from swath observations"),
-    "gauge": (_GAUGE_SCHEMA, _cmd_gauge,
+    "gauge": (_GAUGE_SCHEMA, _GAUGE_RULES, _cmd_gauge,
               "derive site statistics from tipping-bucket records"),
-    "eval": (_EVAL_SCHEMA, _cmd_eval,
+    "eval": (_EVAL_SCHEMA, (), _cmd_eval,
              "score predictions against observed statistics"),
-    "impact": (_IMPACT_SCHEMA, _cmd_impact,
+    "impact": (_IMPACT_SCHEMA, (), _cmd_impact,
                "tabulate heavy-rain population impact"),
 }
 
@@ -583,7 +580,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rainstats",
                      description="Rain-rate exceedance statistics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text) in _COMMANDS.items():
+    for name, (*_, help_text) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
@@ -591,12 +588,14 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        schema, handler, _ = _COMMANDS[args.command]
+        schema, rules, handler, _ = _COMMANDS[args.command]
         cfg = load_config(args.config, schema)
         try:
-            handler(args, cfg)
+            # paths, then values, are refused before any input is read
+            inputs, outputs = _files(args, cfg, schema)
+            check_config(cfg, schema, rules)
+            handler(args, cfg, inputs, outputs)
         except ConfigError as e:
-            # the handlers check values and paths that the config set
             raise ConfigError(f"{args.config}: {e}") from None
         return 0
     except ConfigError as e:

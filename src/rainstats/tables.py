@@ -5,7 +5,9 @@ one ordered list of steps, each converting a field from text or checking
 whole columns (a :data:`Check`, such as :data:`UNIQUE_SITE` across rows).
 :func:`read_table` splits a CSV into columns and runs the steps over
 them.  Grids and params are read by :func:`read_text` and configs by
-:func:`load_config`; configs and params are :func:`parse_pairs` files.
+:func:`load_config`, whose values :func:`check_config` holds to the
+:data:`Rule`s of their keys; configs and params are :func:`parse_pairs`
+files.
 Every read error names the file.  CSV tables are written by
 :func:`write_rows` and text files by :func:`write_text`, with ``\n`` line
 ends on every platform.
@@ -18,6 +20,7 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -214,15 +217,26 @@ def read_table(path, table: Table) -> np.recarray:
                              dtype=table.dtype)
 
 
+#: A rule on a config value: ``test(value)`` is true of a value that passes,
+#: and ``message`` is the :meth:`str.format` template, over ``key`` and
+#: ``value``, of the error it raises.  With ``each``, it holds each item of
+#: a list value to ``test`` instead, and names the first that fails.
+Rule = namedtuple("Rule", ["test", "message", "each"], defaults=[False])
+
+
 @dataclass(frozen=True)
 class Field:
     """One config key.  Kinds ``in`` and ``out`` are strings naming an input
     or an output file; they read like ``str``.  Kinds ``float`` and
-    ``floats`` accept finite numbers only."""
+    ``floats`` accept finite numbers only.  A value that the config sets
+    must pass ``rules``, and ``pair`` is a key set with this one or not at
+    all."""
 
     kind: str                 # str | in | out | int | float | floats | strs
     required: bool = False
     default: object = None
+    rules: tuple = ()
+    pair: str = None
 
 
 def _finite(text: str) -> float:
@@ -232,30 +246,19 @@ def _finite(text: str) -> float:
     return value
 
 
-def _convert(where: str, key: str, raw: str, kind: str):
-    """``raw`` as a value of ``kind``; a bad value raises a ConfigError whose
-    message starts with ``where``, the file and line it came from."""
-    try:
-        if kind in ("str", "in", "out"):
-            return raw
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return _finite(raw)
-        if kind == "floats":
-            return tuple(_finite(t) for t in raw.split(",") if t.strip())
-        if kind == "strs":
-            return tuple(t.strip() for t in raw.split(",") if t.strip())
-    except ValueError as e:
-        raise ConfigError(f"{where}: config key {key!r}: bad value {raw!r} "
-                          f"({e})") from None
-    raise ConfigError(f"internal: unknown field kind {kind!r}")
+#: Each field kind's parser of a config value's text.
+_KINDS = {
+    "str": str, "in": str, "out": str, "int": int, "float": _finite,
+    "floats": lambda raw: tuple(_finite(t) for t in raw.split(",")
+                                if t.strip()),
+    "strs": lambda raw: tuple(t.strip() for t in raw.split(",") if t.strip())}
 
 
 def load_config(path, schema: dict) -> dict:
     """Read a config file and type-check it against ``schema``, rejecting
-    unknown keys so typos fail fast.  Every failure is a ConfigError naming
-    the file, and the line for an unknown key or a bad value."""
+    unknown keys so typos fail fast, and a key set without its ``pair``.
+    Every failure is a ConfigError naming the file, and the line for an
+    unknown key or a bad value."""
     try:
         raw = read_text(path, parse_pairs)
     except OSError as e:
@@ -272,13 +275,35 @@ def load_config(path, schema: dict) -> dict:
     for key, field in schema.items():
         if key in raw:
             lineno, value = raw[key]
-            out[key] = _convert(f"{path}: line {lineno}", key, value,
-                                field.kind)
+            try:
+                out[key] = _KINDS[field.kind](value)
+            except ValueError as e:
+                raise ConfigError(f"{path}: line {lineno}: config key {key!r}: "
+                                  f"bad value {value!r} ({e})") from None
         elif field.required:
             raise ConfigError(f"{path}: missing required config key {key!r}")
         else:
             out[key] = field.default
+    for key, field in schema.items():
+        if field.pair and (key in raw) != (field.pair in raw):
+            raise ConfigError(f"{path}: {key} and {field.pair} must be given "
+                              "together")
     return out
+
+
+def check_config(cfg: dict, schema: dict, derived=()) -> None:
+    """Hold each value that ``cfg`` sets to the rules of its key in
+    ``schema``, in schema order, then each rule across keys ``(name,
+    derive, rules)`` of ``derived``, with ``derive(cfg)`` as the value of
+    key ``name``.  The first rule that fails raises a ConfigError with its
+    message, so no value is derived before the ones it reads have passed."""
+    for key, value, rules in chain(
+            ((key, cfg[key], field.rules) for key, field in schema.items()),
+            ((name, derive(cfg), rules) for name, derive, rules in derived)):
+        for rule in rules if value is not None else ():
+            for item in value if rule.each else (value,):
+                if not rule.test(item):
+                    raise ConfigError(rule.message.format(key=key, value=item))
 
 
 def write_rows(path, columns, rows) -> None:

@@ -6,6 +6,10 @@ five site-keyed CSVs, with the record types that checked sites and climate
 points as they were built.  They are the reference that ``test_tables`` and
 ``test_table_parity`` hold the described readers to.  Keep them as they
 are; they are the record of each table's accepted rows and messages.
+
+The subcommands' config checks, as their handlers made them before the
+rules were declared in the schemas, end the module: the reference that
+``test_config_parity`` holds the declared rules to.
 """
 
 import csv
@@ -15,8 +19,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from rainstats.errors import DataError
+from rainstats.errors import ConfigError, DataError
+from rainstats.gauge import parse_utc_time, period_edges, span_minutes
 from rainstats.rainmodel import RATE_CAP_MM_H
+from rainstats.raster import GridGeometry
 
 # ---------------------------------------------------------------------------
 # row-by-row reading
@@ -258,3 +264,122 @@ def read_climate_csv(path):
 def _located(row):
     """The fields after a site row's id, with lat and lon finite floats."""
     return (_finite(row[1]), _finite(row[2]), *row[3:])
+
+
+# ---------------------------------------------------------------------------
+# the subcommands' config checks
+
+
+def _config_check(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
+def _validate_ladder(ladder) -> None:
+    _config_check(bool(ladder), "ladder must list at least one probability")
+    _config_check(all(a < b for a, b in zip(ladder, ladder[1:])),
+                  "ladder must be strictly increasing")
+    for p in ladder:
+        _config_check(0 < p <= 100, f"ladder probability {p} outside (0, 100]")
+
+
+def _below_2_31(key):
+    # numpy refuses an int beyond int64; window_iqr's offsets are int32
+    return lambda cfg: _config_check(
+        cfg[key] < 2**31, f"{key} must be below 2**31, got {cfg[key]}")
+
+
+def _odd(key):
+    return lambda cfg: _config_check(
+        cfg[key] >= 1 and cfg[key] % 2 == 1,
+        f"{key} must be odd and positive, got {cfg[key]}")
+
+
+def _output_geometry(cfg) -> None:
+    try:
+        GridGeometry(cfg["ncols"], cfg["nrows"], cfg["xll"], cfg["yll"],
+                     cfg["cell"], cfg["nodata"])
+    except ValueError as e:
+        raise ConfigError(f"bad output geometry: {e}") from None
+
+
+def _parse_span_time(text: str, key: str) -> float:
+    try:
+        return parse_utc_time(text)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: bad ISO8601 time "
+                          f"{text!r}") from None
+
+
+def _span(cfg) -> None:
+    span = tuple(_parse_span_time(cfg[key], key)
+                 for key in ("span_start", "span_end"))
+    _config_check(span[1] > span[0], "span_end must be after span_start")
+    _config_check(len(period_edges(*span_minutes(span))) >= 2,
+                  "span_start to span_end holds no full 12-month period")
+
+
+#: command: its ``(name, check)`` pairs in the order its handler made them.
+#: A check raises ConfigError for a config that fails it; each reads only
+#: the typed config, so any check can run first.
+CONFIG_CHECKS = {
+    "predict": [("ladder", lambda cfg: _validate_ladder(cfg["ladder"]))],
+    "build-clim": [
+        *((f"{key}<2**31", _below_2_31(key))
+          for key in ("ncols", "nrows", "k_uniform", "k_gauss")),
+        ("geometry", _output_geometry),
+        *((f"{key} odd", _odd(key)) for key in ("k_uniform", "k_gauss")),
+        ("k_uniform plus ncols", lambda cfg: _config_check(
+            cfg["ncols"] + cfg["k_uniform"] < 2**31,
+            f"k_uniform plus ncols must be below 2**31, got "
+            f"{cfg['ncols'] + cfg['k_uniform']}")),
+        # mt and p0 are never negative, so a marker >= 0 (-0.0 too) would
+        # mark observed values as missing
+        ("nodata", lambda cfg: _config_check(
+            cfg["nodata"] < 0, f"nodata must be negative, got "
+                               f"{cfg['nodata']}")),
+        ("sigma_gauss", lambda cfg: _config_check(
+            cfg["sigma_gauss"] is None or cfg["sigma_gauss"] > 0,
+            "sigma_gauss must be positive")),
+        ("dedup_window_s", lambda cfg: _config_check(
+            cfg["dedup_window_s"] > 0, "dedup_window_s must be positive"))],
+    "gauge": [
+        ("ladder", lambda cfg: _validate_ladder(cfg["ladder"])),
+        ("span", _span),
+        ("bucket_mm", lambda cfg: _config_check(
+            cfg["bucket_mm"] is None or cfg["bucket_mm"] > 0,
+            "bucket_mm must be positive")),
+        ("min_count", lambda cfg: _config_check(
+            cfg["min_count"] >= 1, "min_count must be >= 1"))],
+    "eval": [
+        ("rec_thresholds", lambda cfg: _config_check(
+            bool(cfg["rec_thresholds"]) and all(
+                a < b for a, b in zip(cfg["rec_thresholds"],
+                                      cfg["rec_thresholds"][1:])),
+            "rec_thresholds must be non-empty and ascending")),
+        ("classify_p", lambda cfg: _config_check(
+            0 < cfg["classify_p"] <= 100, "classify_p must be in (0, 100]")),
+        ("threshold", lambda cfg: _config_check(
+            cfg["threshold"] >= 0, "threshold must be >= 0"))],
+    "impact": [
+        ("zones", lambda cfg: _config_check(
+            (cfg["zones"] is None) == (cfg["out_zones"] is None),
+            "zones and out_zones must be given together")),
+        ("p", lambda cfg: _config_check(0 < cfg["p"] <= 100,
+                                        "p must be in (0, 100]")),
+        ("threshold", lambda cfg: _config_check(
+            cfg["threshold"] >= 0, "threshold must be >= 0"))],
+}
+
+
+def config_fault(command, cfg, order=None):
+    """The message of the first of ``command``'s checks that the typed
+    config ``cfg`` fails, taking them in ``order`` (a list of their names;
+    the handler's order by default), or None if it passes them all."""
+    checks = dict(CONFIG_CHECKS[command])
+    for name in order or checks:
+        try:
+            checks[name](cfg)
+        except ConfigError as e:
+            return str(e)
+    return None

@@ -1,6 +1,8 @@
 import csv
 import os
+import re
 import shutil
+import stat
 import subprocess
 import sys
 import warnings
@@ -13,6 +15,8 @@ from rainstats.rainmodel import (ClimatePoint, ModelParams, SiteStatistics,
                                  estimate_site_curve, rain_rate,
                                  read_params, write_params, write_sites_csv)
 from rainstats.raster import Grid, GridGeometry, write_grid
+from rainstats.tables import load_config
+from reference_readers import config_fault
 from writers import observations, tips, write_observations_csv, write_tips_csv
 
 ND = -9999.0
@@ -1345,6 +1349,8 @@ def test_eval_report_matches_a_per_sample_reference(tmp_path, monkeypatch):
             assert list(csv.reader(f))[1:] == rec, trial
 
 
+#: name: (command, config file, line, its replacement, message), one case
+#: for each config rule; a replacement of two lines adds a key.
 _RANGE_CHECKS = {
     "eval-classify_p": (
         "eval", "e.cfg", "classify_p=0.01", "classify_p=200",
@@ -1356,7 +1362,112 @@ _RANGE_CHECKS = {
         "gauge", "g.cfg", "span_start=2005-01-01T00:00:00Z",
         "span_start=2005-13-01",
         "config key 'span_start': bad ISO8601 time '2005-13-01'"),
+    "eval-threshold": (
+        "eval", "e.cfg", "out_rec=rec.csv", "out_rec=rec.csv\nthreshold=-0.5",
+        "threshold must be >= 0"),
+    "eval-rec_thresholds": (
+        "eval", "e.cfg", "out_rec=rec.csv",
+        "out_rec=rec.csv\nrec_thresholds=20,10",
+        "rec_thresholds must be non-empty and ascending"),
+    "build-clim-ncols-2**31": (
+        "build-clim", "c.cfg", "ncols=16", "ncols=2147483648",
+        "ncols must be below 2**31, got 2147483648"),
+    "build-clim-nrows-2**31": (
+        "build-clim", "c.cfg", "nrows=16", "nrows=2147483648",
+        "nrows must be below 2**31, got 2147483648"),
+    "build-clim-k_uniform-2**31": (
+        "build-clim", "c.cfg", "k_uniform=9", "k_uniform=2147483649",
+        "k_uniform must be below 2**31, got 2147483649"),
+    "build-clim-k_gauss-2**31": (
+        "build-clim", "c.cfg", "k_gauss=5", "k_gauss=2147483649",
+        "k_gauss must be below 2**31, got 2147483649"),
+    "build-clim-negative-k_gauss": (
+        "build-clim", "c.cfg", "k_gauss=5", "k_gauss=-1",
+        "k_gauss must be odd and positive, got -1"),
+    "build-clim-nodata": (
+        "build-clim", "c.cfg", "nodata=-9999.0", "nodata=-0.0",
+        "nodata must be negative, got -0.0"),
+    "build-clim-sigma_gauss": (
+        "build-clim", "c.cfg", "k_gauss=5", "k_gauss=5\nsigma_gauss=0",
+        "sigma_gauss must be positive"),
+    "build-clim-dedup_window_s": (
+        "build-clim", "c.cfg", "k_gauss=5", "k_gauss=5\ndedup_window_s=-1",
+        "dedup_window_s must be positive"),
+    "build-clim-no-columns": (
+        "build-clim", "c.cfg", "ncols=16", "ncols=0",
+        "bad output geometry: grid needs at least one row and one column"),
+    "build-clim-cell": (
+        "build-clim", "c.cfg", "cell=0.008333333333333333", "cell=-0.0",
+        "bad output geometry: cell size must be positive"),
+    "build-clim-latitude": (
+        "build-clim", "c.cfg", "yll=9.0", "yll=-90.5",
+        "bad output geometry: grid extends outside [-90, 90] latitude"),
+    "build-clim-k_uniform-plus-ncols": (
+        "build-clim", "c.cfg", "k_uniform=9", "k_uniform=2147483647",
+        "k_uniform plus ncols must be below 2**31, got 2147483663"),
+    "gauge-bad-span_end": (
+        "gauge", "g.cfg", "span_end=2006-06-01T00:00:00Z",
+        "span_end=2006-02-30",
+        "config key 'span_end': bad ISO8601 time '2006-02-30'"),
+    "gauge-span-order": (
+        "gauge", "g.cfg", "span_end=2006-06-01T00:00:00Z",
+        "span_end=2005-01-01T00:00:00+00:00",
+        "span_end must be after span_start"),
+    "gauge-span-period": (
+        "gauge", "g.cfg", "span_end=2006-06-01T00:00:00Z",
+        "span_end=2005-12-31T23:59:00Z",
+        "span_start to span_end holds no full 12-month period"),
+    "gauge-bucket_mm": (
+        "gauge", "g.cfg", "exclude=b", "exclude=b\nbucket_mm=-0.0",
+        "bucket_mm must be positive"),
+    "gauge-min_count": (
+        "gauge", "g.cfg", "exclude=b", "exclude=b\nmin_count=0",
+        "min_count must be >= 1"),
+    "gauge-empty-ladder": (
+        "gauge", "g.cfg", "exclude=b", "exclude=b\nladder=",
+        "ladder must list at least one probability"),
+    "gauge-unsorted-ladder": (
+        "gauge", "g.cfg", "exclude=b", "exclude=b\nladder=0.1,0.1",
+        "ladder must be strictly increasing"),
+    "gauge-ladder-probability": (
+        "gauge", "g.cfg", "exclude=b", "exclude=b\nladder=0.01,100.5",
+        "ladder probability 100.5 outside (0, 100]"),
+    "predict-empty-ladder": (
+        "predict", "p.cfg", "out_sites=pred.csv",
+        "out_sites=pred.csv\nladder=,",
+        "ladder must list at least one probability"),
+    "predict-unsorted-ladder": (
+        "predict", "p.cfg", "out_sites=pred.csv",
+        "out_sites=pred.csv\nladder=1,0.1",
+        "ladder must be strictly increasing"),
+    "predict-ladder-probability": (
+        "predict", "p.cfg", "out_sites=pred.csv",
+        "out_sites=pred.csv\nladder=-0.0,1",
+        "ladder probability -0.0 outside (0, 100]"),
+    "impact-p": (
+        "impact", "i.cfg", "out_impact=impact.csv",
+        "out_impact=impact.csv\np=100.5",
+        "p must be in (0, 100]"),
+    "impact-threshold": (
+        "impact", "i.cfg", "out_impact=impact.csv",
+        "out_impact=impact.csv\nthreshold=-1e308",
+        "threshold must be >= 0"),
+    "impact-zones-without-out_zones": (
+        "impact", "i.cfg", "out_zones=zonecov.csv", "",
+        "zones and out_zones must be given together"),
 }
+
+
+def _write_range_check_inputs(tmp_path):
+    """Write the inputs and configs of one working run of each command that
+    :data:`_RANGE_CHECKS` names."""
+    _write_eval_samples(tmp_path)
+    write_config(tmp_path / "e.cfg", samples="samples.csv", classify_p=0.01,
+                 out_report="m.txt", out_rec="rec.csv")
+    _write_clim_config(tmp_path)
+    _write_gauge_inputs(tmp_path)
+    for command, name in (("predict", "p.cfg"), ("impact", "i.cfg")):
+        write_config(tmp_path / name, **_working_config(tmp_path, command))
 
 
 @pytest.mark.parametrize("case", list(_RANGE_CHECKS.values()),
@@ -1365,16 +1476,148 @@ def test_range_check_errors_name_the_config_file(tmp_path, monkeypatch,
                                                  capsys, case):
     command, name, line, bad, message = case
     monkeypatch.chdir(tmp_path)
-    _write_eval_samples(tmp_path)
-    write_config(tmp_path / "e.cfg", samples="samples.csv", classify_p=0.01,
-                 out_report="m.txt", out_rec="rec.csv")
-    _write_clim_config(tmp_path)
-    _write_gauge_inputs(tmp_path)
+    _write_range_check_inputs(tmp_path)
     text = (tmp_path / name).read_text()
     assert line in text
     (tmp_path / name).write_text(text.replace(line, bad))
     assert run_cli(command, "--config", name) == 1
     assert f"config error: {name}: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", list(_RANGE_CHECKS.values()),
+                         ids=list(_RANGE_CHECKS))
+def test_range_check_errors_write_nothing(tmp_path, monkeypatch, capsys,
+                                          case):
+    command, name, line, bad, message = case
+    monkeypatch.chdir(tmp_path)
+    _write_range_check_inputs(tmp_path)
+    path = tmp_path / name
+    path.write_text(path.read_text().replace(line, bad))
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli(command, "--config", name) == 1
+    assert capsys.readouterr().err == (
+        f"rainstats: config error: {name}: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def _rule_patterns():
+    """``(command, key, regex)`` of each config rule: a field's rule, a rule
+    across keys (its name as the key) or a key pair; the regex matches the
+    rule's message with any value in it."""
+    for command, (schema, derived, _, _) in cli._COMMANDS.items():
+        for key, rules in [*((key, field.rules)
+                             for key, field in schema.items()),
+                           *((name, rules) for name, _, rules in derived)]:
+            for rule in rules:
+                yield command, key, ".*".join(
+                    re.escape(part.format(key=key))
+                    for part in rule.message.split("{value}"))
+        for key, field in schema.items():
+            if field.pair:
+                yield command, key, re.escape(
+                    f"{key} and {field.pair} must be given together")
+
+
+def test_every_config_rule_has_a_range_check():
+    patterns = set(_rule_patterns())
+    assert patterns
+    covered = {(command, key, regex) for command, key, regex in patterns
+               for case in _RANGE_CHECKS.values()
+               if case[0] == command and re.fullmatch(regex, case[-1])}
+    assert patterns - covered == set()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_output_that_is_a_fifo_is_refused_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, command):
+    schema = cli._COMMANDS[command][0]
+    out_keys = [k for k, field in schema.items() if field.kind == "out"]
+    for key in out_keys:
+        d = tmp_path / key
+        d.mkdir()
+        monkeypatch.chdir(d)
+        cfg = _working_config(d, command)
+        write_config(d / "run.cfg", **{**cfg, key: "out.fifo"})
+        os.mkfifo(d / "out.fifo")
+        before = sorted(os.listdir(d))
+        assert run_cli(command, "--config", "run.cfg") == 2, key
+        assert capsys.readouterr().err == (
+            f"rainstats: data error: {key} 'out.fifo' exists and is not a "
+            "regular file\n"), key
+        assert sorted(os.listdir(d)) == before, key
+        assert stat.S_ISFIFO(os.lstat(d / "out.fifo").st_mode), key
+
+
+#: Two-fault configs whose first reported fault changed when the handlers'
+#: checks became rules: a field's rules run in schema order, then the rules
+#: across keys.  name: (command, config file, {line: its replacement},
+#: message before, message now).
+_PRECEDENCE = {
+    "build-clim-nodata-before-geometry": (
+        "build-clim", "c.cfg",
+        {"nodata=-9999.0": "nodata=0.0",
+         "cell=0.008333333333333333": "cell=0.0"},
+        "bad output geometry: cell size must be positive",
+        "nodata must be negative, got 0.0"),
+    "build-clim-odd-k_uniform-before-k_gauss-2**31": (
+        "build-clim", "c.cfg",
+        {"k_uniform=9": "k_uniform=8", "k_gauss=5": "k_gauss=2147483649"},
+        "k_gauss must be below 2**31, got 2147483649",
+        "k_uniform must be odd and positive, got 8"),
+    "build-clim-sigma_gauss-before-k_uniform-plus-ncols": (
+        "build-clim", "c.cfg",
+        {"k_uniform=9": "k_uniform=2147483647",
+         "k_gauss=5": "k_gauss=5\nsigma_gauss=-1"},
+        "k_uniform plus ncols must be below 2**31, got 2147483663",
+        "sigma_gauss must be positive"),
+    "gauge-bucket_mm-before-ladder": (
+        "gauge", "g.cfg", {"exclude=b": "exclude=b\nbucket_mm=0\nladder="},
+        "ladder must list at least one probability",
+        "bucket_mm must be positive"),
+    "gauge-min_count-before-span": (
+        "gauge", "g.cfg",
+        {"exclude=b": "exclude=b\nmin_count=0",
+         "span_end=2006-06-01T00:00:00Z": "span_end=2005-06-01T00:00:00Z"},
+        "span_start to span_end holds no full 12-month period",
+        "min_count must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRECEDENCE.values()),
+                         ids=list(_PRECEDENCE))
+def test_a_fields_rules_come_before_the_rules_across_keys(
+        tmp_path, monkeypatch, capsys, case):
+    command, name, replacements, before, now = case
+    monkeypatch.chdir(tmp_path)
+    _write_range_check_inputs(tmp_path)
+    path = tmp_path / name
+    text = path.read_text()
+    for line, bad in replacements.items():
+        assert line in text
+        text = text.replace(line, bad)
+    path.write_text(text)
+    assert run_cli(command, "--config", name) == 1
+    assert capsys.readouterr().err == (
+        f"rainstats: config error: {name}: {now}\n")
+    # the handlers' checks reported the other fault first
+    cfg = load_config(name, cli._COMMANDS[command][0])
+    assert config_fault(command, cfg) == before
+
+
+def test_an_output_that_is_a_directory_comes_before_a_bad_value(
+        tmp_path, monkeypatch, capsys):
+    # the path checks refuse it before any value rule runs
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    (tmp_path / "blocker").mkdir()
+    write_config(tmp_path / "e.cfg", samples="samples.csv", classify_p=200,
+                 out_report="m.txt", out_rec="blocker")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("eval", "--config", "e.cfg") == 2
+    assert capsys.readouterr().err == (
+        "rainstats: data error: out_rec 'blocker' exists and is not a regular "
+        "file\n")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 # ---------------------------------------------------------------------------
@@ -1533,7 +1776,7 @@ _EXTREMES = {"int": (10**20 + 1,),
              "float": (5e-324, 1e-200, 1e308, -1e308)}
 
 _SWEEP = [(command, key, value)
-          for command, (schema, _, _) in cli._COMMANDS.items()
+          for command, (schema, *_) in cli._COMMANDS.items()
           for key, field in schema.items()
           if field.kind in ("int", "float", "floats")
           for value in _EXTREMES["int" if field.kind == "int" else "float"]]

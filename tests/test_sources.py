@@ -162,3 +162,22 @@ def test_every_error_type_is_caught_somewhere():
                if isinstance(node, ast.ClassDef)}
     caught = set().union(*map(_caught, trees.values()))
     assert defined - caught == set()
+
+
+#: The names of the config checks that handlers made before the rules were
+#: declared in the schemas.
+CONFIG_CHECKS = {"ConfigError", "_config_check", "_validate_ladder"}
+
+
+def test_no_handler_checks_its_config():
+    # every config rule is declared in its subcommand's schema and checked
+    # once, before the handler runs; a handler reads, computes and writes
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    assert len(handlers) == 6
+    calls = [(handler.name, ast.unparse(node)) for handler in handlers
+             for node in ast.walk(handler) if isinstance(node, ast.Call)
+             and CONFIG_CHECKS & {getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None)}]
+    assert calls == []
