@@ -372,6 +372,9 @@ def _cmd_gauge(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     excluded = set(cfg["exclude"])
 
     site_rows = read_table(cfg["sites"], _GAUGE_SITES).tolist()
+    unlisted = excluded.difference(site_id for site_id, *_ in site_rows)
+    if unlisted:
+        raise DataError(f"{cfg['sites']}: no site {min(unlisted)} to exclude")
     inputs.update((f"tips.{site_id}", tips_path)
                   for site_id, *_, tips_path in site_rows)
     _check_paths(args, inputs, outputs)

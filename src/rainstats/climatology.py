@@ -139,7 +139,9 @@ def render_observations(observations, geometry: GridGeometry,
     """Accumulate a time-sorted observation stream onto the grid.
 
     ``observations`` is a record array with the fields that
-    :func:`read_observations_csv` returns.  Per pixel, observations falling
+    :func:`read_observations_csv` returns, in time order: that reader
+    refuses a stream that is not.  ``dedup_window_s`` is positive, as
+    build-clim's config rule on it requires.  Per pixel, observations falling
     within one deduplication window collapse into a single logical
     observation that keeps the OR of the rain-certain flags and the maximum
     rain rate among rain-certain contributors.  A pixel's window closes once
@@ -154,14 +156,7 @@ def render_observations(observations, geometry: GridGeometry,
     Returns ``(AccumulatorGrid, RenderReport)``.  Observations covering no
     grid pixel are skipped and counted.
     """
-    if dedup_window_s <= 0:
-        raise ValueError("dedup window must be positive")
     t, lat, lon = observations.time, observations.lat, observations.lon
-    late = np.flatnonzero(t[1:] < t[:-1])
-    if late.size:
-        i = late[0]
-        raise DataError("observation stream is not sorted by time "
-                        f"(saw {t[i + 1]} after {t[i]})")
     # math.cos, not np.cos: the two may differ in the last bit, which can
     # move a pixel center across a footprint edge
     coslat = np.array([math.cos(math.radians(v)) for v in lat.tolist()])
@@ -229,14 +224,13 @@ def merge_reference(m_sat: Grid, m_ref: Grid, w: Grid,
     """Blend the satellite rainfall grid toward a smoothed reference.
 
     Output is ``(1 - w) * m_sat + w * uniform_filter(m_ref, k)`` per pixel.
+    The weights lie in [0, 1], as :func:`elevation_weight`, their only
+    producer, clamps them.
     Where the smoothed reference (or the weight) is nodata the satellite
     value passes through unchanged; where the satellite value is nodata the
     output is nodata.
     """
     require_aligned(m_sat, m_ref, w)
-    wvals = w.values[w.valid_mask()]
-    if wvals.size and (np.any(wvals < 0) or np.any(wvals > 1)):
-        raise ValueError("weights must lie in [0, 1]")
     smooth = uniform_filter(m_ref, k)
     sat_ok = m_sat.valid_mask()
     blend_ok = sat_ok & smooth.valid_mask() & w.valid_mask()

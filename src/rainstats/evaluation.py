@@ -43,14 +43,12 @@ def p311_summary(errors) -> P311Summary:
 
 
 def rec_curve(errors, thresholds):
-    """Fraction of samples whose |error| is at or below each threshold."""
+    """Fraction of samples whose |error| is at or below each threshold.
+
+    ``errors`` is not empty and ``thresholds`` ascend: eval refuses a
+    samples file without samples and unsorted ``rec_thresholds``."""
     e = np.abs(np.asarray(errors, dtype=np.float64))
-    if e.size == 0:
-        raise ValueError("cannot build a REC curve from no samples")
-    ts = [float(t) for t in thresholds]
-    if any(b < a for a, b in zip(ts, ts[1:])):
-        raise ValueError("thresholds must be sorted ascending")
-    return [float(np.mean(e <= t)) for t in ts]
+    return [float(np.mean(e <= t)) for t in thresholds]
 
 
 @dataclass(frozen=True)

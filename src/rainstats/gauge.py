@@ -24,7 +24,6 @@ from datetime import datetime, timezone
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import DataError
 from .rainmodel import STANDARD_LADDER
 from .tables import Check, Table, read_table
 
@@ -191,28 +190,21 @@ def _minute_rates(times, bucket_mm: float, m0: int, n: int) -> np.ndarray:
 def tips_to_rates(tips, bucket_mm: float, span) -> MinuteSeries:
     """Convert tips to a 1-min rain-rate series over :func:`span_minutes`.
 
-    ``tips`` is a record array whose ``time`` field holds epoch seconds, as
-    :func:`read_tips_csv` returns; each tip stands for ``bucket_mm``.
-    ``span`` is an (start_s, end_s) epoch interval; every tip must fall in
-    it.  Each event's cumulative curve gets a leading zero-depth knot one
-    inter-tip gap before the first tip (one minute for single-tip events),
-    standing in for the unobserved fill time of the first bucket.  A bucket
-    so deep that the rates overflow raises ``ValueError``.
+    ``tips`` is a record array whose ``time`` field holds strictly
+    increasing epoch seconds, as :func:`read_tips_csv` returns and checks;
+    each tip stands for ``bucket_mm``, positive and finite by gauge's
+    ``bucket_mm`` rule and the reader's depth check.  ``span`` is a
+    (start_s, end_s) epoch interval, start first by gauge's span rule; a
+    tip outside it raises ``ValueError``.  Each event's cumulative curve
+    gets a leading zero-depth knot one inter-tip gap before the first tip
+    (one minute for single-tip events), standing in for the unobserved fill
+    time of the first bucket.  A bucket so deep that the rates overflow
+    raises ``ValueError``.
     """
-    if not 0 < bucket_mm < math.inf:
-        raise ValueError(f"bucket must be positive and finite, "
-                         f"got {bucket_mm}")
-    start_s, end_s = float(span[0]), float(span[1])
-    if end_s <= start_s:
-        raise ValueError("span end must be after span start")
     m0, n = span_minutes(span)
-
     times = np.asarray(tips["time"], dtype=np.float64)
-    if times.size:
-        if np.any(np.diff(times) <= 0):
-            raise DataError("tip times must be strictly increasing")
-        if times[0] < start_s or times[-1] > end_s:
-            raise ValueError("tips fall outside the requested span")
+    if times.size and (times[0] < span[0] or times[-1] > span[1]):
+        raise ValueError("tips fall outside the requested span")
     try:
         rates = _minute_rates(times, bucket_mm, m0, n)
     except FloatingPointError:
@@ -256,13 +248,10 @@ def select_periods(series: MinuteSeries):
 
     Ties break toward the earliest run.  Returns the corresponding
     sub-series, whose ``rates`` and ``valid`` are views of the input's, or
-    None when no period qualifies; raises ValueError when no period fits in
-    the record.
+    None when no period qualifies, a record too short for one included.
+    Gauge's span rule refuses a span that holds no full period.
     """
     edges = period_edges(series.start_minute, series.n_minutes)
-    if len(edges) < 2:
-        raise ValueError("series must span at least 12 full calendar months")
-
     best_len = best_start = run_len = 0
     for i, (a, b) in enumerate(zip(edges, edges[1:])):
         good = np.count_nonzero(series.valid[a:b]) / (b - a) > 0.9

@@ -703,6 +703,27 @@ def test_gauge_failed_manifest_write_leaves_no_output(tmp_path, monkeypatch):
         "g.cfg", "gsites.csv", "manifest", "tips_a.csv"]
 
 
+@pytest.mark.parametrize("tips_present", [True, False])
+def test_gauge_exclude_of_an_unlisted_site_exits_2(tmp_path, monkeypatch,
+                                                    capsys, tips_present):
+    # refused before any tip file is checked or read
+    monkeypatch.chdir(tmp_path)
+    _write_gauge_inputs(tmp_path)
+    if not tips_present:
+        os.remove(tmp_path / "tips_a.csv")
+    monkeypatch.setattr(gauge, "read_tips_csv",
+                        lambda path: pytest.fail(f"read {path}"))
+    write_config(tmp_path / "g.cfg", sites="gsites.csv",
+                 span_start="2005-01-01T00:00:00Z",
+                 span_end="2006-06-01T00:00:00Z", exclude="b,zz",
+                 out_sites="stats.csv", out_manifest="manifest")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("gauge", "--config", "g.cfg") == 2
+    assert capsys.readouterr().err == (
+        "rainstats: data error: gsites.csv: no site zz to exclude\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def _write_two_tip_files(tmp_path):
     """Gauge inputs whose sites a and b (excluded) list their own tip
     files."""
@@ -1084,6 +1105,17 @@ def test_eval_malformed_samples_exits_2(tmp_path, monkeypatch):
                  out_report="metrics.txt", out_rec="rec.csv")
     assert run_cli("eval", "--config", "e.cfg") == 2
     assert not os.path.exists(tmp_path / "metrics.txt")
+
+
+def test_eval_samples_without_rows_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text("site_id,p_percent,observed,predicted\n")
+    write_config(tmp_path / "e.cfg", samples="s.csv", out_report="m.txt",
+                 out_rec="rec.csv", out_manifest="manifest.txt")
+    assert run_cli("eval", "--config", "e.cfg") == 2
+    assert capsys.readouterr().err == (
+        "rainstats: data error: s.csv: no samples\n")
+    assert sorted(os.listdir(tmp_path)) == ["e.cfg", "s.csv"]
 
 
 #: The rungs of the generated eval samples; 0.01 is the classify rung.

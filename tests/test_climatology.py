@@ -91,13 +91,6 @@ def test_rain_flag_or_and_max_over_rain_certain_only():
     assert np.all(acc.sum_nsrr[covered] == 4.0)
 
 
-def test_unsorted_stream_rejected():
-    g = geom()
-    stream = [obs(100.0, 9.25, 30.25), obs(50.0, 9.25, 30.25)]
-    with pytest.raises(DataError, match="sorted"):
-        render_observations(observations(stream), g)
-
-
 def test_footprint_outside_grid_is_skipped_and_counted():
     g = geom()
     stream = [obs(0.0, 20.0, 80.0, nsrr=5.0, rain=True),
@@ -280,9 +273,6 @@ def test_merge_reference_rejects_misaligned_and_bad_weights():
     with pytest.raises(DataError, match="not aligned"):
         merge_reference(sat, Grid.full(geom(5, 4), 1.0),
                         Grid.full(geom(4, 4), 0.5), k=3)
-    with pytest.raises(ValueError, match="weights"):
-        merge_reference(sat, Grid.full(geom(4, 4), 1.0),
-                        Grid.full(geom(4, 4), 1.5), k=3)
 
 
 # ---------------------------------------------------------------------------

@@ -145,13 +145,6 @@ def test_rec_matches_brute_force_scan():
         assert f == sum(1 for e in errs if abs(e) <= t) / len(errs)
 
 
-def test_rec_rejects_bad_input():
-    with pytest.raises(ValueError):
-        rec_curve([], [1.0])
-    with pytest.raises(ValueError):
-        rec_curve([1.0], [2.0, 1.0])
-
-
 # ---------------------------------------------------------------------------
 # classification
 
