@@ -415,6 +415,8 @@ _EVAL_SCHEMA = {
 
 def _cmd_eval(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     samples = evaluation.read_error_samples_csv(cfg["samples"])
+    countries = (None if cfg["sites"] is None
+                 else dict(read_table(cfg["sites"], _COUNTRIES).tolist()))
     if not len(samples):
         raise DataError(f"{cfg['samples']}: no samples")
     # bias is finite, as both rates are finite and >= 0
@@ -465,8 +467,7 @@ def _cmd_eval(args, cfg: dict, inputs: dict, outputs: dict) -> None:
         lines.append(f"classify.p={cfg['classify_p']!r}")
         lines.append(f"classify.threshold={thr!r}")
         _confusion_block("classify.by_site", actuals, preds)
-        if cfg["sites"] is not None:
-            countries = dict(read_table(cfg["sites"], _COUNTRIES).tolist())
+        if countries is not None:
             codes = [countries.get(site_id) for site_id in classify.site_id]
             if None in codes:
                 raise DataError(f"{cfg['sites']}: no country for site "
@@ -508,29 +509,33 @@ def _cmd_impact(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     p0 = read_grid(cfg["p0_grid"])
     params = rainmodel.read_params(cfg["params"])
     pop = read_grid(cfg["pop"])
+    negative = pop.values[pop.valid_mask() & (pop.values < 0)]
+    if negative.size:
+        raise DataError(f"{cfg['pop']}: population must be >= 0, got "
+                        f"{float(negative[0])!r}")
     countries = read_grid(cfg["countries"])
 
     rates = impact.rate_map(mt, p0, params, cfg["p"])
     require_aligned(pop, rates, countries)
     mask, nodata_pixels = impact.heavy_mask(rates, cfg["threshold"])
-    heavy = impact.zonal_population(pop, mask, countries)
-    totals = impact.zonal_population(pop, np.ones_like(mask), countries)
+    zones = None if cfg["zones"] is None else read_grid(cfg["zones"])
+    try:
+        heavy = impact.zonal_population(pop, mask, countries)
+        totals = impact.zonal_population(pop, np.ones_like(mask), countries)
+        coverage = None if zones is None else impact.zone_coverage(zones, pop)
+    except OverflowError as e:
+        raise DataError(f"{cfg['pop']}: {e}") from None
 
-    impact_rows = []
-    for code in sorted(totals.by_code):
-        impact_rows.append([str(code), repr(totals.by_code[code]),
-                            repr(heavy.by_code.get(code, 0.0))])
+    # both tallies list every code of the countries grid, ascending
+    impact_rows = [[str(code), repr(total), repr(heavy.by_code[code])]
+                   for code, total in totals.by_code.items()]
     impact_rows.append(["unassigned", repr(totals.unassigned),
                         repr(heavy.unassigned)])
     impact_rows.append(["total", repr(totals.total), repr(heavy.total)])
 
-    zone_rows = None
-    if cfg["zones"] is not None:
-        zones = read_grid(cfg["zones"])
-        coverage = impact.zone_coverage(zones, pop)
-        zone_rows = [[str(code), f"{share.land_pct:.4f}",
-                      f"{share.populated_pct:.4f}", f"{share.pop_pct:.4f}"]
-                     for code, share in sorted(coverage.items())]
+    zone_rows = None if coverage is None else [
+        [str(code), f"{share.land_pct:.4f}", f"{share.populated_pct:.4f}",
+         f"{share.pop_pct:.4f}"] for code, share in coverage.items()]
 
     with _staged_outputs(args, inputs, outputs,
                          {"nodata_rate_pixels": nodata_pixels}) as tmp:

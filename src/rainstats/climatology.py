@@ -209,13 +209,14 @@ def elevation_weight(elev: Grid, k: int = DEFAULT_K_UNIFORM) -> Grid:
     """Reference-adjustment weight from terrain variability.
 
     w = 1 / (1 + ln(1 + IQR)) where IQR is the windowed interquartile range
-    of elevation, clamped to [0, 1]; flat terrain gets full weight and the
-    weight decays as terrain gets rougher.  Nodata propagates.
+    of elevation, which :func:`window_iqr` never gives below 0, so w lies in
+    (0, 1]; flat terrain gets full weight and the weight decays as terrain
+    gets rougher.  Nodata propagates.
     """
     iqr = window_iqr(elev, k)
     valid = iqr.valid_mask()
     w = np.full_like(iqr.values, iqr.geometry.nodata)
-    w[valid] = np.clip(1.0 / (1.0 + np.log1p(iqr.values[valid])), 0.0, 1.0)
+    w[valid] = 1.0 / (1.0 + np.log1p(iqr.values[valid]))
     return Grid(iqr.geometry, w)
 
 
@@ -225,7 +226,7 @@ def merge_reference(m_sat: Grid, m_ref: Grid, w: Grid,
 
     Output is ``(1 - w) * m_sat + w * uniform_filter(m_ref, k)`` per pixel.
     The weights lie in [0, 1], as :func:`elevation_weight`, their only
-    producer, clamps them.
+    producer, gives them.
     Where the smoothed reference (or the weight) is nodata the satellite
     value passes through unchanged; where the satellite value is nodata the
     output is nodata.
@@ -243,14 +244,12 @@ def merge_reference(m_sat: Grid, m_ref: Grid, w: Grid,
 
 def finalize(mt: Grid, p0: Grid, k: int = DEFAULT_K_GAUSS,
              sigma: float | None = None):
-    """Final Gaussian smoothing pass; clamps p0 to [0, 100] and mt to >= 0."""
+    """Final Gaussian smoothing pass; clamps mt to >= 0.  The filter keeps
+    p0 in [0, 100], as :func:`initial_estimates` gives it."""
     sm = gaussian_filter(mt, k, sigma)
-    sp = gaussian_filter(p0, k, sigma)
     mv = sm.valid_mask()
     sm.values[mv] = np.maximum(sm.values[mv], 0.0)
-    pv = sp.valid_mask()
-    sp.values[pv] = np.clip(sp.values[pv], 0.0, 100.0)
-    return sm, sp
+    return sm, gaussian_filter(p0, k, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +305,16 @@ def _stage(name: str):
         raise DataError(f"stage {name}: {e}") from e
 
 
-def _valid_mean(grid: Grid) -> float:
+def _mean_line(name: str, grid: Grid) -> str:
+    """The report line of the mean of ``grid``'s valid cells, NaN when it
+    has none; a mean that overflows raises ``ValueError``."""
     m = grid.valid_mask()
-    return float(np.mean(grid.values[m])) if m.any() else float("nan")
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(grid.values[m])) if m.any() else float("nan")
+    key = f"stage.{name}_mean"
+    if math.isinf(mean):
+        raise ValueError(f"the report's {key} overflows")
+    return f"{key}={mean!r}"
 
 
 def build_climatology(config: Mapping) -> None:
@@ -334,27 +340,23 @@ def build_climatology(config: Mapping) -> None:
     with _stage("render"):
         acc, render_report = render_observations(observations, geometry,
                                                 config["dedup_window_s"])
+    lines = [f"observations={render_report.n_observations}",
+             f"skipped={render_report.n_skipped}"]
     with _stage("initial"):
         mt0, p00 = initial_estimates(acc)
+        lines += [_mean_line("initial.mt", mt0), _mean_line("initial.p0", p00)]
     with _stage("elevation"):
         elev_local = resample(elevation, geometry)
         weight = elevation_weight(elev_local, k_uniform)
     with _stage("merge"):
         ref_local = resample(reference, geometry)
         mt_adj = merge_reference(mt0, ref_local, weight, k_uniform)
+        lines.append(_mean_line("merge.mt", mt_adj))
     with _stage("finalize"):
         mt_final, p0_final = finalize(mt_adj, p00, k_gauss,
                                        config["sigma_gauss"])
-
-    lines = [
-        f"observations={render_report.n_observations}",
-        f"skipped={render_report.n_skipped}",
-        f"stage.initial.mt_mean={_valid_mean(mt0)!r}",
-        f"stage.initial.p0_mean={_valid_mean(p00)!r}",
-        f"stage.merge.mt_mean={_valid_mean(mt_adj)!r}",
-        f"stage.final.mt_mean={_valid_mean(mt_final)!r}",
-        f"stage.final.p0_mean={_valid_mean(p0_final)!r}",
-    ]
+        lines += [_mean_line("final.mt", mt_final),
+                  _mean_line("final.p0", p0_final)]
     report = "\n".join(lines) + "\n"
 
     with _stage("write"):

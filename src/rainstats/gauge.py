@@ -41,10 +41,11 @@ class MinuteSeries:
     """Per-minute rain rates (mm/h) with a validity flag per minute.
 
     ``start_minute`` is in epoch minutes; minute ``i`` covers the wall-clock
-    interval ``[start_minute + i, start_minute + i + 1)`` minutes.  The
-    series that :func:`qc_filter` and :func:`select_periods` return share
-    memory with their input, so no function alters a series' arrays in
-    place.
+    interval ``[start_minute + i, start_minute + i + 1)`` minutes.  It checks
+    nothing: :func:`tips_to_rates` makes ``rates`` and ``valid`` equal-length
+    vectors with every rate >= 0, and :func:`qc_filter` and
+    :func:`select_periods` keep them so.  Their series share memory with
+    their input, so no function alters a series' arrays in place.
     """
 
     start_minute: int
@@ -54,10 +55,6 @@ class MinuteSeries:
     def __post_init__(self):
         self.rates = np.asarray(self.rates, dtype=np.float64)
         self.valid = np.asarray(self.valid, dtype=bool)
-        if self.rates.shape != self.valid.shape or self.rates.ndim != 1:
-            raise ValueError("rates and valid must be equal-length vectors")
-        if np.any((self.rates < 0) & self.valid):
-            raise ValueError("valid rates must be >= 0")
 
     @property
     def n_minutes(self) -> int:

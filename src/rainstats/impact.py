@@ -65,9 +65,12 @@ class PopulationTally:
     total: float
 
 
+@np.errstate(over="ignore")
 def zonal_population(pop: Grid, mask, countries: Grid) -> PopulationTally:
     """Sum population over the pixels where the boolean array ``mask``, of
-    the grids' shape, is true, per country code.  Sums are float64."""
+    the grids' shape, is true, per country code, every code of
+    ``countries`` in ascending order.  Sums are float64; sums that are not
+    finite raise ``OverflowError``."""
     require_aligned(pop, countries)
     codes, index, cvalid = _categories(countries, "country")
     popvals = np.where(pop.valid_mask(), pop.values, 0.0)
@@ -79,6 +82,8 @@ def zonal_population(pop: Grid, mask, countries: Grid) -> PopulationTally:
 
     unassigned = float(np.sum(popvals[mask & ~cvalid]))
     total = float(sum(by_code.values()) + unassigned)
+    if not np.isfinite(total):  # as it is when any part of it is not
+        raise OverflowError("population sums overflow")
     return PopulationTally(by_code, unassigned, total)
 
 
@@ -89,11 +94,14 @@ class ZoneShare:
     pop_pct: float
 
 
+@np.errstate(over="ignore")
 def zone_coverage(zones: Grid, pop: Grid):
-    """Per-zone share of land pixels, populated pixels and population.
+    """Per-zone share of land pixels, populated pixels and population, by
+    zone code in ascending order.
 
     Shares are percentages of the valid-zone pixels, so each of the three
-    columns sums to 100 over the zones present.
+    columns sums to 100 over the zones present.  A population total or
+    share that is not finite raises ``OverflowError``.
     """
     require_aligned(zones, pop)
     codes, index, zvalid = _categories(zones, "zone")
@@ -107,8 +115,12 @@ def zone_coverage(zones: Grid, pop: Grid):
     # takes them; a weighted bincount would add in sequence, not pairwise
     zone_pops = np.split(popvals[np.argsort(index, kind="stable")],
                          np.cumsum(land)[:-1])
-    return {code: ZoneShare(100.0 * n / index.size,
-                            100.0 * k / n_populated if n_populated else 0.0,
-                            100.0 * float(np.sum(zp)) / total_pop
-                            if total_pop > 0 else 0.0)
-            for code, n, k, zp in zip(codes, land, populated, zone_pops)}
+    shares = {code: ZoneShare(100.0 * n / index.size,
+                              100.0 * k / n_populated if n_populated else 0.0,
+                              100.0 * float(np.sum(zp)) / total_pop
+                              if total_pop > 0 else 0.0)
+              for code, n, k, zp in zip(codes, land, populated, zone_pops)}
+    if not (np.isfinite(total_pop)
+            and np.isfinite([s.pop_pct for s in shares.values()]).all()):
+        raise OverflowError("population sums overflow")
+    return shares

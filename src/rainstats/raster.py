@@ -82,7 +82,7 @@ class Grid:
 
     ``values`` is a float64 array of shape ``(nrows, ncols)`` whose first row
     is the northernmost.  Every value is finite; cells equal to the geometry's
-    nodata sentinel are treated as missing.
+    nodata sentinel are treated as missing.  It keeps the array it is given.
     """
 
     __slots__ = ("geometry", "values")
@@ -93,7 +93,7 @@ class Grid:
             raise ValueError(
                 f"expected {geometry.ncols * geometry.nrows} values, "
                 f"got {arr.size}")
-        arr = arr.reshape(geometry.nrows, geometry.ncols).copy()
+        arr = arr.reshape(geometry.nrows, geometry.ncols)
         if not np.all(np.isfinite(arr)):
             raise ValueError("grid values must be finite or the nodata sentinel")
         self.geometry = geometry
@@ -299,6 +299,7 @@ def _windows(a: np.ndarray, k: int, axis: int, fill: float) -> np.ndarray:
         np.pad(a, pad, constant_values=fill), k, axis=axis)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _window_filter(grid: Grid, line: np.ndarray) -> Grid:
     """Window mean with the separable weights ``outer(line, line)`` and
     nodata-aware renormalization (normalized convolution:
@@ -307,7 +308,9 @@ def _window_filter(grid: Grid, line: np.ndarray) -> Grid:
     The mean is clamped to the range of the valid values in its window,
     which it can leave only by rounding; this keeps constant grids exactly
     constant.  Each output depends only on its own window.  Output is nodata
-    only where the window holds no valid cell.
+    only where the window holds no valid cell.  A window sum that overflows
+    leaves a mean of +-inf, which the clamp takes back into range, or NaN,
+    which :class:`Grid` refuses.
     """
     g = grid.geometry
     valid = grid.valid_mask()
@@ -321,8 +324,7 @@ def _window_filter(grid: Grid, line: np.ndarray) -> Grid:
         sums = sum(w * win[..., d] for d, w in enumerate(line))
         low = _windows(low, line.size, axis, np.inf).min(axis=-1)
     num, den = sums
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.clip(num / den, low[0], -low[1])
+    out = np.clip(num / den, low[0], -low[1])
     out[den == 0.0] = g.nodata
     return Grid(g, out)
 
@@ -351,12 +353,14 @@ def gaussian_filter(grid: Grid, k: int, sigma: float | None = None) -> Grid:
     return _window_filter(grid, line)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def window_iqr(grid: Grid, k: int) -> Grid:
     """Per-cell interquartile range (Q3 - Q1) over each k x k window.
 
     Quartiles use linear interpolation between order statistics at positions
     (n-1) * {0.25, 0.75}, bit for bit as ``np.nanquantile``.  Cells with
-    fewer than 4 valid window members become nodata.
+    fewer than 4 valid window members become nodata.  A range that
+    overflows is inf or NaN, which :class:`Grid` refuses.
 
     The valid values of each output row's band of k rows are kept sorted as
     the band slides down, and the sorted band is cut into chunks of about

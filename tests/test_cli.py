@@ -14,7 +14,7 @@ from rainstats import cli, gauge
 from rainstats.rainmodel import (ClimatePoint, ModelParams, SiteStatistics,
                                  estimate_site_curve, rain_rate,
                                  read_params, write_params, write_sites_csv)
-from rainstats.raster import Grid, GridGeometry, write_grid
+from rainstats.raster import Grid, GridGeometry, read_grid, write_grid
 from rainstats.tables import load_config
 from reference_readers import config_fault
 from writers import observations, tips, write_observations_csv, write_tips_csv
@@ -1257,6 +1257,22 @@ def test_eval_repeated_site_country_exits_2(tmp_path, monkeypatch, capsys):
     assert not os.path.exists(tmp_path / "rec.csv")
 
 
+def test_eval_reads_its_sites_csv_when_no_sample_is_classified(
+        tmp_path, monkeypatch, capsys):
+    # no sample sits at p = 0.5, so no sample needs a country
+    monkeypatch.chdir(tmp_path)
+    _write_eval_samples(tmp_path)
+    (tmp_path / "countries.csv").write_text("site_id,country\nc00,A\nc00,B\n")
+    write_config(tmp_path / "e.cfg", samples="samples.csv",
+                 sites="countries.csv", classify_p=0.5, out_report="m.txt",
+                 out_rec="rec.csv")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("eval", "--config", "e.cfg") == 2
+    assert capsys.readouterr().err == (
+        "rainstats: data error: countries.csv line 3: duplicate site c00\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 @pytest.mark.parametrize("command", ["fit", "eval"])
 def test_join_errors_name_the_file(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
@@ -1949,3 +1965,52 @@ def test_build_clim_rate_below_the_cap_is_rendered(tmp_path, monkeypatch):
         f.write("99999.0,9.05,30.05,9999.5,1,4.5\n")
     assert run_cli_recording_warnings("build-clim", "--config",
                                       "c.cfg") == (0, [])
+
+
+#: The grid inputs of the working runs, as (command, config key).
+_GRID_INPUTS = [("build-clim", "reference_mt"), ("build-clim", "elevation"),
+                ("predict", "mt_grid"), ("predict", "p0_grid"),
+                ("impact", "mt_grid"), ("impact", "p0_grid"),
+                ("impact", "pop"), ("impact", "countries"),
+                ("impact", "zones")]
+
+#: What every valid cell of a grid becomes: near the largest double of
+#: either sign, +-1e308 in turn (row-major), or the smallest double.
+_FAR_OUT = {"1.7e308": lambda n: np.full(n, 1.7e308),
+            "-1.7e308": lambda n: np.full(n, -1.7e308),
+            "+-1e308": lambda n: np.where(np.arange(n) % 2, -1e308, 1e308),
+            "5e-324": lambda n: np.full(n, 5e-324)}
+
+_GRID_SWEEP = [(command, key, fill) for command, key in _GRID_INPUTS
+               for fill in _FAR_OUT]
+
+
+@pytest.mark.parametrize("command,key,fill", _GRID_SWEEP,
+                         ids=[f"{c}-{k}={f}" for c, k, f in _GRID_SWEEP])
+def test_far_out_grid_keeps_the_contract(tmp_path, monkeypatch, capsys,
+                                         command, key, fill):
+    # one far-out cell never makes a sum overflow; a whole grid of them can
+    monkeypatch.chdir(tmp_path)
+    cfg = _working_config(tmp_path, command)
+    write_config(tmp_path / "sweep.cfg", **cfg)
+    grid = read_grid(cfg[key])
+    values = grid.values.copy()
+    valid = grid.valid_mask()
+    values[valid] = _FAR_OUT[fill](np.count_nonzero(valid))
+    write_grid(Grid(grid.geometry, values), cfg[key])
+    before = {name: (tmp_path / name).read_bytes()
+              for name in os.listdir(tmp_path)}
+
+    exit_code, caught = run_cli_recording_warnings(command, "--config",
+                                                   "sweep.cfg")
+    err = capsys.readouterr().err
+    assert exit_code in (0, 1, 2, 3), err
+    assert caught == [], err
+    after = {name: (tmp_path / name).read_bytes()
+             for name in os.listdir(tmp_path)}
+    if exit_code:
+        assert after == before, err
+    else:
+        for name, data in after.items():
+            if before.get(name) != data:
+                assert not re.search(rb"\b(?:inf|nan)\b", data), name

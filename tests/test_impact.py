@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,26 @@ def test_zonal_population_rejects_bad_inputs():
         zonal_population(pop, everywhere, Grid.full(geom(3, 2), 1.0))
     with pytest.raises(ValueError, match="non-integer"):
         zonal_population(pop, everywhere, Grid.full(geom(2, 2), 1.5))
+
+
+def test_population_sums_that_overflow_raise_without_warning():
+    pop = Grid.full(geom(2, 2), 1.7e308)
+    codes = Grid.full(geom(2, 2), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="population sums overflow"):
+            zonal_population(pop, np.ones((2, 2), bool), codes)
+        with pytest.raises(OverflowError, match="population sums overflow"):
+            zone_coverage(codes, pop)
+
+
+def test_zone_share_that_overflows_raises():
+    # the total is finite, but 100 times it is not
+    pop = Grid(geom(2, 2), [1e307, 0.0, 0.0, 0.0])
+    codes = Grid.full(geom(2, 2), 1.0)
+    assert zonal_population(pop, np.ones((2, 2), bool), codes).total == 1e307
+    with pytest.raises(OverflowError, match="population sums overflow"):
+        zone_coverage(codes, pop)
 
 
 # ---------------------------------------------------------------------------
