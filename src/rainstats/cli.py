@@ -519,12 +519,22 @@ def _cmd_impact(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     require_aligned(pop, rates, countries)
     mask, nodata_pixels = impact.heavy_mask(rates, cfg["threshold"])
     zones = None if cfg["zones"] is None else read_grid(cfg["zones"])
-    try:
-        heavy = impact.zonal_population(pop, mask, countries)
-        totals = impact.zonal_population(pop, np.ones_like(mask), countries)
-        coverage = None if zones is None else impact.zone_coverage(zones, pop)
-    except OverflowError as e:
-        raise DataError(f"{cfg['pop']}: {e}") from None
+
+    def tally(key, func, *grids):
+        """``func(*grids)``, its errors led by the path of the file at fault:
+        the pop grid for a sum, else the category grid ``cfg[key]``."""
+        try:
+            return func(*grids)
+        except OverflowError as e:
+            raise DataError(f"{cfg['pop']}: {e}") from None
+        except ValueError as e:  # the category grid's codes or cells
+            raise DataError(f"{cfg[key]}: {e}") from None
+
+    heavy = tally("countries", impact.zonal_population, pop, mask, countries)
+    totals = tally("countries", impact.zonal_population, pop,
+                   np.ones_like(mask), countries)
+    coverage = None if zones is None else tally(
+        "zones", impact.zone_coverage, zones, pop)
 
     # both tallies list every code of the countries grid, ascending
     impact_rows = [[str(code), repr(total), repr(heavy.by_code[code])]

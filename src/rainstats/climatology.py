@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DATA_ERRORS, DataError, SolverError
+from .errors import DATA_ERRORS, DataError
 from .rainmodel import RATE_CAP_MM_H
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      require_aligned, resample, uniform_filter, window_iqr,
@@ -63,7 +63,8 @@ def _footprint_hits(lat, lon, diam, coslat, g: GridGeometry):
 
     Distance is local equirectangular with cos(lat) longitude scaling,
     adequate for footprints of a few km at sub-tropical latitudes.  The
-    candidates are the cells of each footprint's bounding box.
+    candidates are the cells of each footprint's bounding box, as ``g``
+    places them (:meth:`GridGeometry.cell_at` and ``center``).
     """
     r_km = diam / 2.0
     r2 = r_km * r_km
@@ -72,14 +73,12 @@ def _footprint_hits(lat, lon, diam, coslat, g: GridGeometry):
     # bounding box rows (from north) and columns, clipped to the grid; an
     # empty range marks a footprint that misses it.  A bound too far off the
     # grid to count in cells overflows to +-inf, which the clip takes in.
-    i0 = np.clip(np.floor((g.lat_max - (lat + dlat)) / g.cell - 0.5),
-                 0, g.nrows).astype(np.int64)
-    i1 = np.clip(np.ceil((g.lat_max - (lat - dlat)) / g.cell - 0.5),
-                 -1, g.nrows - 1).astype(np.int64)
-    j0 = np.clip(np.floor(((lon - dlon) - g.xll) / g.cell - 0.5),
-                 0, g.ncols).astype(np.int64)
-    j1 = np.clip(np.ceil(((lon + dlon) - g.xll) / g.cell - 0.5),
-                 -1, g.ncols - 1).astype(np.int64)
+    north, west = g.cell_at(lat + dlat, lon - dlon)
+    south, east = g.cell_at(lat - dlat, lon + dlon)
+    i0 = np.clip(np.floor(north), 0, g.nrows).astype(np.int64)
+    i1 = np.clip(np.ceil(south), -1, g.nrows - 1).astype(np.int64)
+    j0 = np.clip(np.floor(west), 0, g.ncols).astype(np.int64)
+    j1 = np.clip(np.ceil(east), -1, g.ncols - 1).astype(np.int64)
     height = int(np.max(i1 - i0 + 1, initial=0))
     width = int(np.max(j1 - j0 + 1, initial=0))
 
@@ -89,8 +88,7 @@ def _footprint_hits(lat, lon, diam, coslat, g: GridGeometry):
         sel = slice(s, s + block)
         rows = i0[sel, None] + np.arange(height)
         cols = j0[sel, None] + np.arange(width)
-        lat_c = g.yll + (g.nrows - rows - 0.5) * g.cell
-        lon_c = g.xll + (cols + 0.5) * g.cell
+        lat_c, lon_c = g.center(rows, cols)
         dy = (lat_c - lat[sel, None]) * KM_PER_DEG
         dx = (lon_c - lon[sel, None]) * (KM_PER_DEG * coslat[sel, None])
         # cells past a footprint's own box are infinitely far, which takes
@@ -294,15 +292,16 @@ def read_observations_csv(path) -> np.recarray:
 
 
 @contextmanager
-def _stage(name: str):
-    """Put ``stage <name>:`` in front of the message of an error raised in
-    the block, as a :class:`SolverError` or a :class:`DataError`."""
+def _stage(name: str, source=None):
+    """Put ``stage <name>:`` in front of the message of a data error raised
+    in the block, as a :class:`DataError`.  An ``OverflowError``, which a
+    window statistic of the grid file ``source`` raises, names the file
+    too."""
     try:
         yield
-    except SolverError as e:
-        raise SolverError(f"stage {name}: {e}") from e
     except DATA_ERRORS as e:
-        raise DataError(f"stage {name}: {e}") from e
+        where = f"{source}: " if source and isinstance(e, OverflowError) else ""
+        raise DataError(f"stage {name}: {where}{e}") from e
 
 
 def _mean_line(name: str, grid: Grid) -> str:
@@ -345,10 +344,10 @@ def build_climatology(config: Mapping) -> None:
     with _stage("initial"):
         mt0, p00 = initial_estimates(acc)
         lines += [_mean_line("initial.mt", mt0), _mean_line("initial.p0", p00)]
-    with _stage("elevation"):
+    with _stage("elevation", config["elevation"]):
         elev_local = resample(elevation, geometry)
         weight = elevation_weight(elev_local, k_uniform)
-    with _stage("merge"):
+    with _stage("merge", config["reference_mt"]):
         ref_local = resample(reference, geometry)
         mt_adj = merge_reference(mt0, ref_local, weight, k_uniform)
         lines.append(_mean_line("merge.mt", mt_adj))

@@ -33,6 +33,8 @@ class GridGeometry:
 
     ``xll``/``yll`` locate the lower-left corner in degrees, ``cell`` is the
     pixel size in degrees and ``nodata`` is the missing-value sentinel.
+    Row 0 is the north row; other modules place cells only through
+    :meth:`center` and :meth:`cell_at`.
     """
 
     ncols: int
@@ -50,7 +52,7 @@ class GridGeometry:
                 raise ValueError(f"geometry field {name} must be finite")
         if self.cell <= 0:
             raise ValueError("cell size must be positive")
-        if self.yll < -90.0 or self.yll + self.nrows * self.cell > 90.0 + 1e-9:
+        if self.yll < -90.0 or self.lat_max > 90.0 + 1e-9:
             raise ValueError("grid extends outside [-90, 90] latitude")
 
     @property
@@ -67,14 +69,15 @@ class GridGeometry:
                 and self.xll == other.xll and self.yll == other.yll
                 and self.cell == other.cell)
 
-    def row_center_lats(self) -> np.ndarray:
-        """Cell-center latitudes, north row first."""
-        rows = np.arange(self.nrows, dtype=np.float64)
-        return self.yll + (self.nrows - rows - 0.5) * self.cell
+    def center(self, rows, cols):
+        """``(lat, lon)`` of the centers of the cells ``(rows, cols)``."""
+        return (self.yll + (self.nrows - rows - 0.5) * self.cell,
+                self.xll + (cols + 0.5) * self.cell)
 
-    def col_center_lons(self) -> np.ndarray:
-        cols = np.arange(self.ncols, dtype=np.float64)
-        return self.xll + (cols + 0.5) * self.cell
+    def cell_at(self, lat, lon):
+        """``(row, col)`` of a point as fractions, whole at cell centers."""
+        return ((self.lat_max - lat) / self.cell - 0.5,
+                (lon - self.xll) / self.cell - 0.5)
 
 
 class Grid:
@@ -112,10 +115,6 @@ class Grid:
             return NotImplemented
         return (self.geometry == other.geometry
                 and np.array_equal(self.values, other.values))
-
-    def __repr__(self) -> str:
-        g = self.geometry
-        return f"Grid({g.ncols}x{g.nrows} @ {g.cell} deg)"
 
 
 def require_aligned(*grids: Grid) -> None:
@@ -229,8 +228,7 @@ def _bilinear_many(grid: Grid, lats: np.ndarray, lons: np.ndarray):
     # continuous (row-from-north, col) coordinates of the sample point; a
     # point too far outside to count in cells overflows to +-inf
     with np.errstate(over="ignore"):
-        gx = (lons - g.xll) / g.cell - 0.5
-        gy = (g.lat_max - lats) / g.cell - 0.5
+        gy, gx = g.cell_at(lats, lons)
 
     # fmin/fmax clip as np.clip does, but take NaN (outside) to an index
     j0 = np.fmax(np.fmin(np.floor(gx), g.ncols - 2), 0).astype(np.intp)
@@ -272,8 +270,8 @@ def resample(grid: Grid, target: GridGeometry) -> Grid:
     at its center, as :func:`sample_bilinear` gives it.  Centers outside the
     source bounds, or whose 2x2 neighborhood touches nodata, become nodata.
     """
-    vals, inside = _bilinear_many(grid, target.row_center_lats()[:, None],
-                                  target.col_center_lons()[None, :])
+    vals, inside = _bilinear_many(grid, *target.center(
+        np.arange(target.nrows)[:, None], np.arange(target.ncols)[None, :]))
     if not inside.any():
         raise ValueError("target geometry does not overlap the source grid")
     return Grid(target, np.where(np.isnan(vals), target.nodata, vals))
@@ -310,7 +308,7 @@ def _window_filter(grid: Grid, line: np.ndarray) -> Grid:
     constant.  Each output depends only on its own window.  Output is nodata
     only where the window holds no valid cell.  A window sum that overflows
     leaves a mean of +-inf, which the clamp takes back into range, or NaN,
-    which :class:`Grid` refuses.
+    which raises ``OverflowError``.
     """
     g = grid.geometry
     valid = grid.valid_mask()
@@ -326,6 +324,8 @@ def _window_filter(grid: Grid, line: np.ndarray) -> Grid:
     num, den = sums
     out = np.clip(num / den, low[0], -low[1])
     out[den == 0.0] = g.nodata
+    if np.isnan(out).any():
+        raise OverflowError("a window mean's sum overflows")
     return Grid(g, out)
 
 
@@ -360,7 +360,7 @@ def window_iqr(grid: Grid, k: int) -> Grid:
     Quartiles use linear interpolation between order statistics at positions
     (n-1) * {0.25, 0.75}, bit for bit as ``np.nanquantile``.  Cells with
     fewer than 4 valid window members become nodata.  A range that
-    overflows is inf or NaN, which :class:`Grid` refuses.
+    overflows raises ``OverflowError``.
 
     The valid values of each output row's band of k rows are kept sorted as
     the band slides down, and the sorted band is cut into chunks of about
@@ -449,4 +449,6 @@ def window_iqr(grid: Grid, k: int) -> Grid:
             q.append(np.where(t >= 0.5, b - (b - a) * (1 - t),
                               a + (b - a) * t))
         out[i, ok] = q[1] - q[0]
+    if not np.isfinite(out).all():
+        raise OverflowError("the windowed IQR overflows")
     return Grid(g, out)

@@ -446,6 +446,21 @@ def test_predict_bad_grid_or_params_names_the_file(tmp_path, monkeypatch,
     assert not os.path.exists(tmp_path / "pred.csv")
 
 
+@pytest.mark.parametrize("command", ["predict", "impact"])
+def test_params_file_with_an_unknown_key_names_the_file_and_line(
+        tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "c.cfg", **_working_config(tmp_path, command))
+    with open(tmp_path / "params.txt", "a") as f:
+        f.write("q=1.0\n")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli(command, "--config", "c.cfg") == 2
+    assert capsys.readouterr().err == (
+        "rainstats: data error: params.txt: line 4: expected 'x=', 'y=' or "
+        "'z=', got 'q'\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_predict_location_outside_the_grid_names_the_file_and_site(
         tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -549,6 +564,32 @@ def test_build_clim_failed_output_leaves_no_outputs(tmp_path, monkeypatch):
     assert run_cli("build-clim", "--config", "c.cfg") == 2
     assert sorted(os.listdir(tmp_path)) == [
         "c.cfg", "elev.grd", "obs.csv", "p0.grd", "ref.grd"]
+
+
+def test_failed_second_write_leaves_the_directory_as_it_was(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # impact with zones writes two tables; the first one's temp file exists
+    # when the second write fails
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "c.cfg", **_working_config(tmp_path, "impact"))
+    before = {name: (tmp_path / name).read_bytes()
+              for name in os.listdir(tmp_path)}
+    real_write_rows, written = cli.write_rows, []
+
+    def write_rows(path, *args):
+        if written:
+            assert os.path.exists(written[0])
+            raise OSError("no space left on device")
+        written.append(path)
+        real_write_rows(path, *args)
+
+    monkeypatch.setattr(cli, "write_rows", write_rows)
+    assert run_cli("impact", "--config", "c.cfg") == 2
+    assert capsys.readouterr().err == (
+        "rainstats: data error: no space left on device\n")
+    assert {name: (tmp_path / name).read_bytes()
+            for name in os.listdir(tmp_path)} == before
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +932,52 @@ def test_gauge_span_of_exactly_twelve_months_is_accepted(tmp_path,
         "note.skipped_sites"] == "2"
 
 
+def _write_gauge_site_c(tmp_path, records, **cfg):
+    """Write a gauge run over 2005 of the one site ``c``, whose tip file
+    ``tips_c.csv`` holds ``records``."""
+    write_tips_csv(records, tmp_path / "tips_c.csv")
+    (tmp_path / "gsites.csv").write_text(
+        "site_id,lat,lon,country,tips_path\nc,6.5,3.4,NGA,tips_c.csv\n")
+    write_config(tmp_path / "g.cfg", sites="gsites.csv",
+                 span_start="2005-01-01T00:00:00Z",
+                 span_end="2006-01-02T00:00:00Z", out_sites="stats.csv",
+                 **cfg)
+
+
+def test_gauge_mixed_bucket_depths_without_bucket_mm_exit_2(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    start = 1104537600.0  # 2005-01-01T00:00:00Z
+    _write_gauge_site_c(tmp_path, np.concatenate(
+        [tips([start + 60.0], 0.2), tips([start + 120.0])]).view(np.recarray))
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("gauge", "--config", "g.cfg") == 2
+    assert capsys.readouterr().err == (
+        "rainstats: data error: tips_c.csv: mixed bucket depths "
+        "[0.2, 0.254]; set bucket_mm\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_gauge_site_without_a_valid_period_is_skipped(tmp_path, monkeypatch,
+                                                      capsys):
+    # 2000 tips 29 minutes apart cover about 40 days of 2005: its one
+    # 12-month period is far from 90 % valid
+    monkeypatch.chdir(tmp_path)
+    start = 1104537600.0  # 2005-01-01T00:00:00Z
+    _write_gauge_site_c(tmp_path, tips(start + 60.0 + 1740.0 * np.arange(2000)),
+                        bucket_mm=1e5)
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("gauge", "--config", "g.cfg") == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [*before, "stats.csv", "stats.csv.manifest"])
+    with open(tmp_path / "stats.csv", newline="") as f:
+        assert len(list(csv.reader(f))) == 1  # the header alone
+    assert read_report(tmp_path / "stats.csv.manifest")[
+        "note.skipped_sites"] == "1"
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -1094,6 +1181,28 @@ def test_impact_rates_misaligned_with_pop_exit_2(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "data error: grids are not aligned" in err
     assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("key,cells,value,message", [
+    ("zones", np.s_[:], ND, "zones.grd: zone grid has no valid pixels"),
+    ("countries", np.s_[0, 0], 1.5,
+     "countries.grd: country grid holds non-integer codes"),
+    ("countries", np.s_[0, 0], -1.0,
+     "countries.grd: country grid holds negative codes")],
+    ids=["zones-without-valid-cells", "countries-1.5", "countries--1"])
+def test_impact_bad_category_grid_names_the_file(tmp_path, monkeypatch,
+                                                 capsys, key, cells, value,
+                                                 message):
+    monkeypatch.chdir(tmp_path)
+    cfg = _working_config(tmp_path, "impact")
+    write_config(tmp_path / "c.cfg", **cfg)
+    grid = read_grid(cfg[key])
+    grid.values[cells] = value
+    write_grid(grid, cfg[key])
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("impact", "--config", "c.cfg") == 2
+    assert capsys.readouterr().err == f"rainstats: data error: {message}\n"
     assert sorted(os.listdir(tmp_path)) == before
 
 
@@ -1398,7 +1507,8 @@ def test_eval_report_matches_a_per_sample_reference(tmp_path, monkeypatch):
 
 
 #: name: (command, config file, line, its replacement, message), one case
-#: for each config rule; a replacement of two lines adds a key.
+#: for each config rule, and for a missing required key and a missing output
+#: directory; a replacement of two lines adds a key.
 _RANGE_CHECKS = {
     "eval-classify_p": (
         "eval", "e.cfg", "classify_p=0.01", "classify_p=200",
@@ -1503,6 +1613,13 @@ _RANGE_CHECKS = {
     "impact-zones-without-out_zones": (
         "impact", "i.cfg", "out_zones=zonecov.csv", "",
         "zones and out_zones must be given together"),
+    "impact-missing-params": (
+        "impact", "i.cfg", "params=params.txt", "",
+        "missing required config key 'params'"),
+    "impact-missing-output-directory": (
+        "impact", "i.cfg", "out_impact=impact.csv",
+        "out_impact=nodir/impact.csv",
+        "output directory does not exist: nodir"),
 }
 
 
@@ -2014,3 +2131,25 @@ def test_far_out_grid_keeps_the_contract(tmp_path, monkeypatch, capsys,
         for name, data in after.items():
             if before.get(name) != data:
                 assert not re.search(rb"\b(?:inf|nan)\b", data), name
+
+
+@pytest.mark.parametrize("key,message", [
+    ("elevation", "stage elevation: elev.grd: the windowed IQR overflows"),
+    ("reference_mt", "stage merge: ref.grd: a window mean's sum overflows")],
+    ids=["elevation", "reference_mt"])
+def test_far_out_build_clim_grid_names_the_file_and_the_statistic(
+        tmp_path, monkeypatch, capsys, key, message):
+    # every value is finite; a statistic over a window of them is not
+    monkeypatch.chdir(tmp_path)
+    cfg = _working_config(tmp_path, "build-clim")
+    grid = read_grid(cfg[key])
+    valid = grid.valid_mask()
+    grid.values[valid] = _FAR_OUT["+-1e308"](np.count_nonzero(valid))
+    write_grid(grid, cfg[key])
+    before = {name: (tmp_path / name).read_bytes()
+              for name in os.listdir(tmp_path)}
+    assert run_cli_recording_warnings("build-clim", "--config",
+                                      "c.cfg") == (2, [])
+    assert capsys.readouterr().err == f"rainstats: data error: {message}\n"
+    assert {name: (tmp_path / name).read_bytes()
+            for name in os.listdir(tmp_path)} == before

@@ -8,19 +8,23 @@ import rainstats
 SRC = Path(rainstats.__file__).parent
 
 
-def _calls(path, names):
-    """``(function name, call text)`` for each call in ``path`` of one of
-    ``names``, bare or as an attribute; the function is the innermost one
-    around the call, or None."""
+def _owned(path, keep):
+    """``(function name, node text)`` for each node in ``path`` for which
+    ``keep`` is true; the function is the innermost one around the node,
+    or None."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     owner = {}
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update((id(node), func.name) for node in ast.walk(func))
     return [(owner.get(id(node)), ast.unparse(node))
-            for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and names & {getattr(node.func, "id", None),
-                         getattr(node.func, "attr", None)}]
+            for node in ast.walk(tree) if keep(node)]
+
+
+def _calls(path, names):
+    """:func:`_owned` calls of one of ``names``, bare or as an attribute."""
+    return _owned(path, lambda node: isinstance(node, ast.Call) and names & {
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)})
 
 
 def _open_calls(path):
@@ -86,6 +90,26 @@ def test_only_raster_compares_values_with_the_nodata_sentinel():
              if path.stem != "raster" for text in _nodata_equalities(path)]
     assert found == []
     assert _nodata_equalities(SRC / "raster.py")
+
+
+#: The fields that place a geometry's cells on the globe.
+PLACEMENT = {"xll", "yll", "cell", "lat_max", "lon_max"}
+
+
+def _placement_reads(path):
+    """:func:`_owned` reads of an attribute named in :data:`PLACEMENT`."""
+    return _owned(path, lambda node: isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and node.attr in PLACEMENT)
+
+
+def test_only_raster_reads_a_geometrys_placement():
+    # the registration (lower-left corner, centers at half cells, north row
+    # first) is stated once, in GridGeometry.center and cell_at
+    found = [(path.stem, *read) for path in sorted(SRC.glob("*.py"))
+             if path.stem != "raster" for read in _placement_reads(path)]
+    assert found == []
+    assert _placement_reads(SRC / "raster.py")
 
 
 #: The release criteria, whose imports are callers too.
