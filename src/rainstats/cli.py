@@ -26,8 +26,9 @@ import numpy as np
 
 from . import __version__
 from . import climatology, evaluation, gauge, impact, rainmodel
-from .errors import DATA_ERRORS, ConfigError, DataError, SolverError
-from .raster import GridGeometry, read_grid, require_aligned, sample_bilinear
+from .errors import (DATA_ERRORS, ConfigError, DataError, SolverError,
+                     blamed)
+from .raster import GridGeometry, read_grid, sample_bilinear
 from .rainmodel import ClimatePoint, SiteStatistics
 from .tables import (UNIQUE_SITE, Field, Rule, Table, check_config, finite,
                      load_config, read_table, write_rows, write_text)
@@ -185,10 +186,8 @@ def _cmd_fit(args, cfg: dict, inputs: dict, outputs: dict) -> None:
                             f"{s.site_id}")
         training.append((s, climate[s.site_id]))
 
-    try:
+    with blamed(cfg["sites"]):  # no rung the model can be fitted to
         result = rainmodel.fit_params(training)
-    except ValueError as e:  # no rung the model can be fitted to
-        raise DataError(f"{cfg['sites']}: {e}") from None
 
     ids, ps, rs, mts, p0s = rainmodel._training_arrays(training)
     predicted = rainmodel._rain_rate_array(ps, mts, p0s, result.params)
@@ -231,12 +230,9 @@ def _cmd_predict(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     out_sites = []
     skipped = 0
     for site_id, lat, lon, country in locations.tolist():
-        try:
+        with blamed(f"{cfg['locations']}: site {site_id}"):  # outside the grid
             mt_v = sample_bilinear(mt, lat, lon)
             p0_v = sample_bilinear(p0, lat, lon)
-        except ValueError as e:  # outside the grid
-            raise DataError(f"{cfg['locations']}: site {site_id}: "
-                            f"{e}") from None
         if math.isnan(mt_v) or math.isnan(p0_v):
             skipped += 1
             continue
@@ -355,10 +351,8 @@ def _gauge_site(cfg: dict, span, tips_path):
             raise DataError(f"{tips_path}: mixed bucket depths "
                             f"{depths}; set bucket_mm")
         bucket = depths[0] if depths else 0.254
-    try:
+    with blamed(tips_path):
         series = gauge.tips_to_rates(tips, bucket, span)
-    except ValueError as e:
-        raise DataError(f"{tips_path}: {e}") from None
     series = gauge.qc_filter(series)
     selected = gauge.select_periods(series)
     if selected is None:
@@ -504,6 +498,15 @@ _IMPACT_SCHEMA = {
 }
 
 
+def _require_aligned(cfg: dict, mt, **grids) -> None:
+    """Raise :class:`DataError` naming the file of the first of ``grids``,
+    given by config key, whose cells are not those of the mt grid."""
+    for key, grid in grids.items():
+        if not grid.geometry.aligned_with(mt.geometry):
+            raise DataError(f"grids are not aligned: {cfg[key]} vs "
+                            f"{cfg['mt_grid']}")
+
+
 def _cmd_impact(args, cfg: dict, inputs: dict, outputs: dict) -> None:
     mt = read_grid(cfg["mt_grid"])
     p0 = read_grid(cfg["p0_grid"])
@@ -515,26 +518,21 @@ def _cmd_impact(args, cfg: dict, inputs: dict, outputs: dict) -> None:
                         f"{float(negative[0])!r}")
     countries = read_grid(cfg["countries"])
 
+    _require_aligned(cfg, mt, p0_grid=p0)
     rates = impact.rate_map(mt, p0, params, cfg["p"])
-    require_aligned(pop, rates, countries)
+    _require_aligned(cfg, mt, pop=pop, countries=countries)
     mask, nodata_pixels = impact.heavy_mask(rates, cfg["threshold"])
     zones = None if cfg["zones"] is None else read_grid(cfg["zones"])
 
-    def tally(key, func, *grids):
-        """``func(*grids)``, its errors led by the path of the file at fault:
-        the pop grid for a sum, else the category grid ``cfg[key]``."""
-        try:
-            return func(*grids)
-        except OverflowError as e:
-            raise DataError(f"{cfg['pop']}: {e}") from None
-        except ValueError as e:  # the category grid's codes or cells
-            raise DataError(f"{cfg[key]}: {e}") from None
-
-    heavy = tally("countries", impact.zonal_population, pop, mask, countries)
-    totals = tally("countries", impact.zonal_population, pop,
-                   np.ones_like(mask), countries)
-    coverage = None if zones is None else tally(
-        "zones", impact.zone_coverage, zones, pop)
+    # a sum that overflows is the pop grid's fault, any other error that of
+    # the category grid's codes or cells
+    with blamed(cfg["pop"], OverflowError), blamed(cfg["countries"]):
+        heavy = impact.zonal_population(pop, mask, countries)
+        totals = impact.zonal_population(pop, np.ones_like(mask), countries)
+    if zones is not None:
+        _require_aligned(cfg, mt, zones=zones)
+    with blamed(cfg["pop"], OverflowError), blamed(cfg["zones"]):
+        coverage = None if zones is None else impact.zone_coverage(zones, pop)
 
     # both tallies list every code of the countries grid, ascending
     impact_rows = [[str(code), repr(total), repr(heavy.by_code[code])]

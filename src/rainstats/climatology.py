@@ -13,13 +13,12 @@ to :func:`render_observations`, which takes no other form.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DATA_ERRORS, DataError
+from .errors import DATA_ERRORS, blamed
 from .rainmodel import RATE_CAP_MM_H
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      require_aligned, resample, uniform_filter, window_iqr,
@@ -291,19 +290,6 @@ def read_observations_csv(path) -> np.recarray:
 # full pipeline
 
 
-@contextmanager
-def _stage(name: str, source=None):
-    """Put ``stage <name>:`` in front of the message of a data error raised
-    in the block, as a :class:`DataError`.  An ``OverflowError``, which a
-    window statistic of the grid file ``source`` raises, names the file
-    too."""
-    try:
-        yield
-    except DATA_ERRORS as e:
-        where = f"{source}: " if source and isinstance(e, OverflowError) else ""
-        raise DataError(f"stage {name}: {where}{e}") from e
-
-
 def _mean_line(name: str, grid: Grid) -> str:
     """The report line of the mean of ``grid``'s valid cells, NaN when it
     has none; a mean that overflows raises ``ValueError``."""
@@ -332,33 +318,36 @@ def build_climatology(config: Mapping) -> None:
         "ncols", "nrows", "xll", "yll", "cell", "nodata")))
     k_uniform, k_gauss = config["k_uniform"], config["k_gauss"]
 
-    with _stage("read"):
+    with blamed("stage read", DATA_ERRORS):
         observations = read_observations_csv(config["observations"])
         reference = read_grid(config["reference_mt"])
         elevation = read_grid(config["elevation"])
-    with _stage("render"):
+    with blamed("stage render", DATA_ERRORS):
         acc, render_report = render_observations(observations, geometry,
                                                 config["dedup_window_s"])
     lines = [f"observations={render_report.n_observations}",
              f"skipped={render_report.n_skipped}"]
-    with _stage("initial"):
+    with blamed("stage initial", DATA_ERRORS):
         mt0, p00 = initial_estimates(acc)
         lines += [_mean_line("initial.mt", mt0), _mean_line("initial.p0", p00)]
-    with _stage("elevation", config["elevation"]):
+    # a window statistic that overflows is the fault of its grid file
+    with (blamed("stage elevation", DATA_ERRORS),
+          blamed(config["elevation"], OverflowError)):
         elev_local = resample(elevation, geometry)
         weight = elevation_weight(elev_local, k_uniform)
-    with _stage("merge", config["reference_mt"]):
+    with (blamed("stage merge", DATA_ERRORS),
+          blamed(config["reference_mt"], OverflowError)):
         ref_local = resample(reference, geometry)
         mt_adj = merge_reference(mt0, ref_local, weight, k_uniform)
         lines.append(_mean_line("merge.mt", mt_adj))
-    with _stage("finalize"):
+    with blamed("stage finalize", DATA_ERRORS):
         mt_final, p0_final = finalize(mt_adj, p00, k_gauss,
                                        config["sigma_gauss"])
         lines += [_mean_line("final.mt", mt_final),
                   _mean_line("final.p0", p0_final)]
     report = "\n".join(lines) + "\n"
 
-    with _stage("write"):
+    with blamed("stage write", DATA_ERRORS):
         write_grid(mt_final, config["out_mt"])
         write_grid(p0_final, config["out_p0"])
         write_text(config["out_report"], report)

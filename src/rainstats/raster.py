@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, blamed
 from .tables import read_text, write_text
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
@@ -166,18 +166,14 @@ def _parse_grid(text: str) -> Grid:
         if len(parts) != 2 or parts[0] != key:
             raise DataError(
                 f"line {lineno}: expected '{key} <value>', got {line!r}")
-        try:
+        with blamed(f"line {lineno}"):
             header[key] = (int if key in ("ncols", "nrows") else float)(
                 parts[1])
-        except ValueError as e:
-            raise DataError(f"line {lineno}: {e}") from None
 
-    try:
+    with blamed("header"):
         geometry = GridGeometry(header["ncols"], header["nrows"],
                                 header["xllcorner"], header["yllcorner"],
                                 header["cellsize"], header["NODATA_value"])
-    except ValueError as e:
-        raise DataError(f"header: {e}") from None
 
     nrows, ncols = geometry.nrows, geometry.ncols
     n_lines = len(raw) - 6 - (raw[-1] == "")
@@ -192,11 +188,8 @@ def _parse_grid(text: str) -> Grid:
         if len(tokens) != ncols:
             raise DataError(
                 f"line {lineno}: expected {ncols} values, found {len(tokens)}")
-        try:
-            row = [float(t) for t in tokens]
-        except ValueError as e:
-            raise DataError(f"line {lineno}: {e}") from None
-        values[r] = row
+        with blamed(f"line {lineno}"):
+            values[r] = [float(t) for t in tokens]
         if not np.all(np.isfinite(values[r])):
             raise DataError(f"line {lineno}: non-finite value in row")
 

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1203,6 +1204,22 @@ def test_impact_bad_category_grid_names_the_file(tmp_path, monkeypatch,
     before = sorted(os.listdir(tmp_path))
     assert run_cli("impact", "--config", "c.cfg") == 2
     assert capsys.readouterr().err == f"rainstats: data error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("key", ["p0_grid", "pop", "countries", "zones"])
+def test_impact_misaligned_grid_names_both_files(tmp_path, monkeypatch, capsys,
+                                                 key):
+    monkeypatch.chdir(tmp_path)
+    cfg = _working_config(tmp_path, "impact")
+    write_config(tmp_path / "c.cfg", **cfg)
+    grid = read_grid(cfg[key])
+    write_grid(Grid(replace(grid.geometry, xll=0.5), grid.values), cfg[key])
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli("impact", "--config", "c.cfg") == 2
+    assert capsys.readouterr().err == (
+        f"rainstats: data error: grids are not aligned: {cfg[key]} vs "
+        "mt.grd\n")
     assert sorted(os.listdir(tmp_path)) == before
 
 

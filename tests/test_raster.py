@@ -78,6 +78,26 @@ def test_parse_error_non_numeric_header_value(tmp_path):
         read_grid(path)
 
 
+@pytest.mark.parametrize("line,fault,message", [
+    (2, "nrows oops", "line 2: invalid literal for int() with base 10: "
+                      "'oops'"),
+    (3, "xllcorner west", "line 3: could not convert string to float: "
+                          "'west'"),
+    (5, "cellsize 0", "header: cell size must be positive"),
+    (8, "3.0 x", "line 8: could not convert string to float: 'x'")],
+    ids=["header-int", "header-float", "header-geometry", "row-token"])
+def test_parse_error_message_names_file_then_line(tmp_path, line, fault,
+                                                  message):
+    lines = ["ncols 2", "nrows 2", "xllcorner 0.0", "yllcorner 0.0",
+             "cellsize 1.0", "NODATA_value -9999.0", "1.0 2.0", "3.0 4.0"]
+    lines[line - 1] = fault
+    path = tmp_path / "bad.grd"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as raised:
+        read_grid(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
 def test_parse_error_wrong_column_count(tmp_path):
     path = tmp_path / "bad.grd"
     path.write_text("ncols 3\nnrows 1\nxllcorner 0.0\nyllcorner 0.0\n"

@@ -205,3 +205,31 @@ def test_no_handler_checks_its_config():
              and CONFIG_CHECKS & {getattr(node.func, "id", None),
                                   getattr(node.func, "attr", None)}]
     assert calls == []
+
+
+def _rewraps(path):
+    """:func:`_owned` ``except ... as e`` handlers that raise
+    ``DataError(...)`` with arguments that read ``e``."""
+    def rewraps(node):
+        return isinstance(node, ast.ExceptHandler) and node.name and any(
+            isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call)
+            and getattr(sub.exc.func, "id", None) == "DataError"
+            and any(isinstance(name, ast.Name) and name.id == node.name
+                    for arg in [*sub.exc.args, *sub.exc.keywords]
+                    for name in ast.walk(arg))
+            for sub in ast.walk(node))
+    return _owned(path, rewraps)
+
+
+#: The modules whose data errors name the file, line or site at fault.
+BLAMING = ("cli", "climatology", "raster")
+
+
+def test_data_errors_are_attributed_by_blamed():
+    # a data error's message names what is at fault, from the outside in,
+    # through nested errors.blamed blocks, not a handler written out each time
+    found = [(module, owner) for module in BLAMING
+             for owner, _ in _rewraps(SRC / f"{module}.py")]
+    assert found == []
+    assert all(_calls(SRC / f"{module}.py", {"blamed"}) for module in BLAMING)
+    assert _rewraps(SRC / "errors.py")
