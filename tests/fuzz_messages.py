@@ -8,9 +8,10 @@ in a temporary directory and runs ``test_fuzz``'s seeded mutations of that
 file in this process, warnings as errors, as ``test_fuzz`` does: 494 cases
 in all.  ``OUT.json`` maps ``command/file/case`` to the mutation, the exit
 code (or the ``repr`` of an exception that escaped) and stderr, with the
-temporary directory's path written ``<tmp>``.  Run it on two checkouts and
-compare the two JSON files: equal files mean every case ends the same way
-with the same message.
+temporary directory's path written ``<tmp>``.  ``test_fuzz`` holds every
+case to ``tests/fuzz_messages.json``, written by ``python
+tests/fuzz_messages.py . tests/fuzz_messages.json``; a change that alters
+a message rewrites it, and the file's diff lists the changed cases.
 """
 
 import contextlib

@@ -1,17 +1,27 @@
 """Seeded mutations of every input file of a working run of each
 subcommand, run in-process with warnings as errors.  Whatever the bytes, a
 run exits 0, 1, 2 or 3, raises nothing, warns nothing, and leaves its
-directory as it was when it fails."""
+directory as it was when it fails.  Each case also ends with the exit code
+and stderr recorded in ``fuzz_messages.json``; a change to a message
+rewrites that file with ``python tests/fuzz_messages.py .
+tests/fuzz_messages.json``, and its diff lists the changed cases."""
 
+import json
 import os
 import random
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from rainstats import cli
 from test_cli import _working_config, write_config
+
+#: ``command/file/case``: the mutation, exit code and stderr of each case,
+#: written by ``fuzz_messages.py``
+GOLDEN = json.loads(Path(__file__).with_name("fuzz_messages.json")
+                    .read_text(encoding="utf-8"))
 
 SEED = 837
 CASES_PER_FILE = 26
@@ -88,10 +98,10 @@ def test_mutated_input_keeps_the_contract(tmp_path, monkeypatch, capsys,
                   if not name.endswith(".cfg")) == INPUTS[command]
     assert cli.main([command, "--config", "run.cfg"]) == 0
     _remove_outputs(tmp_path, clean)
-    failures = []
+    failures, cases = [], {}
     for name in INPUTS[command]:
         rng = random.Random(f"{SEED}:{command}:{name}")
-        for _ in range(CASES_PER_FILE):
+        for i in range(CASES_PER_FILE):
             what, data = _mutate(clean[name], rng)
             (tmp_path / name).write_bytes(data)
             before = _snapshot(tmp_path)
@@ -102,6 +112,9 @@ def test_mutated_input_keeps_the_contract(tmp_path, monkeypatch, capsys,
                 except Exception as e:  # any exception is a finding
                     exit_code = repr(e)
             err = capsys.readouterr().err
+            cases[f"{command}/{name}/{i}"] = {
+                "mutation": what, "exit": exit_code,
+                "stderr": err.replace(str(tmp_path), "<tmp>")}
             if exit_code not in (0, 1, 2, 3):
                 failures.append((name, what, exit_code))
             elif exit_code and _snapshot(tmp_path) != before:
@@ -109,3 +122,7 @@ def test_mutated_input_keeps_the_contract(tmp_path, monkeypatch, capsys,
             _remove_outputs(tmp_path, clean)
         (tmp_path / name).write_bytes(clean[name])
     assert failures == []
+    golden = {case: out for case, out in GOLDEN.items()
+              if case.startswith(f"{command}/")}
+    assert sorted(case for case in cases.keys() | golden.keys()
+                  if cases.get(case) != golden.get(case)) == []
