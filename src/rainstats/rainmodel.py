@@ -284,10 +284,7 @@ def _parse_params(text: str) -> ModelParams:
     missing = [k for k in ("x", "y", "z") if k not in values]
     if missing:
         raise DataError(f"missing {', '.join(missing)}")
-    try:
-        return ModelParams(**values)
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    return ModelParams(**values)
 
 
 _SITES = Table(

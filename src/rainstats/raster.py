@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, blamed
-from .tables import read_text, write_text
+from .tables import read_text, split_lines, write_text
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
                 "NODATA_value")
@@ -157,7 +157,7 @@ def read_grid(path) -> Grid:
 
 def _parse_grid(text: str) -> Grid:
     """The grid in ``text``, the contents of a grid file."""
-    raw = text.split("\n")
+    raw = split_lines(text)
     del text  # the parse holds the lines and values, not the text too
     header = {}
     for lineno, key in enumerate(_HEADER_KEYS, start=1):

@@ -8,14 +8,16 @@ them.  Grids and params are read by :func:`read_text` and configs by
 :func:`load_config`, whose values :func:`check_config` holds to the
 :data:`Rule`s of their keys; configs and params are :func:`parse_pairs`
 files.
-Every read error names the file.  CSV tables are written by
-:func:`write_rows` and text files by :func:`write_text`, with ``\n`` line
-ends on every platform.
+Every input file is opened and decoded by :func:`read_text`, which puts
+the file's path in front of every error its parse raises.  CSV tables are
+written by :func:`write_rows` and text files by :func:`write_text`, with
+``\n`` line ends on every platform.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from collections import namedtuple
@@ -24,20 +26,23 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, blamed
 
 
 def read_text(path, parse):
-    """``parse(text)`` of the file at ``path``.  Bytes that are not UTF-8
-    and a :class:`DataError` from ``parse`` raise a :class:`DataError` with
-    the path in front of the message."""
-    try:
-        with open(path, encoding="utf-8") as f:
+    """``parse(text)`` of the file at ``path``, its line ends as they are.
+    Bytes that are not UTF-8 and a ``ValueError`` from ``parse`` raise a
+    :class:`DataError` with the path in front of the message."""
+    with open(path, encoding="utf-8", newline="") as f, blamed(path):
+        try:
             return parse(f.read())
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 at byte {e.start}") from None
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"not UTF-8 at byte {e.start}") from None
+
+
+def split_lines(text: str) -> list:
+    """The lines of ``text`` ended by ``\r\n``, ``\r`` or ``\n``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def parse_pairs(text: str) -> dict:
@@ -45,7 +50,7 @@ def parse_pairs(text: str) -> dict:
     of ``text``, skipping blank and ``#`` lines.  A line without ``=`` or a
     key, or a repeated key, raises :class:`DataError` naming the line."""
     out = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -119,19 +124,16 @@ def unique(reads, message) -> Check:
 UNIQUE_SITE = unique(("site_id",), "duplicate site {site_id}")
 
 
-def _split_whole(path, table: Table):
-    """``(columns, line numbers, None)`` of the table at ``path`` as
+def _split_whole(text: str, table: Table):
+    """``(columns, line numbers, None)`` of the table in ``text`` as
     ``np.loadtxt`` splits it, or None if csv could split it otherwise."""
-    with open(path, encoding="utf-8") as f:  # \r\n and \r read as \n
-        header, _, body = f.read().partition("\n")
+    header, *lines = split_lines(text)
     # csv reads " as a quote; loadtxt takes \x1c-\x1f for spaces, float not
     if header != ",".join(table.columns) or any(
-            c in body for c in '"\x1c\x1d\x1e\x1f'):
+            c in text for c in '"\x1c\x1d\x1e\x1f'):
         return None
-    lines = body.split("\n")
-    del body
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
-    if lengths.max() > csv.field_size_limit():
+    if lengths.max(initial=0) > csv.field_size_limit():
         return None
     try:
         with warnings.catch_warnings():
@@ -145,27 +147,26 @@ def _split_whole(path, table: Table):
             2 + np.flatnonzero(lengths), None)  # loadtxt skips empty lines
 
 
-def _split_csv(path, table: Table):
-    """``(columns, line numbers, fault)`` of the table at ``path`` as
+def _split_csv(text: str, table: Table):
+    """``(columns, line numbers, fault)`` of the table in ``text`` as
     ``csv.reader`` splits it, up to the first row it cannot parse or that
     has a wrong field count; ``fault`` is that row's (line, message)."""
     rows, lines, fault = [], [], None
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader, None)
-            if header != table.columns:
-                raise DataError(f"{path}: expected header "
-                                f"{','.join(table.columns)}, got {header}")
-            for row in filter(None, reader):  # blank lines are skipped
-                if len(row) != len(table.columns):
-                    fault = (reader.line_num,
-                             f"expected {len(table.columns)} columns")
-                    break
-                rows.append(row)
-                lines.append(reader.line_num)
-        except csv.Error as e:
-            fault = (reader.line_num, str(e))
+    reader = csv.reader(io.StringIO(text, newline=""))  # keeps "a\r\nb"
+    try:
+        header = next(reader, None)
+        if header != table.columns:
+            raise DataError(f"expected header {','.join(table.columns)}, "
+                            f"got {header}")
+        for row in filter(None, reader):  # blank lines are skipped
+            if len(row) != len(table.columns):
+                fault = (reader.line_num,
+                         f"expected {len(table.columns)} columns")
+                break
+            rows.append(row)
+            lines.append(reader.line_num)
+    except csv.Error as e:
+        fault = (reader.line_num, str(e))
     texts = list(zip(*rows)) or [()] * len(table.columns)
     return ({name: np.fromiter(text, object, len(lines))
              for name, text in zip(table.dtype.names, texts)}, lines, fault)
@@ -183,11 +184,12 @@ def read_table(path, table: Table) -> np.recarray:
     as if the steps ran row by row.  A wrong header fails the whole file,
     and before it a byte that is not UTF-8.
     """
-    try:
-        columns, lines, fault = (_split_whole(path, table)
-                                 or _split_csv(path, table))
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8") from None
+    return read_text(path, lambda text: _parse_table(text, table))
+
+
+def _parse_table(text: str, table: Table) -> np.recarray:
+    columns, lines, fault = (_split_whole(text, table)
+                             or _split_csv(text, table))
     n = len(lines)
     for step in table.steps:
         if isinstance(step, Check):
@@ -201,8 +203,8 @@ def read_table(path, table: Table) -> np.recarray:
             name, convert = step
             values, message = [], None
             try:
-                for text in columns[name][:n]:
-                    values.append(convert(text))
+                for field in columns[name][:n]:
+                    values.append(convert(field))
             except ValueError as e:
                 i, message = len(values), str(e)
             columns[name] = np.array(values, np.float64)
@@ -212,7 +214,7 @@ def read_table(path, table: Table) -> np.recarray:
             continue
         n, fault = i, (lines[i], message)  # drop row i and the rows after it
     if fault:
-        raise DataError(f"{path} line {fault[0]}: {fault[1]}")
+        raise DataError(f"line {fault[0]}: {fault[1]}")
     return np.rec.fromarrays([columns[name][:n] for name in table.dtype.names],
                              dtype=table.dtype)
 

@@ -35,7 +35,8 @@ def read_rows(path, columns, convert):
     have that many fields.  A wrong header, a wrong field count, text the
     csv module cannot parse (such as a field over its size limit) or a
     ``ValueError`` from ``convert`` raises :class:`DataError` naming the
-    file and line, and bytes that are not UTF-8 one naming the file.
+    file and line, and bytes that are not UTF-8 one naming the file and the
+    first such byte.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -48,18 +49,24 @@ def read_rows(path, columns, convert):
                 if not row:
                     continue
                 if len(row) != len(columns):
-                    raise DataError(f"{path} line {reader.line_num}: "
+                    raise DataError(f"{path}: line {reader.line_num}: "
                                     f"expected {len(columns)} columns")
                 try:
                     value = convert(row)
                 except ValueError as e:
                     raise DataError(
-                        f"{path} line {reader.line_num}: {e}") from None
+                        f"{path}: line {reader.line_num}: {e}") from None
                 yield reader.line_num, value
         except csv.Error as e:
-            raise DataError(f"{path} line {reader.line_num}: {e}") from None
+            raise DataError(f"{path}: line {reader.line_num}: {e}") from None
         except UnicodeDecodeError:
-            raise DataError(f"{path}: not UTF-8") from None
+            with open(path, "rb") as whole:  # the byte's place in the file
+                data = whole.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(
+                    f"{path}: not UTF-8 at byte {e.start}") from None
 
 
 def read_keyed(path, columns, convert) -> dict:
@@ -70,7 +77,7 @@ def read_keyed(path, columns, convert) -> dict:
     for lineno, (key, value) in read_rows(
             path, columns, lambda row: (row[0], convert(row))):
         if key in out:
-            raise DataError(f"{path} line {lineno}: duplicate site {key}")
+            raise DataError(f"{path}: line {lineno}: duplicate site {key}")
         out[key] = value
     return out
 
@@ -238,7 +245,7 @@ def read_sites_csv(path):
         (_finite(r[5]), _finite(r[6]))))
     for lineno, (site_id, rec, point) in rows:
         if meta.setdefault(site_id, rec) != rec:
-            raise DataError(f"{path} line {lineno}: inconsistent "
+            raise DataError(f"{path}: line {lineno}: inconsistent "
                             f"metadata for site {site_id}")
         points.setdefault(site_id, []).append(point)
     sites = []

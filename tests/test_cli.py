@@ -182,7 +182,7 @@ def test_fit_non_finite_site_number_exits_2(tmp_path, monkeypatch, capsys,
                  out_residuals="residuals.csv", out_report="fit_report.txt")
     assert run_cli("fit", "--config", "fit.cfg") == 2
     err = capsys.readouterr().err
-    assert "train_sites.csv line 2: not a finite number" in err
+    assert "train_sites.csv: line 2: not a finite number" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not os.path.exists(tmp_path / "params.txt")
 
@@ -425,7 +425,7 @@ def test_predict_repeated_location_exits_2(tmp_path, monkeypatch, capsys):
                  out_sites="pred.csv")
     assert run_cli("predict", "--config", "p.cfg") == 2
     err = capsys.readouterr().err
-    assert "locs.csv line 4: duplicate site a" in err
+    assert "locs.csv: line 4: duplicate site a" in err
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "pred.csv")
     assert not os.path.exists(tmp_path / "pred.csv.manifest")
@@ -553,7 +553,7 @@ def test_build_clim_out_of_order_observations_name_the_line(
     assert run_cli("build-clim", "--config", "c.cfg") == 2
     time = float(lines[11].split(",")[0])
     assert capsys.readouterr().err == (
-        f"rainstats: data error: stage read: obs.csv line 12: time {time} "
+        f"rainstats: data error: stage read: obs.csv: line 12: time {time} "
         "is earlier than the row before it\n")
     assert sorted(os.listdir(tmp_path)) == before
 
@@ -602,9 +602,10 @@ _NON_UTF8 = {
     "mt.grd": ("predict", 2, "data error: mt.grd: not UTF-8 at byte {size}"),
     "params.txt": ("predict", 2,
                    "data error: params.txt: not UTF-8 at byte {size}"),
-    "locs.csv": ("predict", 2, "data error: locs.csv: not UTF-8"),
+    "locs.csv": ("predict", 2,
+                 "data error: locs.csv: not UTF-8 at byte {size}"),
     "obs.csv": ("build-clim", 2,
-                "data error: stage read: obs.csv: not UTF-8"),
+                "data error: stage read: obs.csv: not UTF-8 at byte {size}"),
     "c.cfg": ("build-clim", 1,
               "config error: c.cfg: not UTF-8 at byte {size}"),
 }
@@ -855,7 +856,7 @@ def test_non_finite_coordinates_exit_2(tmp_path, monkeypatch, capsys,
         csv.writer(f, lineterminator="\n").writerows(rows)
     assert run_cli(command, "--config", "c.cfg") == 2
     err = capsys.readouterr().err
-    assert f"{name} line 2: not a finite number" in err
+    assert f"{name}: line 2: not a finite number" in err
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "stats.csv")
 
@@ -915,7 +916,7 @@ def test_gauge_bad_tips_name_the_tip_file(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     # the reader refuses tips out of order and names the line; the span is
     # checked after the file is read, so that error names the file alone
-    where = "tips_a.csv line 3" if len(times) > 1 else "tips_a.csv"
+    where = "tips_a.csv: line 3" if len(times) > 1 else "tips_a.csv"
     assert f"data error: {where}: {message}\n" in err
     assert not os.path.exists(tmp_path / "stats.csv")
 
@@ -1303,7 +1304,7 @@ def test_eval_repeated_sample_exits_2_and_writes_nothing(tmp_path,
                  out_report="m.txt", out_rec="rec.csv",
                  out_manifest="manifest.txt")
     assert run_cli("eval", "--config", "e.cfg") == 2
-    assert ("s.csv line 4: duplicate sample for site a at p=0.01"
+    assert ("s.csv: line 4: duplicate sample for site a at p=0.01"
             in capsys.readouterr().err)
     assert sorted(os.listdir(tmp_path)) == ["c.csv", "e.cfg", "s.csv"]
 
@@ -1378,7 +1379,7 @@ def test_eval_repeated_site_country_exits_2(tmp_path, monkeypatch, capsys):
                  sites="countries.csv", out_report="m.txt", out_rec="rec.csv")
     assert run_cli("eval", "--config", "e.cfg") == 2
     err = capsys.readouterr().err
-    assert "countries.csv line 22: duplicate site c00" in err
+    assert "countries.csv: line 22: duplicate site c00" in err
     assert not os.path.exists(tmp_path / "m.txt")
     assert not os.path.exists(tmp_path / "rec.csv")
 
@@ -1395,7 +1396,7 @@ def test_eval_reads_its_sites_csv_when_no_sample_is_classified(
     before = sorted(os.listdir(tmp_path))
     assert run_cli("eval", "--config", "e.cfg") == 2
     assert capsys.readouterr().err == (
-        "rainstats: data error: countries.csv line 3: duplicate site c00\n")
+        "rainstats: data error: countries.csv: line 3: duplicate site c00\n")
     assert sorted(os.listdir(tmp_path)) == before
 
 
@@ -2087,7 +2088,7 @@ def test_build_clim_rate_at_the_cap_names_the_line(tmp_path, monkeypatch,
     before = sorted(os.listdir(tmp_path))
     assert run_cli_recording_warnings("build-clim", "--config",
                                       "c.cfg") == (2, [])
-    assert (f"obs.csv line 82: nsrr must be below 10000.0 mm/h, got "
+    assert (f"obs.csv: line 82: nsrr must be below 10000.0 mm/h, got "
             f"{float(nsrr)}") in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == before
 

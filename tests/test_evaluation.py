@@ -273,6 +273,6 @@ def test_error_samples_csv_refuses_a_repeated_pair(tmp_path, site):
     path.write_text(text)
     assert read_error_samples_csv(path).site_id.tolist() == ["a", "a", "b"]
     path.write_text(text + site + ",0.010,90.0,80.0\n")
-    with pytest.raises(DataError, match=r"samples\.csv line 5: duplicate "
+    with pytest.raises(DataError, match=r"samples\.csv: line 5: duplicate "
                        r"sample for site a at p=0\.01$"):
         read_error_samples_csv(path)

@@ -32,6 +32,14 @@ def _open_calls(path):
     return _calls(path, {"open"})
 
 
+def _mode(call):
+    """The mode of the ``open`` call whose text is ``call``."""
+    node = ast.parse(call, mode="eval").body
+    given = [*node.args[1:2], *(k.value for k in node.keywords
+                                 if k.arg == "mode")]
+    return ast.literal_eval(given[0]) if given else "r"
+
+
 def test_only_tables_opens_files():
     # files are decoded, and decode errors named, in one place; the manifest
     # hashes raw bytes
@@ -39,6 +47,10 @@ def test_only_tables_opens_files():
              if path.stem != "tables" for call in _open_calls(path)]
     assert calls == [("cli", "_sha256", "open(path, 'rb')")]
     assert _open_calls(SRC / "tables.py")
+    # and there read_text alone opens one to read it, a CSV as every other
+    # input; the writers open theirs to write
+    assert [owner for owner, call in _open_calls(SRC / "tables.py")
+            if "r" in _mode(call)] == ["read_text"]
 
 
 #: numpy's functions that read a file given its name
@@ -222,14 +234,14 @@ def _rewraps(path):
 
 
 #: The modules whose data errors name the file, line or site at fault.
-BLAMING = ("cli", "climatology", "raster")
+BLAMING = ("cli", "climatology", "raster", "tables")
 
 
 def test_data_errors_are_attributed_by_blamed():
     # a data error's message names what is at fault, from the outside in,
     # through nested errors.blamed blocks, not a handler written out each time
-    found = [(module, owner) for module in BLAMING
-             for owner, _ in _rewraps(SRC / f"{module}.py")]
+    found = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             if path.stem != "errors" for owner, _ in _rewraps(path)]
     assert found == []
     assert all(_calls(SRC / f"{module}.py", {"blamed"}) for module in BLAMING)
     assert _rewraps(SRC / "errors.py")

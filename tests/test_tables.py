@@ -81,12 +81,13 @@ TABLES = {
 
 LIMIT = csv.field_size_limit()
 
-#: stand-ins for one field; ``{}`` is the field's valid text
+#: stand-ins for one field; ``{}`` is the field's valid text.  A quoted
+#: field keeps its ``\r\n`` or ``\r`` as it is.
 FIELD_TOKENS = [
     '"{}"', ' {}', '{} ', '\t{}\t', '\u2003{}', '{}\x00', 'x"{}', '',
     '1_0', 'inf', '-inf', 'nan', 'NaN', '-0', '1e308', '1e309', '\u0661',
     '0x10', '1.0', '0' * (LIMIT - 4) + '{}', '0' * (LIMIT + 1) + '{}',
-    '\x1c{}', '{}\x1f',
+    '\x1c{}', '{}\x1f', '"{0}\r\n{0}"', '"\r{}"',
 ]
 
 
@@ -192,3 +193,20 @@ def test_plain_tables_are_read_whole(tmp_path, monkeypatch, name):
     assert _same(("table", read(path)), ("table", want))
     path.write_text(",".join(columns) + "\n", encoding="utf-8")
     assert _same(("table", read(path)), ("table", reference(path)))
+
+
+def test_a_table_is_opened_once(tmp_path, monkeypatch):
+    # the csv module splits the text that read_text decoded; a quoted field
+    # sends the table there
+    read, _, columns, rows, _ = TABLES["samples"]
+    path = tmp_path / "samples.csv"
+    path.write_text(",".join(columns) + '\n"a",1,2,3\n', encoding="utf-8")
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(tables, "open", counted, raising=False)
+    assert read(path).site_id.tolist() == ["a"]
+    assert opened == [path]
