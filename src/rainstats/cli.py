@@ -435,9 +435,8 @@ def _cmd_eval(args, cfg: dict, inputs: dict, outputs: dict) -> None:
             worst = rows[np.argmax(np.abs(values[rows]))]
             raise _bad_sample(worst, f"error overflows the {prefix} "
                                      "summary") from None
-        lines.append(f"{prefix}.mean={s.mean:.4f}")
-        lines.append(f"{prefix}.sd={s.sd:.4f}")
-        lines.append(f"{prefix}.rms={s.rms:.4f}")
+        for name in ("mean", "sd", "rms"):
+            lines.append(f"{prefix}.{name}={getattr(s, name):.4f}")
 
     def _confusion_block(prefix, actuals, preds):
         cm = evaluation.confusion(actuals, preds)

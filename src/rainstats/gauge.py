@@ -167,7 +167,7 @@ def _minute_rates(times, bucket_mm: float, m0: int, n: int) -> np.ndarray:
         for a, lo_e, hi_e, tips_e, first_tip in zip(
                 (e0 + lo - mb0).tolist(), lo.tolist(), hi.tolist(),
                 n_tips.tolist(), x[k0 + 1].tolist()):
-            if hi_e < lo_e:
+            if hi_e < lo_e:  # as in a span covering no whole minute
                 continue
             kept = d[a:a + hi_e - lo_e + 1]
             total = bucket_mm * tips_e

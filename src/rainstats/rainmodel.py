@@ -242,10 +242,12 @@ def fit_params(training, *, threads: int = 1) -> FitResult:
         return float(res.fun), float(x), float(y), float(z)
 
     # an objective that overflows is inf, and the simplex's convergence test
-    # subtracts objectives; a descent that ends at inf is dropped
+    # subtracts objectives; a descent that ends at inf is dropped, and none
+    # starts when every seed scores inf, as no such descent has ended finite
     with np.errstate(over="ignore", invalid="ignore"):
         scored = sorted(((objective(s), i) for i, s in enumerate(seeds)))
-        starts = [seeds[i] for _, i in scored[:_N_DESCENTS]]
+        starts = [seeds[i] for _, i in scored[:_N_DESCENTS]
+                  if np.isfinite(scored[0][0])]
         candidates = [c for c in map(descend, starts) if np.isfinite(c[0])]
     if not candidates:
         raise SolverError("no fit start converged to a finite objective")

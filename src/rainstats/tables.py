@@ -1,24 +1,22 @@
 """The files every subcommand reads and writes, all of them UTF-8.
 
-Every CSV input is a :class:`Table`: its columns, its record fields and
-one ordered list of steps, each converting a field from text or checking
-whole columns (a :data:`Check`, such as :data:`UNIQUE_SITE` across rows).
-:func:`read_table` splits a CSV into columns and runs the steps over
-them.  Grids and params are read by :func:`read_text` and configs by
+Every input file is opened and decoded by :func:`read_text`, which puts
+the file's path in front of every error its parse raises.  A CSV input
+is a :class:`Table`: its columns, its record fields and one ordered list
+of steps, each converting a field from text or checking whole columns (a
+:data:`Check`, such as :data:`UNIQUE_SITE` across rows), which
+:func:`read_table` runs over the CSV's columns.  Configs are read by
 :func:`load_config`, whose values :func:`check_config` holds to the
 :data:`Rule`s of their keys; configs and params are :func:`parse_pairs`
-files.
-Every input file is opened and decoded by :func:`read_text`, which puts
-the file's path in front of every error its parse raises.  CSV tables are
-written by :func:`write_rows` and text files by :func:`write_text`, with
-``\n`` line ends on every platform.
+files.  CSV tables are written by :func:`write_rows` and text files by
+:func:`write_text`, with ``\n`` line ends on every platform.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
+import re
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -42,7 +40,8 @@ def read_text(path, parse):
 
 def split_lines(text: str) -> list:
     """The lines of ``text`` ended by ``\r\n``, ``\r`` or ``\n``."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text
+            else text).split("\n")  # a text without \r is only split
 
 
 def parse_pairs(text: str) -> dict:
@@ -127,9 +126,9 @@ UNIQUE_SITE = unique(("site_id",), "duplicate site {site_id}")
 def _split_whole(text: str, table: Table):
     """``(columns, line numbers, None)`` of the table in ``text`` as
     ``np.loadtxt`` splits it, or None if csv could split it otherwise."""
-    header, *lines = split_lines(text)
+    lines = split_lines(text)
     # csv reads " as a quote; loadtxt takes \x1c-\x1f for spaces, float not
-    if header != ",".join(table.columns) or any(
+    if lines.pop(0) != ",".join(table.columns) or any(
             c in text for c in '"\x1c\x1d\x1e\x1f'):
         return None
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
@@ -152,7 +151,8 @@ def _split_csv(text: str, table: Table):
     ``csv.reader`` splits it, up to the first row it cannot parse or that
     has a wrong field count; ``fault`` is that row's (line, message)."""
     rows, lines, fault = [], [], None
-    reader = csv.reader(io.StringIO(text, newline=""))  # keeps "a\r\nb"
+    reader = csv.reader(m[0] for m in re.finditer(  # the lines, each with
+        r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text))  # its \r\n, \r or \n
     try:
         header = next(reader, None)
         if header != table.columns:
@@ -168,8 +168,8 @@ def _split_csv(text: str, table: Table):
     except csv.Error as e:
         fault = (reader.line_num, str(e))
     texts = list(zip(*rows)) or [()] * len(table.columns)
-    return ({name: np.fromiter(text, object, len(lines))
-             for name, text in zip(table.dtype.names, texts)}, lines, fault)
+    return ({name: np.fromiter(column, object, len(lines))
+             for name, column in zip(table.dtype.names, texts)}, lines, fault)
 
 
 def read_table(path, table: Table) -> np.recarray:
@@ -181,8 +181,7 @@ def read_table(path, table: Table) -> np.recarray:
     Each step then runs over whole columns, and one that fails drops its
     first failing row and the rows after it.  So the error names the line
     of the earliest failing row and the message of its first failing step,
-    as if the steps ran row by row.  A wrong header fails the whole file,
-    and before it a byte that is not UTF-8.
+    as if the steps ran row by row.  A wrong header fails the whole file.
     """
     return read_text(path, lambda text: _parse_table(text, table))
 

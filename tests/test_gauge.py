@@ -80,6 +80,16 @@ def test_single_tip_event():
     assert series.rates.sum() / 60.0 == pytest.approx(BUCKET, rel=1e-9)
 
 
+@pytest.mark.parametrize("span, tip", [((0.0, 5e-324), 0.0),
+                                       ((0.0, 5e-324), 5e-324),
+                                       ((-5e-324, 0.0), 0.0)])
+def test_a_span_covering_no_whole_minute_has_no_minutes(span, tip):
+    # 5e-324 / 60 rounds to 0, so the span covers no whole minute and the
+    # tip's event has none to fill; the only inputs that skip an event
+    series = tips_to_rates(tips([tip], BUCKET), BUCKET, span)
+    assert series.start_minute == 0 and series.rates.size == 0
+
+
 def _reference_tips_to_rates(times, bucket_mm, span):
     """The per-event ``CubicSpline`` conversion the banded solve replaced."""
     start_s, end_s = float(span[0]), float(span[1])

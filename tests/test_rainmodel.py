@@ -367,6 +367,21 @@ def test_fit_ending_beyond_the_parameter_domain_is_a_solver_error(
         fit_params(training)
 
 
+def test_fit_descends_from_no_seed_when_every_seed_overflows(monkeypatch):
+    # the relative error against a rate of 5e-324 overflows at every seed
+    (site, climate), rest = _make_training(GEN_PARAMS,
+                                           _training_climates(2))
+    *points, (p, _) = site.points
+    site = SiteStatistics(site.site_id, site.lat, site.lon, site.country,
+                          site.duration_years, (*points, (p, 5e-324)))
+    calls = []
+    monkeypatch.setattr(rainmodel, "minimize",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SolverError, match="no fit start converged"):
+        fit_params([(site, climate), rest])
+    assert calls == []
+
+
 def test_fit_lets_the_models_domain_error_through():
     # p = 0 is outside the model's domain, not a parameter vector to steer
     # away from: scored 1e9 at every start, it came back as a fit
