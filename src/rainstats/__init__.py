@@ -9,6 +9,12 @@ metrics and population-impact tables.
 
 __version__ = "0.1.0"
 
+import os
+
+# Every command runs in one thread: OpenBLAS reads this when numpy first
+# loads, so it is set before the imports below.  A caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import ConfigError, DataError, SolverError
 from .raster import (Grid, GridGeometry, gaussian_filter, read_grid,
                      resample, sample_bilinear, uniform_filter, window_iqr,

@@ -7,7 +7,9 @@ written, every run emits a manifest recording its inputs by content hash,
 and reruns with the same inputs produce byte-identical outputs.  No command
 draws a random number: ``--seed`` is only recorded in the manifest.  Every
 command runs in one thread: ``--threads`` is accepted, and outputs are the
-same for any value.
+same for any value.  Importing the package sets ``OPENBLAS_NUM_THREADS=1``
+unless the caller set it, so numpy's and scipy's OpenBLAS start no worker
+threads either.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 solver error.
 """

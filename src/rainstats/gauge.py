@@ -67,6 +67,7 @@ def _event_knots(times: np.ndarray, bucket_mm: float):
     Returns knot times ``x``, knot depths ``y``, and each event's first knot
     index, knot count and tip count.  Each event gets a leading zero-depth
     knot one inter-tip gap (one minute for a single tip) before its first
+    tip, or one ulp before it where the subtraction rounds back onto the
     tip.  Events follow one another in ``x``, which stays non-decreasing
     because event gaps exceed every lead.
     """
@@ -80,7 +81,8 @@ def _event_knots(times: np.ndarray, bucket_mm: float):
     local = np.arange(int(n_knots.sum())) - np.repeat(k0, n_knots)
     x = np.empty(local.size)
     x[local > 0] = times
-    x[k0] = times[first] - lead
+    x[k0] = np.minimum(times[first] - lead,
+                       np.nextafter(times[first], -np.inf))
     y = bucket_mm * local.astype(np.float64)
     return x, y, k0, n_knots, n_tips
 

@@ -1934,6 +1934,32 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def _run_python(code, **env):
+    """The stripped standard output of ``python -c code`` with the package
+    on its path, ``OPENBLAS_NUM_THREADS`` removed from its environment and
+    ``env`` added."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**base, "PYTHONPATH": src, **env}
+                          ).stdout.strip()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_cli_import_runs_one_thread():
+    # numpy's and scipy's OpenBLAS would each start a worker pool
+    assert _run_python("import os, rainstats.cli; "
+                       "print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def test_cli_import_keeps_the_callers_openblas_threads():
+    assert _run_python("import os, rainstats.cli; "
+                       "print(os.environ['OPENBLAS_NUM_THREADS'])",
+                       OPENBLAS_NUM_THREADS="2") == "2"
+
+
 # ---------------------------------------------------------------------------
 # extreme config values
 

@@ -90,6 +90,16 @@ def test_a_span_covering_no_whole_minute_has_no_minutes(span, tip):
     assert series.start_minute == 0 and series.rates.size == 0
 
 
+def test_a_lead_knot_rounding_onto_the_first_tip_stays_before_it():
+    # the lead (the 2**-23 s gap) is half the spacing of doubles below
+    # -2**30, so first - lead rounds back onto the first tip
+    first = -2.0 ** 30
+    times = [first, float(np.nextafter(first, np.inf))]
+    series = tips_to_rates(tips(times, 0.2), 0.2, (first - 60, first + 60))
+    assert series.rates.size == 3
+    assert series.rates.sum() / 60.0 == pytest.approx(0.4, rel=1e-12)
+
+
 def _reference_tips_to_rates(times, bucket_mm, span):
     """The per-event ``CubicSpline`` conversion the banded solve replaced."""
     start_s, end_s = float(span[0]), float(span[1])

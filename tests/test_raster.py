@@ -32,6 +32,11 @@ def brute_uniform(grid, k):
 # file format
 
 
+def test_grid_refuses_the_wrong_number_of_values():
+    with pytest.raises(ValueError, match="expected 6 values, got 5"):
+        Grid(geom(3, 2), np.zeros(5))
+
+
 def test_round_trip_single_cell(tmp_path):
     grid = Grid(geom(1, 1), [7.5])
     path = tmp_path / "one.grd"
@@ -286,6 +291,13 @@ def test_gaussian_filter_constant_is_exact():
     grid = Grid.full(geom(8, 8, cell=0.1), 123.456)
     out = gaussian_filter(grid, 7)
     assert np.array_equal(out.values, grid.values)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_gaussian_filter_refuses_a_non_positive_sigma(sigma):
+    grid = Grid.full(geom(8, 8, cell=0.1), 1.0)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        gaussian_filter(grid, 7, sigma)
 
 
 def test_gaussian_filter_preserves_symmetry():
